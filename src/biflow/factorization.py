@@ -25,7 +25,7 @@ import numpy as np
 
 from .invariants import IntegralIndex, gradient_loop, is_admissible
 from .laurent import BILoop, LaurentLoop, mul
-from .matcore import SymMatrix
+from .matcore import NumericalError, SymMatrix
 
 __all__ = [
     "FourierLoop",
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-class FactorizationError(RuntimeError):
+class FactorizationError(NumericalError):
     """Birkhoff splitting failed or fell outside its validity checks."""
 
 
@@ -68,27 +68,36 @@ def generator(x0: BILoop, idx: IntegralIndex) -> LaurentLoop:
 def expm(a: np.ndarray, tol: float = 1e-13, max_terms: int = 60) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a Taylor core.
 
-    The argument is scaled by 2^-s until its 1-norm is at most 1/2, the
-    series is summed until the term norm falls below tol, and the result
-    is squared s times.
+    ``a`` is one (n, n) matrix or a stack (..., n, n).  Each matrix is
+    scaled by its own 2^-s until its 1-norm is at most 1/2, its series is
+    summed until its own term norm falls below tol, and the result is
+    squared s times.  A stack does per matrix exactly the arithmetic of a
+    single call, so each slice equals the exponential of that slice alone.
     """
     a = np.asarray(a)
-    n = a.shape[0]
-    norm = np.linalg.norm(a, 1)
-    s = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
-    b = a / (2.0 ** s)
-    out = np.eye(n, dtype=a.dtype)
-    term = np.eye(n, dtype=a.dtype)
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    norms = np.linalg.norm(stack, 1, axis=(1, 2))
+    big = norms > 0.5
+    s = np.zeros(len(stack), dtype=int)
+    s[big] = np.ceil(np.log2(norms[big] / 0.5))
+    b = stack / (2.0 ** s)[:, None, None]
+    out = np.broadcast_to(np.eye(n, dtype=b.dtype), b.shape).copy()
+    term = out.copy()
+    live = np.arange(len(stack))  # matrices whose series has not converged
     for m in range(1, max_terms + 1):
-        term = term @ b / m
-        out = out + term
-        if np.linalg.norm(term, 1) < tol:
+        term = term @ b[live] / m
+        out[live] += term
+        going = ~(np.linalg.norm(term, 1, axis=(1, 2)) < tol)
+        live, term = live[going], term[going]
+        if not live.size:
             break
     else:
         raise FactorizationError("matrix exponential series did not converge")
-    for _ in range(s):
-        out = out @ out
-    return out
+    for r in range(s.max(initial=0)):
+        sq = out[s > r]
+        out[s > r] = sq @ sq
+    return out.reshape(a.shape)
 
 
 @dataclass(frozen=True)
@@ -146,8 +155,7 @@ def sample_exp(
     floor = 4 * gen.span * max(1.0, abs(t) * gen.norm())
     if m_samples < floor:
         raise ValueError(f"sample count {m_samples} below heuristic floor {floor:.0f}")
-    zs = circle_points(m_samples)
-    samples = np.stack([expm(-t * gen.evaluate(z)) for z in zs])
+    samples = expm(-t * gen.evaluate(circle_points(m_samples)))
     coeffs = np.fft.fft(samples, axis=0) / m_samples
     loop = FourierLoop(samples, coeffs)
     if loop.aliasing_estimate() > aliasing_tol:
@@ -254,12 +262,10 @@ def birkhoff(
     g_plus = LaurentLoop.from_terms(plus_terms, n)
 
     zs = circle_points(gamma.m_samples)
-    residual = 0.0
-    for i, z in enumerate(zs):
-        gm = g_minus.evaluate(z)
-        gp = g_plus.evaluate(z)
-        approx = np.linalg.solve(gm.T, gp.T).T  # g_plus @ inv(g_minus)
-        residual = max(residual, float(np.linalg.norm(gamma.samples[i] - approx)))
+    gm_t = g_minus.evaluate(zs).transpose(0, 2, 1)
+    gp_t = g_plus.evaluate(zs).transpose(0, 2, 1)
+    approx = np.linalg.solve(gm_t, gp_t).transpose(0, 2, 1)  # g_plus @ inv(g_minus)
+    residual = _max_norm(gamma.samples - approx)
     if residual > residual_tol:
         raise FactorizationError(f"factorization residual {residual:.3e} above {residual_tol:.1e}")
     return BirkhoffFactors(g_minus, g_plus, residual, tail, winding, reality)
@@ -267,12 +273,20 @@ def birkhoff(
 
 def circle_symmetry_residual(loop: LaurentLoop, m_samples: int = 256) -> float:
     """Max over circle samples of ||g(z) g(-z)^T - I||."""
-    eye = np.eye(loop.n)
-    worst = 0.0
-    for z in circle_points(m_samples):
-        val = loop.evaluate(z) @ loop.evaluate(-z).T - eye
-        worst = max(worst, float(np.linalg.norm(val)))
-    return worst
+    zs = circle_points(m_samples)
+    vals = loop.evaluate(zs) @ loop.evaluate(-zs).transpose(0, 2, 1) - np.eye(loop.n)
+    return _max_norm(vals)
+
+
+def _max_norm(stack: np.ndarray) -> float:
+    """Largest Frobenius norm over a nonempty stack of complex matrices.
+
+    Squares are summed by the dot products np.linalg.norm uses on one
+    matrix, so the result equals the largest per-matrix norm bit for bit.
+    """
+    flat = stack.reshape(len(stack), -1)
+    sq = np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)
+    return float(np.sqrt(sq).max())
 
 
 def conjugated_states(

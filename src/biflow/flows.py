@@ -34,8 +34,8 @@ from .invariants import (
     spectral_coeffs,
 )
 from .laurent import BILoop
-from .matcore import SkewMatrix, SymMatrix, as_matrix, commutator, eigenvalues_sym
-from .symmetrizer import SymmetrizerTable
+from .matcore import NumericalError, SkewMatrix, SymMatrix, as_matrix, commutator, eigenvalues_sym
+from .symmetrizer import sym
 
 __all__ = [
     "Trajectory",
@@ -55,7 +55,7 @@ __all__ = [
 BLOWUP_NORM = 1e8
 
 
-class BlowupError(RuntimeError):
+class BlowupError(NumericalError):
     """State norm exceeded the global guard during integration."""
 
 
@@ -84,8 +84,7 @@ def vector_field(s: SymMatrix, n: SkewMatrix, idx: IntegralIndex) -> SymMatrix:
 
 
 def _raw_field(sf: np.ndarray, nf: np.ndarray, idx: IntegralIndex) -> np.ndarray:
-    table = SymmetrizerTable(sf, nf, idx.k)
-    m = table.get(idx.k - idx.l, idx.l)
+    m = sym(sf, nf, idx.k - idx.l, idx.l)
     return nf @ m - m @ nf
 
 
@@ -93,8 +92,7 @@ def vector_field_s_form(s: SymMatrix, n: SkewMatrix, idx: IntegralIndex) -> SymM
     """Same velocity written as [sym_{k-l-1, l+1}(S, N), S]."""
     if not is_admissible(idx, s.n):
         raise ValueError(f"index ({idx.k},{idx.l}) not admissible for n={s.n}")
-    table = SymmetrizerTable(s.full(), n.full(), idx.k)
-    m = table.get(idx.k - idx.l - 1, idx.l + 1)
+    m = sym(s.full(), n.full(), idx.k - idx.l - 1, idx.l + 1)
     return SymMatrix.symmetric_part(commutator(m, s.full()))
 
 
@@ -127,7 +125,9 @@ def rk4_path(
 
     The step count is round(t_final / h) with the step adjusted to land on
     t_final exactly; a state norm above BLOWUP_NORM or a non-finite entry
-    aborts with :class:`BlowupError`.
+    aborts with :class:`BlowupError`.  The entry test comes first: the norm
+    of a huge finite state can overflow, and any entry above the bound puts
+    the norm above it too.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -148,7 +148,11 @@ def rk4_path(
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if project is not None:
             y = project(y)
-        if not np.isfinite(y).all() or np.linalg.norm(y) > BLOWUP_NORM:
+        if (
+            not np.isfinite(y).all()
+            or np.abs(y).max() > BLOWUP_NORM
+            or np.linalg.norm(y) > BLOWUP_NORM
+        ):
             raise BlowupError("state left the admissible region")
         path.append(y.copy())
     return times, path

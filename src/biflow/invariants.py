@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .laurent import BILoop, LaurentLoop, loop_power, pairing, rbracket
-from .matcore import SkewMatrix, SymMatrix, char_poly, numerical_rank
+from .matcore import NumericalError, SkewMatrix, SymMatrix, char_poly, numerical_rank
 from .symmetrizer import SymmetrizerTable
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-class InterpolationError(RuntimeError):
+class InterpolationError(NumericalError):
     """Spectral-curve interpolation is too ill-conditioned to trust."""
 
 

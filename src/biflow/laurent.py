@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import SkewMatrix, SplitMix64, SymMatrix, as_matrix
+from .matcore import NumericalError, SkewMatrix, SplitMix64, SymMatrix, as_matrix
 
 __all__ = [
     "DEFAULT_MAX_SPAN",
@@ -49,7 +49,7 @@ __all__ = [
 DEFAULT_MAX_SPAN = 64
 
 
-class WindowOverflowError(RuntimeError):
+class WindowOverflowError(NumericalError):
     """Product window would exceed the configured degree-span cap."""
 
 
@@ -57,7 +57,7 @@ class LoopSymmetryError(ValueError):
     """Loop does not satisfy g(z) g(-z)^T = I within tolerance."""
 
 
-class LoopConvergenceError(RuntimeError):
+class LoopConvergenceError(NumericalError):
     """Truncated exponential failed to converge within the term cap."""
 
 
@@ -150,11 +150,18 @@ class LaurentLoop:
     def is_zero(self) -> bool:
         return not np.any(self.coeffs)
 
-    def evaluate(self, z: complex) -> np.ndarray:
-        """Value of the loop at one point of C*."""
-        out = np.zeros((self.n, self.n), dtype=complex)
+    def evaluate(self, z) -> np.ndarray:
+        """Value of the loop at one point of C*, or at each of an array of points.
+
+        A scalar ``z`` gives an (n, n) matrix; an array of shape (M,) gives
+        the (M, n, n) stack of values.
+        """
+        zs = np.asarray(z, dtype=complex)
+        out = np.zeros(zs.shape + (self.n, self.n), dtype=complex)
         for k, deg in enumerate(self.degrees()):
-            out += self.coeffs[k] * (z ** deg)
+            # np.power, not **: on arrays the operator computes the exponents
+            # -1 and 2 by other routines, which round differently.
+            out += self.coeffs[k] * np.power(zs, deg)[..., None, None]
         return out
 
     def restrict(self, lo: int, hi: int) -> "LaurentLoop":

@@ -12,6 +12,7 @@ immutable after construction and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -19,6 +20,7 @@ __all__ = [
     "SymMatrix",
     "SkewMatrix",
     "SplitMix64",
+    "NumericalError",
     "JacobiConvergenceError",
     "ResampleCapError",
     "as_matrix",
@@ -38,11 +40,19 @@ __all__ = [
 _U64 = (1 << 64) - 1
 
 
-class JacobiConvergenceError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A computation left the region where its result can be trusted.
+
+    Base class of every numerical failure in the package; the command line
+    reports one as a failing gate named after the error class.
+    """
+
+
+class JacobiConvergenceError(NumericalError):
     """Jacobi sweeps exhausted before the off-diagonal norm target."""
 
 
-class ResampleCapError(RuntimeError):
+class ResampleCapError(NumericalError):
     """Rejection sampling failed to produce an admissible matrix."""
 
 
@@ -50,6 +60,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
+
+
+@cache
+def _tril(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(n, k), built once per (n, k) and shared read-only."""
+    rows, cols = np.tril_indices(n, k)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 def as_matrix(x) -> np.ndarray:
@@ -90,14 +109,14 @@ class SymMatrix:
         dev = np.linalg.norm(a - a.T)
         if dev > tol * max(1.0, np.linalg.norm(a)):
             raise ValueError(f"matrix is not symmetric (deviation {dev:.3e})")
-        return cls(a.shape[0], a[np.tril_indices(a.shape[0])])
+        return cls(a.shape[0], a[_tril(a.shape[0])])
 
     @classmethod
     def symmetric_part(cls, a) -> "SymMatrix":
         """Project a full matrix onto its symmetric part (A + A^T)/2."""
         a = as_matrix(a)
         s = 0.5 * (a + a.T)
-        return cls(a.shape[0], s[np.tril_indices(a.shape[0])])
+        return cls(a.shape[0], s[_tril(a.shape[0])])
 
     @classmethod
     def zero(cls, n: int) -> "SymMatrix":
@@ -105,7 +124,7 @@ class SymMatrix:
 
     def full(self) -> np.ndarray:
         p = np.zeros((self.n, self.n))
-        il = np.tril_indices(self.n)
+        il = _tril(self.n)
         p[il] = self.packed
         p.T[il] = self.packed
         return p
@@ -140,14 +159,14 @@ class SkewMatrix:
         dev = np.linalg.norm(a + a.T)
         if dev > tol * max(1.0, np.linalg.norm(a)):
             raise ValueError(f"matrix is not skew-symmetric (deviation {dev:.3e})")
-        return cls(a.shape[0], a[np.tril_indices(a.shape[0], k=-1)])
+        return cls(a.shape[0], a[_tril(a.shape[0], -1)])
 
     @classmethod
     def skew_part(cls, a) -> "SkewMatrix":
         """Project a full matrix onto its skew part (A - A^T)/2."""
         a = as_matrix(a)
         k = 0.5 * (a - a.T)
-        return cls(a.shape[0], k[np.tril_indices(a.shape[0], k=-1)])
+        return cls(a.shape[0], k[_tril(a.shape[0], -1)])
 
     @classmethod
     def zero(cls, n: int) -> "SkewMatrix":
@@ -155,7 +174,7 @@ class SkewMatrix:
 
     def full(self) -> np.ndarray:
         k = np.zeros((self.n, self.n))
-        il = np.tril_indices(self.n, k=-1)
+        il = _tril(self.n, -1)
         k[il] = self.packed
         return k - k.T
 

@@ -82,10 +82,29 @@ class SymmetrizerTable:
 
 
 def sym(a, b, i: int, j: int, table: SymmetrizerTable | None = None) -> np.ndarray:
-    """sym_{ij}(A, B) via the memoized recursion."""
-    if table is None:
-        table = SymmetrizerTable(a, b, i + j)
-    return table.get(i, j)
+    """sym_{ij}(A, B) via the memoized recursion.
+
+    Without a table only the (i+1) x (j+1) rectangle of entries that
+    sym_{ij} depends on is built, row by row in i, with the products of
+    :class:`SymmetrizerTable`.
+    """
+    if table is not None:
+        return table.get(i, j)
+    if i < 0 or j < 0:
+        raise ValueError("indices must be nonnegative")
+    a = as_matrix(a)
+    b = as_matrix(b)
+    if a.shape != b.shape:
+        raise ValueError("A and B must share one dimension")
+    row = [np.eye(a.shape[0])]  # row[c] = sym_{r,c}, here for r = 0
+    for _ in range(j):
+        row.append(b @ row[-1])
+    for _ in range(i):
+        nxt = [a @ row[0]]
+        for c in range(1, j + 1):
+            nxt.append(a @ row[c] + b @ nxt[c - 1])
+        row = nxt
+    return row[j]
 
 
 def sym_enumerated(a, b, i: int, j: int) -> np.ndarray:

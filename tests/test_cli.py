@@ -1,6 +1,11 @@
 import json
 
-from biflow.cli import main
+import numpy.testing as npt
+
+from biflow import cli
+from biflow.cli import Gate, main
+from biflow.flows import BlowupError, integrate
+from biflow.invariants import IntegralIndex
 
 
 def run_cli(args):
@@ -88,6 +93,42 @@ class TestOtherExperiments:
         monkeypatch.setenv("BIFLOW_OUT", str(tmp_path / "from-env"))
         assert run_cli(["invariants", "--n", 3, "--seed", 1]) == 0
         assert (tmp_path / "from-env" / "invariants.json").exists()
+
+
+class TestFactorizeReference:
+    def test_one_run_matches_separate_runs(self):
+        s0, nmat = cli._sample_state(8, 7)
+        idx = IntegralIndex(2, 0)
+        got = cli._reference_states(s0, nmat, idx, 0.5)
+        for t, state in zip((0.125, 0.25, 0.5), got):
+            want = integrate(s0, nmat, idx, t, 1e-4).states[-1]
+            npt.assert_array_equal(state.packed, want.packed)
+
+
+class TestNumericalFailure:
+    def test_aliasing_becomes_failing_gate(self, tmp_path, capsys):
+        code = run_cli(
+            ["factorize", "--n", 6, "--k", 5, "--l", 4, "--seed", 7, "--out", tmp_path]
+        )
+        assert code == 1
+        summary = json.loads((tmp_path / "factorize.json").read_text())
+        assert summary["pass"] is False
+        assert [(g["name"], g["pass"]) for g in summary["gates"]] == [("AliasingError", False)]
+        err = capsys.readouterr().err
+        assert "AliasingError" in err and "Traceback" not in err
+
+    def test_all_mode_continues_after_failure(self, tmp_path, monkeypatch):
+        def blows_up(cfg):
+            raise BlowupError("state left the admissible region")
+
+        runners = {name: (lambda cfg: [Gate.leq("ok", 0.0, 1.0)]) for name in cli.RUNNERS}
+        runners["flow"] = blows_up
+        monkeypatch.setattr(cli, "RUNNERS", runners)
+        assert run_cli(["all", "--seed", 1, "--out", tmp_path]) == 1
+        flow = json.loads((tmp_path / "flow.json").read_text())
+        assert [g["name"] for g in flow["gates"]] == ["BlowupError"]
+        for name in cli.EXPERIMENTS[1:]:
+            assert json.loads((tmp_path / f"{name}.json").read_text())["pass"] is True
 
 
 class TestAllMode:

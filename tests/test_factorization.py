@@ -4,6 +4,7 @@ import pytest
 
 from biflow.factorization import (
     AliasingError,
+    FactorizationError,
     birkhoff,
     circle_points,
     circle_symmetry_residual,
@@ -81,6 +82,27 @@ class TestExpm:
             np.linalg.matrix_power(expm(b), 8),
             atol=1e-9 * np.linalg.norm(expm(a)),
         )
+
+    def test_stack_matches_each_slice(self):
+        # Four scales give four different scaling exponents: every slice
+        # keeps its own exponent and its own stopping term.
+        scales = [0.1, 0.7, 3.0, 40.0]
+        stack = np.stack(
+            [c * random_matrix(4, seed=20 + i) * (1.0 + 0.5j) for i, c in enumerate(scales)]
+        )
+        exponents = {int(np.ceil(np.log2(max(np.linalg.norm(a, 1), 0.5) / 0.5))) for a in stack}
+        assert len(exponents) == len(scales)
+        got = expm(stack)
+        assert got.shape == stack.shape
+        for i, a in enumerate(stack):
+            npt.assert_array_equal(got[i], expm(a))
+        npt.assert_array_equal(expm(stack.reshape(2, 2, 4, 4)), got.reshape(2, 2, 4, 4))
+
+    def test_stack_raises_when_one_slice_diverges(self):
+        stack = np.stack([np.zeros((3, 3)), random_matrix(3, seed=9)])
+        npt.assert_array_equal(expm(stack[:1], max_terms=2)[0], np.eye(3))
+        with pytest.raises(FactorizationError):
+            expm(stack, max_terms=2)
 
 
 class TestSampleExp:

@@ -56,6 +56,21 @@ class TestLoopBasics:
         x = LaurentLoop.from_terms({-1: np.eye(2), 1: 2 * np.eye(2)})
         npt.assert_allclose(x.evaluate(2.0), (0.5 + 4.0) * np.eye(2))
 
+    def test_evaluate_array_matches_points(self):
+        # Reference: the term-by-term sum at one numpy complex scalar.
+        x = random_sigma_fixed_loop(3, -4, 5, seed=11)
+        zs = np.concatenate([np.exp(2j * np.pi * np.arange(16) / 16), [0.5 + 0.3j, -2.0]])
+        got = x.evaluate(zs)
+        assert got.shape == (len(zs), 3, 3)
+        for i, z in enumerate(zs):
+            want = np.zeros((3, 3), dtype=complex)
+            for d in x.degrees():
+                want += x.coeff(d) * (z**d)
+            single = x.evaluate(z)
+            assert single.shape == (3, 3)
+            npt.assert_array_equal(single, want)
+            npt.assert_array_equal(got[i], want)
+
     def test_immutable(self):
         x = LaurentLoop.identity(2)
         with pytest.raises(AttributeError):

@@ -46,6 +46,18 @@ class TestSym:
                 scale = max(1.0, np.linalg.norm(want))
                 npt.assert_allclose(got, want, atol=1e-12 * scale)
 
+    def test_untabled_matches_table(self):
+        a = random_matrix(4, seed=9)
+        b = random_matrix(4, seed=10)
+        for d in range(6):
+            table = SymmetrizerTable(a, b, d)
+            for i in range(d + 1):
+                npt.assert_array_equal(sym(a, b, i, d - i), table.get(i, d - i))
+        with pytest.raises(ValueError):
+            sym(a, b, -1, 2)
+        with pytest.raises(ValueError):
+            sym(a, np.eye(3), 1, 1)
+
     def test_word_count(self):
         # Number of words in sym_{ij} is C(i+j, i): check through the trace
         # of the all-ones evaluation A = B = I.
