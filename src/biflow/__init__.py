@@ -13,7 +13,7 @@ reductions.
 from .blockpde import BlockState, PDEState
 from .factorization import BirkhoffFactors, FourierLoop, birkhoff, solve_by_factorization
 from .findim import AlgElem, DualElem, GroupElem
-from .flows import Trajectory, bi_rhs, drift_report, integrate, m_rhs, vector_field
+from .flows import Trajectory, bi_rhs, drift_report, integrate, invariant_series, m_rhs, vector_field
 from .invariants import (
     IntegralIndex,
     SpectralTable,
@@ -47,6 +47,7 @@ __all__ = [
     "m_rhs",
     "integrate",
     "drift_report",
+    "invariant_series",
     "FourierLoop",
     "BirkhoffFactors",
     "birkhoff",

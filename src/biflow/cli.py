@@ -22,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +55,7 @@ from .findim import (
     induced_flow_rhs,
     orbit_dimension_f,
 )
-from .flows import bi_rhs, integrate, invariant_series
+from .flows import bi_rhs, drift_report, integrate, invariant_series
 from .invariants import (
     IntegralIndex,
     enumerate_indices,
@@ -70,6 +70,7 @@ from .matcore import (
     SplitMix64,
     SymMatrix,
     commutator,
+    numerical_rank,
     random_skew_simple,
     random_sym,
 )
@@ -105,17 +106,22 @@ DEFAULT_TOLERANCES = {
 }
 
 
+def _param(flag: str, default, help: str, required: bool = False):
+    """A run parameter, set by its flag or by a config-file key of its name."""
+    return field(default=default, metadata={"flag": flag, "help": help, "required": required})
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
-    n: int = 4
-    seed: int = 0
-    k: int = 2
-    l: int = 0
-    t_final: float = 1.0
-    h: float = 1e-3
-    m_samples: int = 256
-    depth: int = 40
+    n: int = _param("--n", 4, "matrix dimension")
+    seed: int = _param("--seed", 0, "sampling seed", required=True)
+    k: int = _param("--k", 2, "flow index k")
+    l: int = _param("--l", 0, "flow index l (even)")
+    t_final: float = _param("--t", 1.0, "final time")
+    h: float = _param("--h", 1e-3, "RK4 step")
+    m_samples: int = _param("--m", 256, "circle samples")
+    depth: int = _param("--j", 40, "factor depth")
     out_dir: Path = field(default_factory=lambda: Path("."))
     tolerances: dict = field(default_factory=dict)
 
@@ -123,18 +129,13 @@ class ExperimentConfig:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
     def as_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "n": self.n,
-            "seed": self.seed,
-            "k": self.k,
-            "l": self.l,
-            "t_final": self.t_final,
-            "h": self.h,
-            "m_samples": self.m_samples,
-            "depth": self.depth,
-            "tolerances": {k: self.tol(k) for k in DEFAULT_TOLERANCES},
-        }
+        out = asdict(self)
+        del out["out_dir"]
+        out["tolerances"] = {k: self.tol(k) for k in DEFAULT_TOLERANCES}
+        return out
+
+
+PARAMS = [f for f in fields(ExperimentConfig) if "flag" in f.metadata]
 
 
 @dataclass
@@ -153,8 +154,14 @@ class Gate:
         return cls(name, float(value), float(want), bool(value == want))
 
 
-def _sample_state(n: int, seed: int) -> tuple[SymMatrix, "SkewMatrix"]:
+def sample_state(n: int, seed: int) -> tuple[SymMatrix, "SkewMatrix"]:
     return random_sym(n, seed), random_skew_simple(n, seed + 10_000)
+
+
+def _out_path(cfg: ExperimentConfig, suffix: str) -> Path:
+    """Output file of cfg's experiment; the directory is made on first write."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg.out_dir / f"{cfg.experiment}.{suffix}"
 
 
 def _write_json(cfg: ExperimentConfig, gates: list[Gate]) -> Path:
@@ -168,13 +175,13 @@ def _write_json(cfg: ExperimentConfig, gates: list[Gate]) -> Path:
         ],
         "pass": all(g.passed for g in gates),
     }
-    path = cfg.out_dir / f"{cfg.experiment}.json"
+    path = _out_path(cfg, "json")
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 
 def _write_csv(cfg: ExperimentConfig, columns: list[str], rows) -> Path:
-    path = cfg.out_dir / f"{cfg.experiment}.csv"
+    path = _out_path(cfg, "csv")
     lines = [
         f"# biflow {__version__}",
         "# schema: 1",
@@ -191,7 +198,7 @@ def _write_csv(cfg: ExperimentConfig, columns: list[str], rows) -> Path:
 
 
 def run_flow(cfg: ExperimentConfig) -> list[Gate]:
-    s0, nmat = _sample_state(cfg.n, cfg.seed)
+    s0, nmat = sample_state(cfg.n, cfg.seed)
     idx = IntegralIndex(cfg.k, cfg.l)
     traj = integrate(s0, nmat, idx, cfg.t_final, cfg.h)
     series = invariant_series(traj)
@@ -202,15 +209,11 @@ def run_flow(cfg: ExperimentConfig) -> list[Gate]:
     )
     _write_csv(cfg, columns, rows)
     tol = cfg.tol("drift")
-    gates = []
-    for name, vals in series.items():
-        drift = float(np.max(np.abs(vals - vals[0])) / max(1.0, abs(vals[0])))
-        gates.append(Gate.leq(f"drift_{name}", drift, tol))
-    return gates
+    return [Gate.leq(f"drift_{name}", d, tol) for name, d in drift_report(series).items()]
 
 
 def run_invariants(cfg: ExperimentConfig) -> list[Gate]:
-    s, nmat = _sample_state(cfg.n, cfg.seed)
+    s, nmat = sample_state(cfg.n, cfg.seed)
     count = len(enumerate_indices(cfg.n))
     rank = integral_independence_rank(s, nmat)
     table = spectral_coeffs(s, nmat)
@@ -222,7 +225,7 @@ def run_invariants(cfg: ExperimentConfig) -> list[Gate]:
 
 
 def run_commute(cfg: ExperimentConfig) -> list[Gate]:
-    s, nmat = _sample_state(cfg.n, cfg.seed)
+    s, nmat = sample_state(cfg.n, cfg.seed)
     x = BILoop(s, nmat)
     idxs = enumerate_indices(cfg.n)
     worst = 0.0
@@ -238,10 +241,12 @@ def run_commute(cfg: ExperimentConfig) -> list[Gate]:
 
 
 def run_factorize(cfg: ExperimentConfig) -> list[Gate]:
-    s0, nmat = _sample_state(cfg.n, cfg.seed)
+    s0, nmat = sample_state(cfg.n, cfg.seed)
     x0 = BILoop(s0, nmat)
     idx = IntegralIndex(cfg.k, cfg.l)
-    times = _factorize_times(cfg.t_final)
+    if cfg.t_final <= 0:
+        raise ValueError(f"factorize needs --t > 0, got {cfg.t_final!r}")
+    times = [cfg.t_final / 4, cfg.t_final / 2, cfg.t_final]
     # Every Birkhoff solve runs before the RK4 reference, which costs the
     # most, so that a run the solve rejects ends early.
     solved = []
@@ -269,12 +274,6 @@ def run_factorize(cfg: ExperimentConfig) -> list[Gate]:
     return gates
 
 
-def _factorize_times(t_final: float) -> list[float]:
-    if t_final <= 0:
-        return [0.25, 0.5, 1.0]
-    return [0.25 * t_final, 0.5 * t_final, t_final]
-
-
 def _reference_states(
     s0: SymMatrix, nmat: "SkewMatrix", idx: IntegralIndex, t_end: float
 ) -> list[SymMatrix]:
@@ -292,9 +291,9 @@ def run_findim(cfg: ExperimentConfig) -> list[Gate]:
     rng_seeds = range(cfg.seed, cfg.seed + 10)
     law = homo = induced = 0.0
     for sd in rng_seeds:
-        g1 = GroupElem(*_sample_state(cfg.n, sd + 1))
-        g2 = GroupElem(*_sample_state(cfg.n, sd + 2))
-        a = DualElem(*_sample_state(cfg.n, sd + 3))
+        g1 = GroupElem(*sample_state(cfg.n, sd + 1))
+        g2 = GroupElem(*sample_state(cfg.n, sd + 2))
+        a = DualElem(*sample_state(cfg.n, sd + 3))
         want = g1.full() @ g2.full()
         law = max(law, float(np.linalg.norm(group_mul(g1, g2).full() - want)))
         lhs = coadjoint_f(group_mul(g1, g2), a)
@@ -330,10 +329,8 @@ def run_pde(cfg: ExperimentConfig) -> list[Gate]:
     nmat = n0(bs.n)
     sf = embed(bs).full()
     nf = nmat.full()
-    dq = rhs_quadratic(bs)
-    dc = rhs_cubic(bs)
-    quad_gap = _block_gap(dq, commutator(nf, sf @ sf))
-    cubic_gap = _block_gap(dc, commutator(nf, sf @ sf @ sf))
+    quad_gap = float(np.abs(embed(rhs_quadratic(bs)).full() - commutator(nf, sf @ sf)).max())
+    cubic_gap = float(np.abs(embed(rhs_cubic(bs)).full() - commutator(nf, sf @ sf @ sf)).max())
 
     _, path = integrate_block(bs, rhs_quadratic, cfg.t_final, cfg.h)
     trace_gap = max(abs((st.a + st.c) - (bs.a + bs.c)) for st in path)
@@ -364,18 +361,6 @@ def run_pde(cfg: ExperimentConfig) -> list[Gate]:
     ]
 
 
-def _block_gap(d: BlockState, oracle: np.ndarray) -> float:
-    got = np.zeros_like(oracle)
-    got[0, 0], got[0, 1], got[1, 1] = d.a, d.b, d.c
-    got[1, 0] = d.b
-    got[0, 2:] = d.u
-    got[2:, 0] = d.u
-    got[1, 2:] = d.v
-    got[2:, 1] = d.v
-    got[2:, 2:] = d.B.full()
-    return float(np.abs(got - oracle).max())
-
-
 def run_lemma41(cfg: ExperimentConfig) -> list[Gate]:
     rng = SplitMix64(cfg.seed)
     worst_a = 0.0
@@ -386,7 +371,7 @@ def run_lemma41(cfg: ExperimentConfig) -> list[Gate]:
             for j in range(5 - i):
                 worst_a = max(worst_a, lemma_a_residual(a, b, i, j))
     parity_ok = all(
-        parity_check(*_sample_state(cfg.n, cfg.seed + t), i, j)
+        parity_check(*sample_state(cfg.n, cfg.seed + t), i, j)
         for t in range(3)
         for i in range(3)
         for j in range(3)
@@ -398,11 +383,9 @@ def run_lemma41(cfg: ExperimentConfig) -> list[Gate]:
     aw, bw = witness_pair(cfg.n, c=2.0)
     fams = [sym(aw, bw, i, j) for i, j in degree_below(cfg.n)]
     fams = [f / np.linalg.norm(f) for f in fams]
-    from .matcore import numerical_rank
-
     witness_ok = numerical_rank(fams) == cfg.n * (cfg.n + 1) // 2
     hits = sum(
-        generic_independence(*_sample_state(cfg.n, cfg.seed + 100 + t))
+        generic_independence(*sample_state(cfg.n, cfg.seed + 100 + t))
         == cfg.n * (cfg.n + 1) // 2
         for t in range(20)
     )
@@ -428,11 +411,10 @@ RUNNERS = {
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment (or 'all'); returns the process exit code."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     names = EXPERIMENTS if cfg.experiment == "all" else (cfg.experiment,)
     failures = []
     for name in names:
-        sub = ExperimentConfig(**{**cfg.__dict__, "experiment": name})
+        sub = replace(cfg, experiment=name)
         try:
             gates = RUNNERS[name](sub)
         except NumericalError as exc:
@@ -486,14 +468,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in EXPERIMENTS + ("all",):
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--n", type=int, default=4, help="matrix dimension")
-        p.add_argument("--seed", type=int, required=True, help="sampling seed")
-        p.add_argument("--k", type=int, default=2, help="flow index k")
-        p.add_argument("--l", type=int, default=0, help="flow index l (even)")
-        p.add_argument("--t", type=float, default=1.0, dest="t_final", help="final time")
-        p.add_argument("--h", type=float, default=1e-3, help="RK4 step")
-        p.add_argument("--m", type=int, default=256, dest="m_samples", help="circle samples")
-        p.add_argument("--j", type=int, default=40, dest="depth", help="factor depth")
+        for f in PARAMS:
+            p.add_argument(
+                f.metadata["flag"],
+                dest=f.name,
+                type=type(f.default),
+                default=f.default,
+                required=f.metadata["required"],
+                help=f.metadata["help"],
+            )
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument(
             "--tol",
@@ -508,37 +491,53 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tolerance(name: str, raw) -> float:
+    """One tolerance override, from ``--tol name=value`` or the config file."""
+    if name not in DEFAULT_TOLERANCES:
+        raise ValueError(f"unknown tolerance {name!r}")
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"tolerance {name} needs a number, got {raw!r}") from None
+
+
+def _config_number(key: str, kind: type, val) -> int | float:
+    """A config-file value for a numeric parameter: a JSON number, whole for int."""
+    whole = not isinstance(val, float) or val.is_integer()
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or (kind is int and not whole):
+        raise ValueError(f"config key {key!r} needs {kind.__name__}, got {val!r}")
+    return kind(val)
+
+
 def _config_from_args(args) -> ExperimentConfig:
-    values = {
-        "experiment": args.command,
-        "n": args.n,
-        "seed": args.seed,
-        "k": args.k,
-        "l": args.l,
-        "t_final": args.t_final,
-        "h": args.h,
-        "m_samples": args.m_samples,
-        "depth": args.depth,
-    }
+    """The run configuration: flags first, then the config file over them.
+
+    Config-file keys are the field names of :class:`ExperimentConfig` other
+    than ``experiment``; every value is checked here, before anything runs.
+    """
+    values = {f.name: getattr(args, f.name) for f in PARAMS}
     tolerances = {}
     for item in args.tol:
         name, _, raw = item.partition("=")
-        if not raw or name not in DEFAULT_TOLERANCES:
-            raise ValueError(f"bad tolerance override {item!r}")
-        tolerances[name] = float(raw)
+        tolerances[name] = _tolerance(name, raw)
     out_dir = args.out
     if args.config is not None:
         overrides = json.loads(args.config.read_text())
-        tolerances.update(overrides.pop("tolerances", {}))
-        if "out" in overrides:
-            out_dir = Path(overrides.pop("out"))
+        if not isinstance(overrides, dict):
+            raise ValueError("config file must hold a JSON object")
         for key, val in overrides.items():
-            if key not in values:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = type(values[key])(val)
+            if key in values:
+                values[key] = _config_number(key, type(values[key]), val)
+            elif key == "tolerances" and isinstance(val, dict):
+                tolerances.update({name: _tolerance(name, raw) for name, raw in val.items()})
+            elif key == "out_dir" and isinstance(val, str):
+                out_dir = Path(val)
+            else:
+                keys = ", ".join([*values, "out_dir", "tolerances"])
+                raise ValueError(f"bad config entry {key!r}: {val!r} (keys: {keys})")
     if out_dir is None:
         out_dir = Path(os.environ.get("BIFLOW_OUT", "biflow-results"))
-    return ExperimentConfig(out_dir=Path(out_dir), tolerances=tolerances, **values)
+    return ExperimentConfig(args.command, out_dir=out_dir, tolerances=tolerances, **values)
 
 
 def main(argv=None) -> int:
@@ -556,13 +555,8 @@ def main(argv=None) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return code
     try:
-        cfg = _config_from_args(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(cfg)
-    except ValueError as exc:
+        return run(_config_from_args(args))
+    except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -210,14 +210,15 @@ def invariant_series(traj: Trajectory) -> dict[str, np.ndarray]:
     return {name: data[:, j] for j, name in enumerate(names)}
 
 
-def drift_report(traj: Trajectory) -> dict[str, float]:
-    """Max deviation of each invariant from its start, relative to max(1, |v0|)."""
-    if not traj.states:
-        raise ValueError("empty trajectory")
+def drift_report(series: dict[str, np.ndarray]) -> dict[str, float]:
+    """Max deviation of each series from its start, relative to max(1, |v0|).
+
+    ``series`` is the mapping that :func:`invariant_series` returns.
+    """
     out = {}
-    for name, series in invariant_series(traj).items():
-        v0 = series[0]
-        out[name] = float(np.max(np.abs(series - v0)) / max(1.0, abs(v0)))
+    for name, vals in series.items():
+        v0 = vals[0]
+        out[name] = float(np.max(np.abs(vals - v0)) / max(1.0, abs(v0)))
     return out
 
 

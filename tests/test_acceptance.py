@@ -2,7 +2,8 @@
 
 Each test is one gate: it runs the experiment at the pinned tolerance,
 prints one [PASS]/[FAIL] line (visible with ``pytest -s``), and enforces
-the stated wall-clock budget.  Run with:
+the stated wall-clock budget.  Criteria 2, 4 and 6 call the command
+line's experiment runners, so both share one definition of each.  Run with:
 
     python3 -m pytest tests/test_acceptance.py -v -s
 """
@@ -22,14 +23,9 @@ from biflow.blockpde import (
     parity_leakage,
     rhs_cubic,
     rhs_quadratic,
+    rhs_reduced,
 )
-from biflow.factorization import (
-    birkhoff,
-    circle_symmetry_residual,
-    conjugated_states,
-    generator,
-    sample_exp,
-)
+from biflow.cli import ExperimentConfig, run_commute, run_factorize, run_flow, sample_state
 from biflow.findim import (
     DualElem,
     GroupElem,
@@ -38,22 +34,8 @@ from biflow.findim import (
     induced_flow_rhs,
     orbit_dimension_f,
 )
-from biflow.flows import (
-    bi_rhs,
-    drift_report,
-    flow_commutation,
-    integrate,
-    integrate_matrix,
-    m_rhs,
-)
-from biflow.invariants import (
-    IntegralIndex,
-    enumerate_indices,
-    gradient_loop,
-    integral_independence_rank,
-    poisson_bracket,
-)
-from biflow.laurent import BILoop
+from biflow.flows import bi_rhs, flow_commutation, integrate_matrix, m_rhs, rk4_path
+from biflow.invariants import IntegralIndex, enumerate_indices, integral_independence_rank
 from biflow.matcore import (
     SplitMix64,
     commutator,
@@ -80,8 +62,9 @@ def gate(num, description, ok, detail, elapsed, budget):
     assert elapsed < budget, f"criterion {num} exceeded {budget}s ({elapsed:.1f}s)"
 
 
-def sample_pair(n, seed):
-    return random_sym(n, seed), random_skew_simple(n, seed + 10_000)
+def worst(gates, prefix=""):
+    """Largest value among the gates whose names start with ``prefix``."""
+    return max(g.value for g in gates if g.name.startswith(prefix))
 
 
 def test_criterion_1_integral_count():
@@ -91,26 +74,15 @@ def test_criterion_1_integral_count():
          "exact integer identity", time.time() - start, 1.0)
 
 
-def test_criterion_2_pairwise_commutation():
+def test_criterion_2_pairwise_commutation(tmp_path):
     start = time.time()
-    worst = 0.0
+    gates = []
     for n in range(2, 6):
         for seed in range(10):
-            s, k = sample_pair(n, 100 * n + seed)
-            x = BILoop(s, k)
-            xnorm = x.loop().norm()
-            idxs = enumerate_indices(n)
-            for a in range(len(idxs)):
-                for b in range(a + 1, len(idxs)):
-                    scale = max(
-                        1.0,
-                        gradient_loop(x, idxs[a]).norm()
-                        * gradient_loop(x, idxs[b]).norm()
-                        * xnorm,
-                    )
-                    worst = max(worst, abs(poisson_bracket(x, idxs[a], idxs[b])) / scale)
-    gate(2, "all Poisson brackets vanish (n<=5, 10 seeds)", worst <= 1e-10,
-         f"max relative bracket {worst:.3e} <= 1e-10", time.time() - start, 10.0)
+            cfg = ExperimentConfig("commute", n=n, seed=100 * n + seed, out_dir=tmp_path)
+            gates += run_commute(cfg)
+    gate(2, "all Poisson brackets vanish (n<=5, 10 seeds)", all(g.passed for g in gates),
+         f"max relative bracket {worst(gates):.3e} <= 1e-10", time.time() - start, 10.0)
 
 
 def test_criterion_3_generic_independence():
@@ -119,7 +91,7 @@ def test_criterion_3_generic_independence():
     detail = []
     for n in range(3, 7):
         hits = sum(
-            integral_independence_rank(*sample_pair(n, 1000 * n + seed)) == n * n // 4
+            integral_independence_rank(*sample_state(n, 1000 * n + seed)) == n * n // 4
             for seed in range(20)
         )
         detail.append(f"n={n}: {hits}/20")
@@ -128,19 +100,19 @@ def test_criterion_3_generic_independence():
          ", ".join(detail), time.time() - start, 30.0)
 
 
-def test_criterion_4_conservation():
+def test_criterion_4_conservation(tmp_path):
     start = time.time()
-    s, k = sample_pair(4, seed=42)
-    traj = integrate(s, k, IntegralIndex(2, 0), t_final=5.0, h=1e-3)
-    report = drift_report(traj)
-    worst_name, worst = max(report.items(), key=lambda kv: kv[1])
+    cfg = ExperimentConfig("flow", n=4, seed=42, k=2, l=0, t_final=5.0, h=1e-3, out_dir=tmp_path)
+    gates = run_flow(cfg)
+    top = max(gates, key=lambda g: g.value)
+    detail = f"worst {top.name.removeprefix('drift_')}: {top.value:.3e}"
     gate(4, "every invariant drifts <= 1e-8 on the n=4 flow over [0,5]",
-         worst <= 1e-8, f"worst {worst_name}: {worst:.3e}", time.time() - start, 60.0)
+         all(g.passed for g in gates), detail, time.time() - start, 60.0)
 
 
 def test_criterion_5_flow_commutation():
     start = time.time()
-    s, k = sample_pair(4, seed=11)
+    s, k = sample_state(4, seed=11)
     pairs = [
         (IntegralIndex(2, 0), IntegralIndex(3, 2)),
         (IntegralIndex(1, 0), IntegralIndex(3, 0)),
@@ -153,35 +125,19 @@ def test_criterion_5_flow_commutation():
          f"max defect {worst:.3e}", time.time() - start, 60.0)
 
 
-def test_criterion_6_factorization_solution():
+def test_criterion_6_factorization_solution(tmp_path):
     start = time.time()
-    s, k = sample_pair(3, seed=21)
-    x0 = BILoop(s, k)
-    idx = IntegralIndex(2, 0)
-    worst_gap = worst_res = worst_sym = 0.0
-    windings = []
-    for t in (0.25, 0.5, 1.0):
-        gamma = sample_exp(generator(x0, idx), t, m_samples=256)
-        fac = birkhoff(gamma, depth=40)
-        s_fact, _ = conjugated_states(fac, x0)
-        s_ode = integrate(s, k, idx, t_final=t, h=1e-4).states[-1]
-        worst_gap = max(worst_gap, float(np.linalg.norm(s_fact.full() - s_ode.full())))
-        worst_res = max(worst_res, fac.residual)
-        worst_sym = max(
-            worst_sym,
-            circle_symmetry_residual(fac.g_minus, 256),
-            circle_symmetry_residual(fac.g_plus, 256),
-        )
-        windings.append(fac.winding)
-    ok = (
-        worst_gap <= 1e-6
-        and worst_res <= 1e-8
-        and worst_sym <= 1e-8
-        and all(w == 0 for w in windings)
+    cfg = ExperimentConfig(
+        "factorize", n=3, seed=21, k=2, l=0, t_final=1.0, m_samples=256, depth=40,
+        out_dir=tmp_path,
     )
-    gate(6, "Birkhoff solution matches RK4 (n=3, t in {0.25,0.5,1.0})", ok,
-         f"|dS| {worst_gap:.3e}, residual {worst_res:.3e}, symmetry {worst_sym:.3e}, "
-         f"windings {windings}", time.time() - start, 60.0)
+    gates = run_factorize(cfg)
+    windings = [int(g.value) for g in gates if g.name.startswith("det_winding")]
+    gate(6, "Birkhoff solution matches RK4 (n=3, t in {0.25,0.5,1.0})",
+         all(g.passed for g in gates),
+         f"|dS| {worst(gates, 'ode_gap'):.3e}, residual {worst(gates, 'birkhoff_residual'):.3e}, "
+         f"symmetry {worst(gates, 'factor_symmetry'):.3e}, windings {windings}",
+         time.time() - start, 60.0)
 
 
 def test_criterion_7_symmetrizer_identities():
@@ -200,7 +156,7 @@ def test_criterion_7_symmetrizer_identities():
                     worst_a = max(worst_a, lemma_a_residual(a, b, i, j))
     # (b) symmetric/skew parity of sym_{ij}(S, N)
     parity_ok = all(
-        parity_check(*sample_pair(n, 31 * n + t), i, j)
+        parity_check(*sample_state(n, 31 * n + t), i, j)
         for n in (3, 4, 5)
         for t in range(3)
         for i in range(4)
@@ -219,7 +175,7 @@ def test_criterion_7_symmetrizer_identities():
         fams = [f / np.linalg.norm(f) for f in fams]
         witness_ok = witness_ok and numerical_rank(fams) == n * (n + 1) // 2
     hits = sum(
-        generic_independence(*sample_pair(4, 5000 + seed)) == 10 for seed in range(20)
+        generic_independence(*sample_state(4, 5000 + seed)) == 10 for seed in range(20)
     )
     ok = worst_a <= 1e-12 and parity_ok and worst_c <= 1e-8 and witness_ok and hits >= 19
     gate(7, "symmetrizer identity suite (cancellation, parity, dependence, independence)",
@@ -233,9 +189,9 @@ def test_criterion_8_finite_dimensional_realization():
     law = homo = induced = 0.0
     for seed in range(50):
         n = 3 + (seed % 2)
-        g1 = GroupElem(*sample_pair(n, 300 + seed))
-        g2 = GroupElem(*sample_pair(n, 400 + seed))
-        a = DualElem(*sample_pair(n, 500 + seed))
+        g1 = GroupElem(*sample_state(n, 300 + seed))
+        g2 = GroupElem(*sample_state(n, 400 + seed))
+        a = DualElem(*sample_state(n, 500 + seed))
         law = max(law, float(np.linalg.norm(group_mul(g1, g2).full() - g1.full() @ g2.full())))
         lhs = coadjoint_f(group_mul(g1, g2), a)
         rhs = coadjoint_f(g1, coadjoint_f(g2, a))
@@ -259,12 +215,12 @@ def test_criterion_9_m_equation():
     start = time.time()
     ident = 0.0
     for seed in range(10):
-        s, k = sample_pair(4, 700 + seed)
+        s, k = sample_state(4, 700 + seed)
         ident = max(
             ident,
             float(np.linalg.norm(m_rhs(s.full() + k.full()) - bi_rhs(s, k).full())),
         )
-    s, k = sample_pair(3, seed=77)
+    s, k = sample_state(3, seed=77)
     _, path = integrate_matrix(s.full() + k.full(), m_rhs, t_final=1.0, h=1e-3)
     skew0 = 0.5 * (path[0] - path[0].T)
     skew_drift = max(float(np.linalg.norm(0.5 * (m - m.T) - skew0)) for m in path)
@@ -285,26 +241,10 @@ def test_criterion_10_block_and_pde():
     )
     nf = n0(bs.n).full()
     sf = embed(bs).full()
-
-    def block_embed(d):
-        out = np.zeros_like(sf)
-        out[0, 0], out[0, 1], out[1, 1] = d.a, d.b, d.c
-        out[1, 0] = d.b
-        out[0, 2:] = d.u
-        out[2:, 0] = d.u
-        out[1, 2:] = d.v
-        out[2:, 1] = d.v
-        return out
-
-    quad_gap = float(np.abs(block_embed(rhs_quadratic(bs)) - commutator(nf, sf @ sf)).max())
-    cubic_gap = float(
-        np.abs(block_embed(rhs_cubic(bs)) - commutator(nf, sf @ sf @ sf)).max()
-    )
+    quad_gap = float(np.abs(embed(rhs_quadratic(bs)).full() - commutator(nf, sf @ sf)).max())
+    cubic_gap = float(np.abs(embed(rhs_cubic(bs)).full() - commutator(nf, sf @ sf @ sf)).max())
     _, path = integrate_block(bs, rhs_quadratic, t_final=1.0, h=1e-3)
     trace_gap = max(abs((st.a + st.c) - (bs.a + bs.c)) for st in path)
-
-    from biflow.blockpde import rhs_reduced
-    from biflow.flows import rk4_path
 
     dim = bs.u.size
     y0 = np.concatenate([bs.u, bs.v])

@@ -1,6 +1,10 @@
+import importlib
 import json
+from pathlib import Path
+from types import FunctionType
 
 import numpy.testing as npt
+import pytest
 
 from biflow import cli
 from biflow.cli import Gate, main
@@ -10,6 +14,13 @@ from biflow.invariants import IntegralIndex
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def assert_usage_error(code, capsys, out_dir):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "usage error:" in err and "Traceback" not in err
+    assert not out_dir.exists()
 
 
 class TestFlowExperiment:
@@ -77,6 +88,12 @@ class TestOtherExperiments:
         assert any(n.startswith("birkhoff_residual") for n in names)
         assert any(n.startswith("ode_gap") for n in names)
 
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_nonpositive_time_usage_error(self, tmp_path, capsys, t):
+        out = tmp_path / "out"
+        code = run_cli(["factorize", "--t", t, "--seed", 7, "--out", out])
+        assert_usage_error(code, capsys, out)
+
     def test_findim(self, tmp_path):
         assert run_cli(["findim", "--n", 3, "--seed", 2, "--out", tmp_path]) == 0
 
@@ -85,6 +102,12 @@ class TestOtherExperiments:
 
     def test_lemma41(self, tmp_path):
         assert run_cli(["lemma41", "--n", 4, "--seed", 2, "--out", tmp_path]) == 0
+
+    def test_out_is_a_file_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("")
+        assert run_cli(["invariants", "--n", 3, "--seed", 1, "--out", out]) == 2
+        assert "usage error:" in capsys.readouterr().err
 
     def test_seed_required(self, tmp_path):
         assert run_cli(["flow", "--n", 3, "--out", tmp_path]) == 2
@@ -97,7 +120,7 @@ class TestOtherExperiments:
 
 class TestFactorizeReference:
     def test_one_run_matches_separate_runs(self):
-        s0, nmat = cli._sample_state(8, 7)
+        s0, nmat = cli.sample_state(8, 7)
         idx = IntegralIndex(2, 0)
         got = cli._reference_states(s0, nmat, idx, 0.5)
         for t, state in zip((0.125, 0.25, 0.5), got):
@@ -150,13 +173,14 @@ class TestAllMode:
 class TestConfigFile:
     def test_config_overrides_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 3, "t_final": 0.1}))
+        out = tmp_path / "from-config"
+        cfg.write_text(json.dumps({"n": 3, "t_final": 0.1, "out_dir": str(out)}))
         code = run_cli(
             ["flow", "--n", 6, "--t", 9.0, "--seed", 4, "--out", tmp_path,
              "--config", cfg]
         )
         assert code == 0
-        summary = json.loads((tmp_path / "flow.json").read_text())
+        summary = json.loads((out / "flow.json").read_text())
         assert summary["config"]["n"] == 3
         assert summary["config"]["t_final"] == 0.1
 
@@ -164,6 +188,29 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         assert run_cli(["flow", "--seed", 4, "--out", tmp_path, "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"experiment": "bogus"},
+            {"experiment": "factorize"},
+            {"out": 5},
+            {"out_dir": 5},
+            [1],
+            {"tolerances": {"bogus": 1}},
+            {"tolerances": {"drift": "x"}},
+            {"tolerances": [1]},
+            {"n": 3.9},
+            {"n": True},
+            {"h": "1e-3"},
+        ],
+    )
+    def test_malformed_config_usage_error(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        out = tmp_path / "out"
+        code = run_cli(["flow", "--n", 3, "--t", 0.1, "--seed", 4, "--out", out, "--config", cfg])
+        assert_usage_error(code, capsys, out)
 
 
 class TestReport:
@@ -196,3 +243,14 @@ class TestReport:
     def test_corrupt_file(self, tmp_path):
         (tmp_path / "junk.json").write_text("{not json")
         assert run_cli(["report", tmp_path]) == 2
+
+
+def test_tracer_finds_every_runner(monkeypatch):
+    """The benchmark's tracer wraps the runners only where biflow.cli defines them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    tracer.Tracer()
+    for name in tracer.CLI_NAMES:
+        runner = getattr(cli, name)
+        assert isinstance(runner, FunctionType) and runner.__module__ == "biflow.cli"
+        assert runner in cli.RUNNERS.values()

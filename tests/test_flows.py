@@ -9,6 +9,7 @@ from biflow.flows import (
     flow_commutation,
     integrate,
     integrate_matrix,
+    invariant_series,
     m_rhs,
     vector_field,
     vector_field_s_form,
@@ -203,21 +204,21 @@ class TestDrift:
         nf = n.full()
         s = SymMatrix.symmetric_part(nf @ nf)
         traj = integrate(s, n, IntegralIndex(2, 0), t_final=0.2, h=1e-2)
-        report = drift_report(traj)
+        report = drift_report(invariant_series(traj))
         assert report and all(v <= 1e-12 for v in report.values())
 
     def test_bi_conservation_short(self):
         s = random_sym(4, seed=19)
         n = random_skew_simple(4, seed=20)
         traj = integrate(s, n, IntegralIndex(2, 0), t_final=1.0, h=1e-3)
-        report = drift_report(traj)
+        report = drift_report(invariant_series(traj))
         assert all(v <= 1e-8 for v in report.values()), report
 
     def test_report_covers_all_quantities(self):
         s = random_sym(4, seed=21)
         n = random_skew_simple(4, seed=22)
         traj = integrate(s, n, IntegralIndex(2, 0), t_final=0.1, h=1e-2)
-        names = set(drift_report(traj))
+        names = set(drift_report(invariant_series(traj)))
         assert {"H_1_0", "H_2_0", "H_3_0", "H_3_2"} <= names
         assert {"casimir_0", "casimir_2"} <= names
         assert {"eig_0", "eig_3"} <= names
