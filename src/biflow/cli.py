@@ -119,7 +119,7 @@ class ExperimentConfig:
     k: int = _param("--k", 2, "flow index k")
     l: int = _param("--l", 0, "flow index l (even)")
     t_final: float = _param("--t", 1.0, "final time")
-    h: float = _param("--h", 1e-3, "RK4 step")
+    h: float = _param("--h", 1e-3, "RK4 step (factorize: its reference steps at min(h, 1e-4))")
     m_samples: int = _param("--m", 256, "circle samples")
     depth: int = _param("--j", 40, "factor depth")
     out_dir: Path = field(default_factory=lambda: Path("."))
@@ -202,12 +202,7 @@ def run_flow(cfg: ExperimentConfig) -> list[Gate]:
     idx = IntegralIndex(cfg.k, cfg.l)
     traj = integrate(s0, nmat, idx, cfg.t_final, cfg.h)
     series = invariant_series(traj)
-    columns = ["t"] + list(series)
-    rows = (
-        [traj.times[i]] + [series[name][i] for name in series]
-        for i in range(len(traj.times))
-    )
-    _write_csv(cfg, columns, rows)
+    _write_csv(cfg, ["t", *series], np.column_stack([traj.times, *series.values()]))
     tol = cfg.tol("drift")
     return [Gate.leq(f"drift_{name}", d, tol) for name, d in drift_report(series).items()]
 
@@ -244,8 +239,6 @@ def run_factorize(cfg: ExperimentConfig) -> list[Gate]:
     s0, nmat = sample_state(cfg.n, cfg.seed)
     x0 = BILoop(s0, nmat)
     idx = IntegralIndex(cfg.k, cfg.l)
-    if cfg.t_final <= 0:
-        raise ValueError(f"factorize needs --t > 0, got {cfg.t_final!r}")
     times = [cfg.t_final / 4, cfg.t_final / 2, cfg.t_final]
     # Every Birkhoff solve runs before the RK4 reference, which costs the
     # most, so that a run the solve rejects ends early.
@@ -253,10 +246,10 @@ def run_factorize(cfg: ExperimentConfig) -> list[Gate]:
     for t in times:
         fac = birkhoff(sample_exp(generator(x0, idx), t, cfg.m_samples), cfg.depth)
         solved.append((fac, conjugated_states(fac, x0)[0]))
-    refs = _reference_states(s0, nmat, idx, times[-1])
+    refs = _reference_states(s0, nmat, idx, times[-1], cfg.h)
     gates = []
     for t, (fac, s_fact), s_ode in zip(times, solved, refs):
-        gap = float(np.linalg.norm(s_fact.full() - s_ode.full()))
+        gap = float(np.linalg.norm(s_fact.full() - s_ode))
         tag = repr(float(t))
         gates += [
             Gate.leq(f"birkhoff_residual_t={tag}", fac.residual, cfg.tol("birkhoff_residual")),
@@ -275,16 +268,16 @@ def run_factorize(cfg: ExperimentConfig) -> list[Gate]:
 
 
 def _reference_states(
-    s0: SymMatrix, nmat: "SkewMatrix", idx: IntegralIndex, t_end: float
-) -> list[SymMatrix]:
-    """RK4 states at t_end/4, t_end/2 and t_end, all from one run.
+    s0: SymMatrix, nmat: "SkewMatrix", idx: IntegralIndex, t_end: float, h: float
+) -> np.ndarray:
+    """RK4 states at t_end/4, t_end/2 and t_end, all from one run: (3, n, n).
 
     The step count is divisible by 4, so the first two checkpoints fall on
-    steps; the step stays near 1e-4.
+    steps; the step stays near min(h, 1e-4).
     """
-    steps = 4 * max(1, round(t_end / 4e-4))
+    steps = 4 * max(1, round(t_end / (4 * min(h, 1e-4))))
     states = integrate(s0, nmat, idx, t_end, t_end / steps).states
-    return [states[steps // 4], states[steps // 2], states[steps]]
+    return states[[steps // 4, steps // 2, steps]]
 
 
 def run_findim(cfg: ExperimentConfig) -> list[Gate]:
@@ -412,6 +405,10 @@ RUNNERS = {
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment (or 'all'); returns the process exit code."""
     names = EXPERIMENTS if cfg.experiment == "all" else (cfg.experiment,)
+    if cfg.h <= 0:
+        raise ValueError(f"--h must be positive, got {cfg.h!r}")
+    if "factorize" in names and cfg.t_final <= 0:
+        raise ValueError(f"factorize needs --t > 0, got {cfg.t_final!r}")
     failures = []
     for name in names:
         sub = replace(cfg, experiment=name)

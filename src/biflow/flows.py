@@ -29,12 +29,10 @@ from .invariants import (
     casimir_exponents,
     casimirs,
     enumerate_indices,
-    hamiltonian,
     is_admissible,
     spectral_coeffs,
 )
-from .laurent import BILoop
-from .matcore import NumericalError, SkewMatrix, SymMatrix, as_matrix, commutator, eigenvalues_sym
+from .matcore import NumericalError, SkewMatrix, SymMatrix, as_matrix, commutator
 from .symmetrizer import sym
 
 __all__ = [
@@ -61,19 +59,16 @@ class BlowupError(NumericalError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """RK4 sample path: one symmetric state per time, N frozen throughout."""
+    """RK4 sample path: a (T, n, n) array of exactly symmetric states, N frozen."""
 
     times: np.ndarray
-    states: list[SymMatrix]
+    states: np.ndarray
     N: SkewMatrix
     idx: IntegralIndex | None
 
     @property
     def n(self) -> int:
         return self.N.n
-
-    def state(self, i: int) -> SymMatrix:
-        return self.states[i]
 
 
 def vector_field(s: SymMatrix, n: SkewMatrix, idx: IntegralIndex) -> SymMatrix:
@@ -120,10 +115,11 @@ def rk4_path(
     t_final: float,
     h: float,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Classical RK4 with an optional per-step projection; records all steps.
 
-    The step count is round(t_final / h) with the step adjusted to land on
+    Returns the times and a (steps+1, *y0.shape) array of the states.  The
+    step count is round(t_final / h) with the step adjusted to land on
     t_final exactly; a state norm above BLOWUP_NORM or a non-finite entry
     aborts with :class:`BlowupError`.  The entry test comes first: the norm
     of a huge finite state can overflow, and any entry above the bound puts
@@ -139,8 +135,9 @@ def rk4_path(
     dt = t_final / steps if steps else 0.0
     y = np.array(y0, dtype=y0.dtype if hasattr(y0, "dtype") else float)
     times = np.linspace(0.0, t_final, steps + 1)
-    path = [y.copy()]
-    for _ in range(steps):
+    path = np.empty((steps + 1, *y.shape), dtype=y.dtype)
+    path[0] = y
+    for i in range(1, steps + 1):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * dt * k1)
         k3 = rhs(y + 0.5 * dt * k2)
@@ -154,7 +151,7 @@ def rk4_path(
             or np.linalg.norm(y) > BLOWUP_NORM
         ):
             raise BlowupError("state left the admissible region")
-        path.append(y.copy())
+        path[i] = y
     return times, path
 
 
@@ -170,13 +167,12 @@ def integrate(
         return _raw_field(y, nf, idx)
 
     times, path = rk4_path(rhs, s0.full(), t_final, h, project=lambda y: 0.5 * (y + y.T))
-    states = [SymMatrix.symmetric_part(y) for y in path]
-    return Trajectory(times, states, n, idx)
+    return Trajectory(times, path, n, idx)
 
 
 def integrate_matrix(
     m0, rhs: Callable[[np.ndarray], np.ndarray], t_final: float, h: float
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """RK4 on a full (not necessarily symmetric) matrix state, no projection."""
     return rk4_path(rhs, as_matrix(m0), t_final, h)
 
@@ -185,29 +181,21 @@ def invariant_series(traj: Trajectory) -> dict[str, np.ndarray]:
     """Every monitored conserved quantity evaluated along the trajectory.
 
     Keys: H_k_l for each admissible integral, casimir_l for each even l,
-    I_r_k for the spectral-curve table, and eig_i for the sorted spectrum.
+    I_r_k for the spectral-curve table, and eig_i for the sorted spectrum,
+    each computed over the whole stack of states at once.
     """
-    n = traj.n
-    idxs = enumerate_indices(n)
-    exps = casimir_exponents(n)
-    spectral_keys = spectral_coeffs(traj.states[0], traj.N).keys()
-    names = (
-        [str(i) for i in idxs]
-        + [f"casimir_{l}" for l in exps]
-        + [f"I_{r}_{k}" for r, k in spectral_keys]
-        + [f"eig_{i}" for i in range(n)]
-    )
-    rows = []
-    for s in traj.states:
-        x = BILoop(s, traj.N)
-        row = [hamiltonian(x, i) for i in idxs]
-        row += casimirs(s, traj.N)
-        table = spectral_coeffs(s, traj.N)
-        row += [table.value(r, k) for r, k in spectral_keys]
-        row += list(eigenvalues_sym(s))
-        rows.append(row)
-    data = np.array(rows)
-    return {name: data[:, j] for j, name in enumerate(names)}
+    states, nf = traj.states, traj.N.full()
+    out = {}
+    for idx in enumerate_indices(traj.n):
+        m = sym(states, nf, idx.k + 1 - idx.l, idx.l)
+        out[str(idx)] = np.trace(m, axis1=1, axis2=2) / (idx.k + 1)
+    cas = casimirs(states, traj.N)
+    out.update((f"casimir_{l}", cas[:, j]) for j, l in enumerate(casimir_exponents(traj.n)))
+    table = spectral_coeffs(states, traj.N)
+    out.update((f"I_{r}_{k}", table.value(r, k)) for r, k in table.keys())
+    eig = np.linalg.eigvalsh(states)
+    out.update((f"eig_{i}", eig[:, i]) for i in range(traj.n))
+    return out
 
 
 def drift_report(series: dict[str, np.ndarray]) -> dict[str, float]:
@@ -234,6 +222,8 @@ def flow_commutation(
     """Norm of the commutator defect of the two flow maps at times (s, t)."""
     if s == 0.0 or t == 0.0:
         return 0.0
-    a = integrate(integrate(s0, n, idx2, t, h).states[-1], n, idx1, s, h).states[-1]
-    b = integrate(integrate(s0, n, idx1, s, h).states[-1], n, idx2, t, h).states[-1]
-    return float(np.linalg.norm(a.full() - b.full()))
+    mid = integrate(s0, n, idx2, t, h).states[-1]
+    a = integrate(SymMatrix.symmetric_part(mid), n, idx1, s, h).states[-1]
+    mid = integrate(s0, n, idx1, s, h).states[-1]
+    b = integrate(SymMatrix.symmetric_part(mid), n, idx2, t, h).states[-1]
+    return float(np.linalg.norm(a - b))

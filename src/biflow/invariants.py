@@ -18,8 +18,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .laurent import BILoop, LaurentLoop, loop_power, pairing, rbracket
-from .matcore import NumericalError, SkewMatrix, SymMatrix, char_poly, numerical_rank
-from .symmetrizer import SymmetrizerTable
+from .matcore import NumericalError, SkewMatrix, SymMatrix, as_stack, char_poly, numerical_rank
+from .symmetrizer import SymmetrizerTable, sym
 
 __all__ = [
     "IntegralIndex",
@@ -87,10 +87,9 @@ def _require_admissible(idx: IntegralIndex, n: int):
 
 
 def hamiltonian(x: BILoop, idx: IntegralIndex) -> float:
-    """Value of the integral: residue of tr(X(z)^(k+1)) / z^(l+1), over k+1."""
+    """The z^l coefficient of tr(X(z)^(k+1)), which is tr sym_{k+1-l,l}(S, N), over k+1."""
     _require_admissible(idx, x.n)
-    power = loop_power(x.loop(), idx.k + 1)
-    return float(np.trace(power.coeff(idx.l))) / (idx.k + 1)
+    return float(np.trace(sym(x.S.full(), x.N.full(), idx.k + 1 - idx.l, idx.l))) / (idx.k + 1)
 
 
 def gradient_loop(x: BILoop, idx: IntegralIndex) -> LaurentLoop:
@@ -118,14 +117,15 @@ class SpectralTable:
 
     ``odd_z_residual`` is the largest interpolated coefficient of an odd
     power of z, relative to the table scale; the determinant is an even
-    function of z so this measures numerical noise only.
+    function of z so this measures numerical noise only.  For a stack of
+    states every coefficient and the residual are arrays over the stack.
     """
 
     n: int
-    table: dict[tuple[int, int], float]
-    odd_z_residual: float
+    table: dict[tuple[int, int], float | np.ndarray]
+    odd_z_residual: float | np.ndarray
 
-    def value(self, r: int, k: int) -> float:
+    def value(self, r: int, k: int) -> float | np.ndarray:
         return self.table[(r, k)]
 
     def values(self) -> np.ndarray:
@@ -135,31 +135,35 @@ class SpectralTable:
         return sorted(self.table)
 
 
-def spectral_coeffs(s: SymMatrix, n: SkewMatrix, cond_cap: float = 1e12) -> SpectralTable:
+def spectral_coeffs(s, n: SkewMatrix, cond_cap: float = 1e12) -> SpectralTable:
     """Spectral-curve coefficient table from Chebyshev-node interpolation.
 
     det(S + zN - wI) has degree <= n in both z and w; n+1 real Chebyshev
     nodes and a characteristic polynomial per node determine every
-    coefficient exactly up to rounding.
+    coefficient exactly up to rounding.  ``s`` is one symmetric state or a
+    (..., n, n) stack of them.
     """
-    dim = s.n
+    sf = as_stack(s)
+    dim = n.n
     nodes = np.cos(np.pi * (2 * np.arange(dim + 1) + 1) / (2 * (dim + 1)))
     vand = np.vander(nodes, dim + 1, increasing=True)
     if np.linalg.cond(vand) > cond_cap:
         raise InterpolationError("z-node system too ill-conditioned")
-    sf = s.full()
-    nf = n.full()
-    wcoeffs = np.stack([char_poly(sf + z * nf) for z in nodes])  # (node, w-degree)
-    table: dict[tuple[int, int], float] = {}
-    odd_resid = 0.0
+    wcoeffs = char_poly(sf[..., None, :, :] + nodes[:, None, None] * n.full())  # (..., node, w)
+    batch = wcoeffs.shape[:-2]
+    table = {}
+    odd = np.zeros(batch)
     for m in range(dim + 1):
-        zpoly = npoly.polyfit(nodes, wcoeffs[:, m], dim)
+        # One fit per w-degree over all states; fitting every w-degree in one
+        # lstsq would round a single state's table differently.
+        y = np.moveaxis(wcoeffs[..., m], -1, 0).reshape(dim + 1, -1)
+        zpoly = npoly.polyfit(nodes, y, dim).reshape(dim + 1, *batch)
         r = dim - m
         for k in range(r // 2 + 1):
-            table[(r, k)] = float(zpoly[2 * k])
-        odd_resid = max(odd_resid, float(np.max(np.abs(zpoly[1::2]), initial=0.0)))
-    scale = max(1.0, max(abs(v) for v in table.values()))
-    return SpectralTable(dim, table, odd_resid / scale)
+            table[(r, k)] = zpoly[2 * k]
+        odd = np.maximum(odd, np.max(np.abs(zpoly[1::2]), axis=0, initial=0.0))
+    scale = np.maximum(1.0, np.max(np.abs(np.stack(list(table.values()))), axis=0))
+    return SpectralTable(dim, table, odd / scale)
 
 
 def casimir_exponents(n: int) -> list[int]:
@@ -167,29 +171,30 @@ def casimir_exponents(n: int) -> list[int]:
     return list(range(0, n, 2))
 
 
-def casimirs(s: SymMatrix, n: SkewMatrix) -> list[float]:
-    """Orbit invariants tr(S N^l) for even l below n.
+def casimirs(s, n: SkewMatrix) -> np.ndarray:
+    """Orbit invariants tr(S N^l) for even l below n, in the last axis.
 
-    Odd exponents are excluded: tr(S N^l) = -tr(S N^l) by transposition, so
+    ``s`` is one symmetric state or a (..., n, n) stack of them.  Odd
+    exponents are excluded: tr(S N^l) = -tr(S N^l) by transposition, so
     those traces vanish identically.
     """
-    sf = s.full()
+    sf = as_stack(s)
     nf = n.full()
     out = []
-    power = np.eye(s.n)
-    for l in range(s.n):
+    power = np.eye(n.n)
+    for l in range(n.n):
         if l % 2 == 0:
-            out.append(float(np.trace(sf @ power)))
+            out.append(np.trace(sf @ power, axis1=-2, axis2=-1))
         power = power @ nf
-    return out
+    return np.stack(out, axis=-1)
 
 
 def orbit_membership(s: SymMatrix, s0: SymMatrix, n0: SkewMatrix, tol: float) -> bool:
     """True iff s sits on the coadjoint orbit through (s0, n0) within tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    got = np.array(casimirs(s, n0))
-    want = np.array(casimirs(s0, n0))
+    got = casimirs(s, n0)
+    want = casimirs(s0, n0)
     return bool(np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want))))
 
 

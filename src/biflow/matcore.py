@@ -23,6 +23,7 @@ __all__ = [
     "NumericalError",
     "JacobiConvergenceError",
     "ResampleCapError",
+    "as_stack",
     "as_matrix",
     "commutator",
     "cartan_split",
@@ -71,15 +72,23 @@ def _tril(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def as_matrix(x) -> np.ndarray:
-    """Coerce a SymMatrix/SkewMatrix/array-like to a square float ndarray."""
+def as_stack(x) -> np.ndarray:
+    """Coerce a SymMatrix/SkewMatrix/array-like to finite float matrices (..., n, n)."""
     if isinstance(x, (SymMatrix, SkewMatrix)):
         return x.full()
     a = np.asarray(x, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
+    return a
+
+
+def as_matrix(x) -> np.ndarray:
+    """Coerce a SymMatrix/SkewMatrix/array-like to a square float ndarray."""
+    a = as_stack(x)
+    if a.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -198,27 +207,24 @@ def cartan_split(a) -> tuple[SkewMatrix, SymMatrix]:
 
 
 def char_poly(a) -> np.ndarray:
-    """Coefficients of det(A - w*I), ascending in w.
+    """Coefficients of det(A - w*I), ascending in w, for one matrix or a stack.
 
-    Computed by the Faddeev-LeVerrier recursion.  The returned array has
-    length n+1 with leading coefficient (-1)^n.
+    Computed by the Faddeev-LeVerrier recursion.  The result has shape
+    (..., n+1) with leading coefficient (-1)^n.
     """
-    a = as_matrix(a)
-    n = a.shape[0]
+    a = as_stack(a)
+    n = a.shape[-1]
     if n < 1:
         raise ValueError("dimension must be at least 1")
     # det(wI - A) = sum_k c[k] w^(n-k) with c[0] = 1.
-    c = np.zeros(n + 1)
-    c[0] = 1.0
+    c = np.zeros(a.shape[:-2] + (n + 1,))
+    c[..., 0] = 1.0
     m = np.zeros_like(a)
     for k in range(1, n + 1):
-        m = a @ m + c[k - 1] * np.eye(n)
-        c[k] = -np.trace(a @ m) / k
+        m = a @ m + c[..., k - 1, None, None] * np.eye(n)
+        c[..., k] = -np.trace(a @ m, axis1=-2, axis2=-1) / k
     sign = -1.0 if n % 2 else 1.0
-    coeffs = np.empty(n + 1)
-    for deg in range(n + 1):
-        coeffs[deg] = sign * c[n - deg]
-    return coeffs
+    return sign * c[..., ::-1]
 
 
 def eval_poly(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .matcore import SkewMatrix, SymMatrix, as_matrix, commutator, numerical_rank
+from .matcore import SkewMatrix, SymMatrix, as_matrix, as_stack, commutator, numerical_rank
 
 __all__ = [
     "SymmetrizerTable",
@@ -86,17 +86,18 @@ def sym(a, b, i: int, j: int, table: SymmetrizerTable | None = None) -> np.ndarr
 
     Without a table only the (i+1) x (j+1) rectangle of entries that
     sym_{ij} depends on is built, row by row in i, with the products of
-    :class:`SymmetrizerTable`.
+    :class:`SymmetrizerTable`.  A and B may be stacks of shape (..., n, n)
+    that broadcast against each other.
     """
     if table is not None:
         return table.get(i, j)
     if i < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
+    a = as_stack(a)
+    b = as_stack(b)
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError("A and B must share one dimension")
-    row = [np.eye(a.shape[0])]  # row[c] = sym_{r,c}, here for r = 0
+    row = [np.eye(a.shape[-1])]  # row[c] = sym_{r,c}, here for r = 0
     for _ in range(j):
         row.append(b @ row[-1])
     for _ in range(i):

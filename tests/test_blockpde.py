@@ -204,14 +204,14 @@ class TestBlockIntegration:
         bs = random_block(6, seed=14)
         _, path = integrate_block(bs, rhs_cubic, t_final=1.0, h=1e-3)
         traj = integrate(embed(bs), n0(6), IntegralIndex(3, 0), t_final=1.0, h=1e-3)
-        gap = np.linalg.norm(embed(path[-1]).full() - traj.states[-1].full())
+        gap = np.linalg.norm(embed(path[-1]).full() - traj.states[-1])
         assert gap <= 1e-9
 
     def test_block_quadratic_matches_matrix_flow(self):
         bs = random_block(5, seed=15)
         _, path = integrate_block(bs, rhs_quadratic, t_final=1.0, h=1e-3)
         traj = integrate(embed(bs), n0(5), IntegralIndex(2, 0), t_final=1.0, h=1e-3)
-        gap = np.linalg.norm(embed(path[-1]).full() - traj.states[-1].full())
+        gap = np.linalg.norm(embed(path[-1]).full() - traj.states[-1])
         assert gap <= 1e-9
 
 

@@ -94,6 +94,30 @@ class TestOtherExperiments:
         code = run_cli(["factorize", "--t", t, "--seed", 7, "--out", out])
         assert_usage_error(code, capsys, out)
 
+    @pytest.mark.parametrize(
+        "args",
+        [["all", "--n", 3, "--t", 0, "--seed", 1], ["factorize", "--h", 0, "--seed", 1]],
+    )
+    def test_checked_before_any_runner(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert_usage_error(run_cli([*args, "--out", out]), capsys, out)
+
+    def test_h_caps_factorize_reference_step(self, tmp_path, monkeypatch):
+        steps = []
+
+        def counting_integrate(*args):
+            traj = integrate(*args)
+            steps.append(len(traj.times) - 1)
+            return traj
+
+        monkeypatch.setattr(cli, "integrate", counting_integrate)
+        for h in (1e-3, 5e-5):
+            code = run_cli(
+                ["factorize", "--n", 3, "--t", 0.2, "--h", h, "--seed", 2, "--out", tmp_path]
+            )
+            assert code == 0
+        assert steps == [2000, 4000]
+
     def test_findim(self, tmp_path):
         assert run_cli(["findim", "--n", 3, "--seed", 2, "--out", tmp_path]) == 0
 
@@ -122,10 +146,11 @@ class TestFactorizeReference:
     def test_one_run_matches_separate_runs(self):
         s0, nmat = cli.sample_state(8, 7)
         idx = IntegralIndex(2, 0)
-        got = cli._reference_states(s0, nmat, idx, 0.5)
+        got = cli._reference_states(s0, nmat, idx, 0.5, 1e-3)
+        assert got.shape == (3, 8, 8)
         for t, state in zip((0.125, 0.25, 0.5), got):
             want = integrate(s0, nmat, idx, t, 1e-4).states[-1]
-            npt.assert_array_equal(state.packed, want.packed)
+            npt.assert_array_equal(state, want)
 
 
 class TestNumericalFailure:

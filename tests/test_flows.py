@@ -1,7 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from biflow import cli
 from biflow.flows import (
     BlowupError,
     bi_rhs,
@@ -14,11 +17,13 @@ from biflow.flows import (
     vector_field,
     vector_field_s_form,
 )
-from biflow.invariants import IntegralIndex, enumerate_indices
+from biflow.invariants import IntegralIndex, casimirs, enumerate_indices, spectral_coeffs
+from biflow.laurent import BILoop, loop_power
 from biflow.matcore import (
     SkewMatrix,
     SymMatrix,
     commutator,
+    eigenvalues_sym,
     random_orthogonal,
     random_skew_simple,
     random_sym,
@@ -153,22 +158,21 @@ class TestIntegrate:
         n = random_skew_simple(3, seed=10)
         traj = integrate(s, n, IntegralIndex(2, 0), t_final=0.0, h=1e-2)
         assert len(traj.states) == 1
-        npt.assert_array_equal(traj.states[0].full(), s.full())
+        npt.assert_array_equal(traj.states[0], s.full())
 
     def test_commuting_initial_state_constant(self):
         n = random_skew_simple(3, seed=11)
         nf = n.full()
         s = SymMatrix.symmetric_part(nf @ nf)
         traj = integrate(s, n, IntegralIndex(2, 0), t_final=1.0, h=1e-2)
-        assert np.linalg.norm(traj.states[-1].full() - s.full()) <= 1e-12
+        assert np.linalg.norm(traj.states[-1] - s.full()) <= 1e-12
 
     def test_states_exactly_symmetric(self):
         s = random_sym(3, seed=12)
         n = random_skew_simple(3, seed=13)
         traj = integrate(s, n, IntegralIndex(2, 0), t_final=0.5, h=1e-2)
-        for st in traj.states:
-            f = st.full()
-            assert np.array_equal(f, f.T)
+        assert traj.states.shape == (51, 3, 3)
+        assert np.array_equal(traj.states, traj.states.transpose(0, 2, 1))
 
     def test_fourth_order_endpoint(self):
         s = random_sym(3, seed=14)
@@ -176,7 +180,7 @@ class TestIntegrate:
         idx = IntegralIndex(2, 0)
         end = {}
         for h in (4e-2, 2e-2, 1e-2):
-            end[h] = integrate(s, n, idx, t_final=1.0, h=h).states[-1].full()
+            end[h] = integrate(s, n, idx, t_final=1.0, h=h).states[-1]
         e1 = np.linalg.norm(end[4e-2] - end[1e-2])
         e2 = np.linalg.norm(end[2e-2] - end[1e-2])
         # Differences against the shared h reference scale as
@@ -187,8 +191,8 @@ class TestIntegrate:
     def test_richardson_difference(self):
         s = random_sym(3, seed=16)
         n = random_skew_simple(3, seed=17)
-        a = integrate(s, n, IntegralIndex(2, 0), t_final=1.0, h=1e-3).states[-1].full()
-        b = integrate(s, n, IntegralIndex(2, 0), t_final=1.0, h=5e-4).states[-1].full()
+        a = integrate(s, n, IntegralIndex(2, 0), t_final=1.0, h=1e-3).states[-1]
+        b = integrate(s, n, IntegralIndex(2, 0), t_final=1.0, h=5e-4).states[-1]
         assert np.linalg.norm(a - b) <= 1e-9
 
     def test_blowup_guard(self):
@@ -213,6 +217,29 @@ class TestDrift:
         traj = integrate(s, n, IntegralIndex(2, 0), t_final=1.0, h=1e-3)
         report = drift_report(invariant_series(traj))
         assert all(v <= 1e-8 for v in report.values()), report
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_series_matches_per_state_oracles(self, n):
+        # Each column of the stacked series against the per-state oracles:
+        # the loop_power residue, casimirs, spectral_coeffs and Jacobi.
+        s = random_sym(n, seed=40 + n)
+        k = random_skew_simple(n, seed=50 + n)
+        traj = integrate(s, k, IntegralIndex(1, 0), t_final=0.05, h=1e-2)
+        series = invariant_series(traj)
+        for i, state in enumerate(traj.states):
+            sm = SymMatrix.from_full(state)
+            x = BILoop(sm, k)
+            want = {
+                str(idx): np.trace(loop_power(x.loop(), idx.k + 1).coeff(idx.l)) / (idx.k + 1)
+                for idx in enumerate_indices(n)
+            }
+            want.update((f"casimir_{2 * j}", v) for j, v in enumerate(casimirs(sm, k)))
+            table = spectral_coeffs(sm, k)
+            want.update((f"I_{r}_{kk}", table.value(r, kk)) for r, kk in table.keys())
+            want.update((f"eig_{j}", v) for j, v in enumerate(eigenvalues_sym(sm)))
+            assert list(want) == list(series)
+            for name, v in want.items():
+                assert abs(series[name][i] - v) <= 1e-12 * max(1.0, abs(v)), name
 
     def test_report_covers_all_quantities(self):
         s = random_sym(4, seed=21)
@@ -272,4 +299,19 @@ class TestMEquation:
         _, path = integrate_matrix(s.full() + n.full(), m_rhs, t_final=1.0, h=1e-3)
         traj = integrate(s, n, IntegralIndex(2, 0), t_final=1.0, h=1e-3)
         m_sym = 0.5 * (path[-1] + path[-1].T)
-        assert np.linalg.norm(m_sym - traj.states[-1].full()) <= 1e-9
+        assert np.linalg.norm(m_sym - traj.states[-1]) <= 1e-9
+
+
+class TestDriftSweep:
+    @settings(derandomize=True, deadline=None)
+    @given(n=st.integers(3, 8), seed=st.integers(0, 10**6))
+    def test_bi_flow_passes_every_drift_gate(self, tmp_path_factory, n, seed):
+        # Scope: the Bloch-Iserles equation (k=2, l=0), admissible from n=3.
+        # Higher flows at this step fail their drift gates from n=7 on
+        # (ROADMAP item 3).
+        cfg = cli.ExperimentConfig(
+            "flow", n=n, seed=seed, k=2, l=0, t_final=0.1, h=1e-3,
+            out_dir=tmp_path_factory.getbasetemp() / "sweep",
+        )
+        gates = cli.run_flow(cfg)
+        assert gates and [g.name for g in gates if not g.passed] == []

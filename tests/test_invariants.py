@@ -14,15 +14,18 @@ from biflow.invariants import (
     poisson_bracket,
     spectral_coeffs,
 )
-from biflow.laurent import BILoop, is_sigma_fixed
+from biflow.laurent import BILoop, is_sigma_fixed, loop_power
 from biflow.matcore import (
     SkewMatrix,
     SymMatrix,
     char_poly,
+    commutator,
+    random_matrix,
     random_orthogonal,
     random_skew_simple,
     random_sym,
 )
+from biflow.symmetrizer import sym
 
 N2 = SkewMatrix.from_full(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
@@ -67,6 +70,15 @@ class TestHamiltonian:
             np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         )
         npt.assert_allclose(hamiltonian(BILoop(s, n), IntegralIndex(2, 0)), 3.0)
+
+    def test_matches_loop_power_residue(self):
+        # Oracle: the residue definition, tr of the z^l coefficient of the
+        # Laurent power X(z)^(k+1), over k+1.
+        for n in range(2, 7):
+            x = random_biloop(n, seed=20 + n)
+            for idx in enumerate_indices(n):
+                want = np.trace(loop_power(x.loop(), idx.k + 1).coeff(idx.l)) / (idx.k + 1)
+                npt.assert_allclose(hamiltonian(x, idx), want, atol=1e-12 * max(1.0, abs(want)))
 
     def test_matches_symmetrizer_trace(self):
         # Oracle: the z^l coefficient of tr X^(k+1) is the trace of the
@@ -273,3 +285,43 @@ class TestIndependenceRank:
             k = random_skew_simple(n, seed=400 + n).full()
             fam = [np.linalg.matrix_power(k, l) for l in range(0, n, 2)]
             assert numerical_rank(fam) == (n + 1) // 2
+
+
+def random_stack(n, seeds):
+    return np.stack([random_matrix(n, seed) for seed in seeds])
+
+
+class TestStacks:
+    """One implementation serves one matrix and a stack: each slice is bit-identical."""
+
+    def test_char_poly_per_slice(self):
+        for n in range(2, 13):
+            a = random_stack(n, range(100 * n, 100 * n + 5))
+            got = char_poly(a)
+            assert got.shape == (5, n + 1)
+            for ai, gi in zip(a, got):
+                npt.assert_array_equal(gi, char_poly(ai))
+
+    def test_sym_per_slice(self):
+        for n in range(2, 13):
+            a = random_stack(n, range(100 * n, 100 * n + 5))
+            b = random_matrix(n, seed=7 * n)
+            for i, j in [(1, 0), (2, 1), (1, 2), (3, 2)]:
+                got = sym(a, b, i, j)
+                for ai, gi in zip(a, got):
+                    npt.assert_array_equal(gi, sym(ai, b, i, j))
+
+    def test_casimirs_per_slice(self):
+        for n in range(2, 13):
+            states = np.stack([random_sym(n, seed).full() for seed in range(10 * n, 10 * n + 4)])
+            k = random_skew_simple(n, seed=n + 500)
+            got = casimirs(states, k)
+            for s, gi in zip(states, got):
+                npt.assert_array_equal(gi, casimirs(SymMatrix.from_full(s), k))
+
+    def test_matrix_only_functions_reject_stacks(self):
+        a = random_stack(3, range(2))
+        with pytest.raises(ValueError):
+            commutator(a, a)
+        with pytest.raises(ValueError):
+            SymMatrix.from_full(a + a.transpose(0, 2, 1))
