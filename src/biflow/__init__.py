@@ -21,6 +21,7 @@ from .invariants import (
     enumerate_indices,
     hamiltonian,
     poisson_bracket,
+    poisson_matrix,
     spectral_coeffs,
 )
 from .laurent import BILoop, LaurentLoop
@@ -39,6 +40,7 @@ __all__ = [
     "enumerate_indices",
     "hamiltonian",
     "poisson_bracket",
+    "poisson_matrix",
     "casimirs",
     "spectral_coeffs",
     "Trajectory",

@@ -30,6 +30,7 @@ __all__ = [
     "hamiltonian",
     "gradient_loop",
     "poisson_bracket",
+    "poisson_matrix",
     "spectral_coeffs",
     "casimirs",
     "casimir_exponents",
@@ -109,6 +110,39 @@ def poisson_bracket(x: BILoop, idx1: IntegralIndex, idx2: IntegralIndex) -> floa
     g1 = gradient_loop(x, idx1)
     g2 = gradient_loop(x, idx2)
     return pairing(x.loop(), rbracket(g1, g2))
+
+
+def _hamiltonian_fields(s: SymMatrix, n: SkewMatrix):
+    """Symmetrizer table up to degree n-1, and the (P, n, n) stacks M and [N, M].
+
+    M_a = sym_{k-l,l}(S, N) is the z^-1 coefficient of the gradient of the
+    a-th admissible integral, and [N, M_a] its Hamiltonian vector field.
+    """
+    table = SymmetrizerTable(s.full(), n.full(), s.n - 1)
+    m = np.stack([table.get(idx.k - idx.l, idx.l) for idx in enumerate_indices(s.n)])
+    nf = table.b
+    return table, m, nf @ m - m @ nf
+
+
+def poisson_matrix(s: SymMatrix, n: SkewMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Every bracket {H_a, H_b} of the admissible family and its gate scale, (P, P) each.
+
+    X = S + zN pairs only with the z^-1 and z^-2 coefficients of the
+    factorization bracket of two gradients, and only [A-, B-] reaches them:
+    {H_a, H_b} = -tr(N [M_a, M_b]) = -tr([N, M_a] M_b), made exactly
+    antisymmetric.  The scale is max(1, |grad H_a| |grad H_b| |X|) in the
+    largest coefficient Frobenius norm; grad H_a has coefficients
+    sym_{k-j,j}(S, N), j = 0..k.  Rows follow :func:`enumerate_indices`.
+    """
+    table, m, fields = _hamiltonian_fields(s, n)
+    brackets = -np.einsum("aij,bji->ab", fields, m)
+    brackets = 0.5 * (brackets - brackets.T)
+    power_norm = [
+        max(np.linalg.norm(table.get(k - j, j)) for j in range(k + 1)) for k in range(s.n)
+    ]
+    grad = np.array([power_norm[idx.k] for idx in enumerate_indices(s.n)])
+    xnorm = max(np.linalg.norm(table.a), np.linalg.norm(table.b))
+    return brackets, np.maximum(1.0, np.outer(grad, grad) * xnorm)
 
 
 @dataclass(frozen=True)
@@ -203,11 +237,4 @@ def integral_independence_rank(s: SymMatrix, n: SkewMatrix, tol: float = 1e-8) -
 
     Each field is -[sym_{k-l,l}(S, N), N]; generic points give floor(n^2/4).
     """
-    dim = s.n
-    table = SymmetrizerTable(s.full(), n.full(), dim - 1)
-    nf = n.full()
-    fields = []
-    for idx in enumerate_indices(dim):
-        m = table.get(idx.k - idx.l, idx.l)
-        fields.append(nf @ m - m @ nf)
-    return numerical_rank(fields, tol)
+    return numerical_rank(_hamiltonian_fields(s, n)[2], tol)

@@ -1,7 +1,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from biflow import invariants
+from biflow.cli import ExperimentConfig, run_commute, sample_state
 from biflow.invariants import (
     IntegralIndex,
     casimirs,
@@ -12,9 +16,10 @@ from biflow.invariants import (
     is_admissible,
     orbit_membership,
     poisson_bracket,
+    poisson_matrix,
     spectral_coeffs,
 )
-from biflow.laurent import BILoop, is_sigma_fixed, loop_power
+from biflow.laurent import BILoop, LaurentLoop, is_sigma_fixed, loop_power, pairing, rbracket
 from biflow.matcore import (
     SkewMatrix,
     SymMatrix,
@@ -169,6 +174,86 @@ class TestPoissonBracket:
                 assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
 
 
+def commute_gate(tmp_path, n, seed):
+    (gate,) = run_commute(ExperimentConfig("commute", n=n, seed=seed, out_dir=tmp_path))
+    return gate
+
+
+class TestPoissonMatrix:
+    def test_matches_oracle_every_ordered_pair(self):
+        for n in range(2, 7):
+            idxs = enumerate_indices(n)
+            for seed in range(5):
+                s, k = sample_state(n, 40 * n + seed)
+                brackets, scale = poisson_matrix(s, k)
+                x = BILoop(s, k)
+                for a, ia in enumerate(idxs):
+                    for b, ib in enumerate(idxs):
+                        gap = abs(brackets[a, b] - poisson_bracket(x, ia, ib))
+                        assert gap <= 1e-15 * scale[a, b]
+
+    def test_pairing_sees_only_residue_coefficients(self):
+        # The identity behind the matrix, on loops whose brackets are far from
+        # zero: for X = S + zN and any loops A, B, (X, [A, B]_R) equals
+        # -tr(N [A_-1, B_-1]).
+        for n in (2, 4, 6):
+            s, k = random_matrix(n, seed=n), random_matrix(n, seed=n + 50)
+            x = LaurentLoop(0, np.stack([s, k]))
+            a = LaurentLoop(-3, np.stack([random_matrix(n, seed=10 * n + j) for j in range(6)]))
+            b = LaurentLoop(-2, np.stack([random_matrix(n, seed=20 * n + j) for j in range(5)]))
+            want = pairing(x, rbracket(a, b))
+            a1, b1 = a.coeff(-1), b.coeff(-1)
+            assert abs(want) > 1e-2
+            npt.assert_allclose(-np.trace(k @ (a1 @ b1 - b1 @ a1)), want, rtol=1e-12)
+
+    def test_scale_matches_gradient_norms(self):
+        # The scaled states put the largest loop coefficient on N, and every
+        # product under the floor of 1.
+        s, k = random_sym(5, seed=41).full(), random_skew_simple(5, seed=42).full()
+        for cs, ck in [(1.0, 1.0), (1.0, 10.0), (0.01, 0.01)]:
+            x = BILoop(SymMatrix.from_full(cs * s), SkewMatrix.from_full(ck * k))
+            _, scale = poisson_matrix(x.S, x.N)
+            grad = [gradient_loop(x, idx).norm() for idx in enumerate_indices(5)]
+            want = np.maximum(1.0, np.outer(grad, grad) * x.loop().norm())
+            npt.assert_allclose(scale, want, rtol=1e-13)
+
+    def test_exactly_antisymmetric(self):
+        for n in range(2, 10):
+            brackets, scale = poisson_matrix(*sample_state(n, n))
+            assert brackets.shape == scale.shape == (n * n // 4, n * n // 4)
+            npt.assert_array_equal(brackets, -brackets.T)
+            npt.assert_array_equal(scale, scale.T)
+
+    def test_n2_has_no_pairs(self, tmp_path):
+        brackets, _ = poisson_matrix(*sample_state(2, 3))
+        npt.assert_array_equal(brackets, [[0.0]])
+        assert commute_gate(tmp_path, 2, 3).value == 0.0
+
+    def test_wrong_skew_in_commutator_fails_gate(self, tmp_path, monkeypatch):
+        fields = invariants._hamiltonian_fields
+
+        def wrong_skew(s, n):
+            table, m, _ = fields(s, n)
+            other = random_skew_simple(s.n, seed=99).full()
+            return table, m, other @ m - m @ other
+
+        assert commute_gate(tmp_path, 6, 1).passed
+        monkeypatch.setattr(invariants, "_hamiltonian_fields", wrong_skew)
+        gate = commute_gate(tmp_path, 6, 1)
+        assert not gate.passed and gate.value > 1e-3
+
+
+class TestCommuteSizes:
+    @pytest.mark.parametrize("n", [12, 16, 24])
+    def test_passes_at_promised_sizes(self, tmp_path, n):
+        assert commute_gate(tmp_path, n, 7).passed
+
+    @settings(derandomize=True, deadline=None)
+    @given(n=st.integers(3, 16), seed=st.integers(0, 10**6))
+    def test_sweep(self, tmp_path_factory, n, seed):
+        assert commute_gate(tmp_path_factory.getbasetemp() / "commute", n, seed).passed
+
+
 class TestSpectralCoeffs:
     def test_zero_n_reduces_to_char_poly(self):
         s = random_sym(4, seed=8)
@@ -265,6 +350,13 @@ class TestIndependenceRank:
 
     def test_zero_s(self):
         assert integral_independence_rank(SymMatrix.zero(4), random_skew_simple(4, seed=19)) == 0
+
+    def test_s_commuting_with_n_has_no_fields(self):
+        # S = N^2 makes every sym_{k-l,l}(S, N) a polynomial in N, so every
+        # field [N, M] vanishes; integer entries keep the products exact.
+        k = np.diag([1.0, 2.0, 3.0], 1)
+        k = k - k.T
+        assert integral_independence_rank(SymMatrix.from_full(k @ k), SkewMatrix.from_full(k)) == 0
 
     def test_n4_20_seeds(self):
         hits = sum(
