@@ -25,6 +25,7 @@ behind a flag for comparison.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,31 +114,47 @@ def n0(n: int) -> SkewMatrix:
     return SkewMatrix.from_full(k)
 
 
+def _quadratic(a, b, c, u, v, bf: np.ndarray) -> np.ndarray:
+    """[N, S^2] on the block variables, packed as (a', b', c', u', v')."""
+    da = 2.0 * (b * (a + c) + float(u @ v))
+    db = c ** 2 - a ** 2 + float(v @ v) - float(u @ u)
+    du = b * u + c * v + bf @ v
+    dv = -(a * u + b * v + bf @ u)
+    return np.concatenate([[da, db, -da], du, dv])
+
+
+def _cubic(a, b, c, u, v, bf: np.ndarray) -> np.ndarray:
+    """[N, S^3] on the block variables, packed as (a', b', c', u', v')."""
+    bu, bv = bf @ u, bf @ v
+    uu, vv, uv = float(u @ u), float(v @ v), float(u @ v)
+    t11 = a ** 2 + b ** 2 + uu
+    t12 = b * (a + c) + uv
+    t22 = b ** 2 + c ** 2 + vv
+    da = 2.0 * (b * t11 + c * t12 + a * uv + b * vv + float(u @ bv))
+    s3_22 = b * t12 + c * t22 + b * uv + c * vv + float(v @ bv)
+    s3_11 = a * t11 + b * t12 + a * uu + b * uv + float(u @ bu)
+    db = s3_22 - s3_11
+    du = t12 * u + t22 * v + b * bu + c * bv + bf @ bv
+    dv = -(t11 * u + t12 * v + a * bu + b * bv + bf @ bu)
+    return np.concatenate([[da, db, -da], du, dv])
+
+
+def _unpack(y: np.ndarray, b: SymMatrix) -> BlockState:
+    return BlockState(y[0], y[1], y[2], y[3 : 3 + b.n], y[3 + b.n :], b)
+
+
 def rhs_quadratic(bs: BlockState) -> BlockState:
     """Block extraction of [N, S^2]."""
-    bf = bs.B.full()
-    da = 2.0 * (bs.b * (bs.a + bs.c) + float(bs.u @ bs.v))
-    db = bs.c ** 2 - bs.a ** 2 + float(bs.v @ bs.v) - float(bs.u @ bs.u)
-    du = bs.b * bs.u + bs.c * bs.v + bf @ bs.v
-    dv = -(bs.a * bs.u + bs.b * bs.v + bf @ bs.u)
-    return BlockState(da, db, -da, du, dv, SymMatrix.zero(bs.B.n))
+    return _unpack(_quadratic(bs.a, bs.b, bs.c, bs.u, bs.v, bs.B.full()), SymMatrix.zero(bs.B.n))
 
 
 def rhs_cubic(bs: BlockState) -> BlockState:
     """Block extraction of [N, S^3]."""
-    bf = bs.B.full()
-    bu, bv = bf @ bs.u, bf @ bs.v
-    uu, vv, uv = float(bs.u @ bs.u), float(bs.v @ bs.v), float(bs.u @ bs.v)
-    t11 = bs.a ** 2 + bs.b ** 2 + uu
-    t12 = bs.b * (bs.a + bs.c) + uv
-    t22 = bs.b ** 2 + bs.c ** 2 + vv
-    da = 2.0 * (bs.b * t11 + bs.c * t12 + bs.a * uv + bs.b * vv + float(bs.u @ bv))
-    s3_22 = bs.b * t12 + bs.c * t22 + bs.b * uv + bs.c * vv + float(bs.v @ bv)
-    s3_11 = bs.a * t11 + bs.b * t12 + bs.a * uu + bs.b * uv + float(bs.u @ bu)
-    db = s3_22 - s3_11
-    du = t12 * bs.u + t22 * bs.v + bs.b * bu + bs.c * bv + bf @ bv
-    dv = -(t11 * bs.u + t12 * bs.v + bs.a * bu + bs.b * bv + bf @ bu)
-    return BlockState(da, db, -da, du, dv, SymMatrix.zero(bs.B.n))
+    return _unpack(_cubic(bs.a, bs.b, bs.c, bs.u, bs.v, bs.B.full()), SymMatrix.zero(bs.B.n))
+
+
+rhs_quadratic.packed = _quadratic
+rhs_cubic.packed = _cubic
 
 
 def rhs_reduced(
@@ -195,13 +212,16 @@ class PDEState:
         return np.fft.ifft(self.u_hat * k).real, np.fft.ifft(self.v_hat * k).real
 
     def conj_symmetry_residual(self) -> float:
-        ru = self.u_hat - np.conj(np.roll(self.u_hat[::-1], 1))
-        rv = self.v_hat - np.conj(np.roll(self.v_hat[::-1], 1))
-        return float(max(np.abs(ru).max(), np.abs(rv).max()))
+        mirror = _mirror(self.modes)
+        return float(max(np.abs(x - np.conj(x[mirror])).max() for x in (self.u_hat, self.v_hat)))
 
 
 def _wavenumbers(k: int) -> np.ndarray:
     return np.fft.fftfreq(k, d=1.0 / k)
+
+
+def _mirror(k: int) -> np.ndarray:
+    return -np.arange(k) % k  # gather index taking mode j to mode -j
 
 
 def _inner(a_hat: np.ndarray, b_hat: np.ndarray) -> float:
@@ -220,59 +240,50 @@ def pde_rhs(st: PDEState, printed_variant: bool = False) -> PDEState:
     The nonlinearity is scalar * field, so the evaluation is alias-free:
     no padding is needed and the mode support of (u, v) never grows.
     """
-    ksq = _wavenumbers(st.modes) ** 2
-    uu = _inner(st.u_hat, st.u_hat)
-    vv = _inner(st.v_hat, st.v_hat)
-    uv = _inner(st.u_hat, st.v_hat)
-    du = uv * st.u_hat + vv * st.v_hat + ksq * st.v_hat
+    d = _pde(st.u_hat, st.v_hat, _wavenumbers(st.modes) ** 2, printed_variant)
+    return PDEState(d[: st.modes], d[st.modes :], st.parity)
+
+
+def _pde(u: np.ndarray, v: np.ndarray, ksq: np.ndarray, printed_variant: bool) -> np.ndarray:
+    """:func:`pde_rhs` on bare coefficient arrays, packed as (u_hat', v_hat')."""
+    uu, vv, uv = _inner(u, u), _inner(v, v), _inner(u, v)
+    du = uv * u + vv * v + ksq * v
     sign = 1.0 if printed_variant else -1.0
-    dv = sign * uu * st.u_hat - uv * st.v_hat - ksq * st.u_hat
-    return PDEState(du, dv, st.parity)
+    dv = sign * uu * u - uv * v - ksq * u
+    return np.concatenate([du, dv])
 
 
 def integrate_block(
     bs0: BlockState, rhs, t_final: float, h: float
 ) -> tuple[np.ndarray, list[BlockState]]:
-    """RK4 on the block variables; B rides along frozen."""
-    nb = bs0.u.size
-    b_frozen = bs0.B
-
-    def pack(bs: BlockState) -> np.ndarray:
-        return np.concatenate([[bs.a, bs.b, bs.c], bs.u, bs.v])
-
-    def unpack(y: np.ndarray) -> BlockState:
-        return BlockState(y[0], y[1], y[2], y[3 : 3 + nb], y[3 + nb :], b_frozen)
-
-    times, path = rk4_path(lambda y: pack(rhs(unpack(y))), pack(bs0), t_final, h)
-    return times, [unpack(y) for y in path]
+    """RK4 on the packed (a, b, c, u, v) by the ``packed`` formula of ``rhs``
+    (:func:`rhs_quadratic` or :func:`rhs_cubic`, maybe decorated); B stays frozen."""
+    packed = inspect.unwrap(rhs).packed
+    nb, bf = bs0.B.n, bs0.B.full()
+    times, path = rk4_path(
+        lambda y: packed(y[0], y[1], y[2], y[3 : 3 + nb], y[3 + nb :], bf),
+        np.concatenate([[bs0.a, bs0.b, bs0.c], bs0.u, bs0.v]),
+        t_final,
+        h,
+    )
+    return times, [_unpack(y, bs0.B) for y in path]
 
 
 def integrate_pde(
     st0: PDEState, t_final: float, h: float, printed_variant: bool = False
 ) -> tuple[np.ndarray, list[PDEState]]:
-    """RK4 in coefficient space with a reality projection each step."""
+    """RK4 on the packed coefficients (u_hat, v_hat) with a reality projection each step."""
     k = st0.modes
-
-    def pack(st: PDEState) -> np.ndarray:
-        return np.concatenate([st.u_hat, st.v_hat])
-
-    def unpack(y: np.ndarray) -> PDEState:
-        return PDEState(y[:k], y[k:], st0.parity)
-
-    def project(y: np.ndarray) -> np.ndarray:
-        out = []
-        for part in (y[:k], y[k:]):
-            out.append(0.5 * (part + np.conj(np.roll(part[::-1], 1))))
-        return np.concatenate(out)
-
+    ksq = _wavenumbers(k) ** 2
+    mirror = np.concatenate([_mirror(k), k + _mirror(k)])
     times, path = rk4_path(
-        lambda y: pack(pde_rhs(unpack(y), printed_variant)),
-        pack(st0).astype(complex),
+        lambda y: _pde(y[:k], y[k:], ksq, printed_variant),
+        np.concatenate([st0.u_hat, st0.v_hat]),
         t_final,
         h,
-        project=project,
+        project=lambda y: 0.5 * (y + np.conj(y[mirror])),
     )
-    return times, [unpack(y) for y in path]
+    return times, [PDEState(y[:k], y[k:], st0.parity) for y in path]
 
 
 def parity_leakage(st: PDEState) -> float:
@@ -284,9 +295,5 @@ def parity_leakage(st: PDEState) -> float:
     if st.parity is None:
         raise ValueError("state carries no parity flag")
     sgn = 1.0 if st.parity == "even" else -1.0
-    worst = 0.0
-    for arr in (st.u_hat, st.v_hat):
-        mirrored = np.roll(arr[::-1], 1)  # index k -> -k
-        bad = 0.5 * (arr - sgn * mirrored)
-        worst = max(worst, float(np.abs(bad).max()))
-    return worst
+    mirror = _mirror(st.modes)
+    return max(float(np.abs(0.5 * (arr - sgn * arr[mirror])).max()) for arr in (st.u_hat, st.v_hat))

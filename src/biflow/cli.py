@@ -300,14 +300,8 @@ def run_findim(cfg: ExperimentConfig) -> list[Gate]:
 def run_pde(cfg: ExperimentConfig) -> list[Gate]:
     rng = SplitMix64(cfg.seed)
     m = max(cfg.n - 2, 3)
-    bs = BlockState(
-        rng.uniform(),
-        rng.uniform(),
-        rng.uniform(),
-        np.array([rng.uniform() for _ in range(m)]),
-        np.array([rng.uniform() for _ in range(m)]),
-        random_sym(m, cfg.seed + 30),
-    )
+    a, b, c = rng.uniform(), rng.uniform(), rng.uniform()
+    bs = BlockState(a, b, c, rng.matrix(1, m)[0], rng.matrix(1, m)[0], random_sym(m, cfg.seed + 30))
     nmat = n0(bs.n)
     sf = embed(bs).full()
     nf = nmat.full()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import IntegralIndex, gradient_loop, is_admissible
+from .invariants import IntegralIndex, gradient_loop
 from .laurent import BILoop, LaurentLoop, mul
 from .matcore import NumericalError, SymMatrix
 
@@ -60,9 +60,7 @@ def generator(x0: BILoop, idx: IntegralIndex) -> LaurentLoop:
     """
     if idx.l % 2 != 0:
         raise ValueError("factorization generators need an even power l")
-    if not is_admissible(idx, x0.n):
-        raise ValueError(f"index ({idx.k},{idx.l}) not admissible for n={x0.n}")
-    return gradient_loop(x0, idx)
+    return gradient_loop(x0, idx)  # which rejects an index not admissible for n
 
 
 def expm(a: np.ndarray, tol: float = 1e-13, max_terms: int = 60) -> np.ndarray:
@@ -122,8 +120,9 @@ class FourierLoop:
     def n(self) -> int:
         return self.samples.shape[1]
 
-    def coeff(self, j: int) -> np.ndarray:
-        if abs(j) > self.m_samples // 2:
+    def coeff(self, j) -> np.ndarray:
+        """Coefficient j, or the stack of them for an integer array j."""
+        if np.max(np.abs(j)) > self.m_samples // 2:
             raise ValueError(f"coefficient {j} beyond resolved band {self.m_samples // 2}")
         return self.coeffs[j % self.m_samples]
 
@@ -230,14 +229,14 @@ def birkhoff(
     j_cap = gamma.m_samples // 2 - 1
     j = min(depth, j_cap)
     while True:
-        blocks = [[gamma.coeff(col - row) for col in range(1, j + 1)] for row in range(1, j + 1)]
-        system = np.block(blocks)
-        rhs = -np.concatenate([gamma.coeff(-row) for row in range(1, j + 1)], axis=0)
+        rows = np.arange(1, j + 1)  # system block (r, c) is Gamma_{c-r}; rhs block r, -Gamma_{-r}
+        system = gamma.coeff(rows - rows[:, None]).transpose(0, 2, 1, 3).reshape(j * n, j * n)
+        rhs = -gamma.coeff(-rows).reshape(j * n, n)
         try:
             stacked = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError as exc:
             raise FactorizationError("block-Toeplitz system singular") from exc
-        cs = [stacked[(jj - 1) * n : jj * n] for jj in range(1, j + 1)]
+        cs = stacked.reshape(j, n, n)  # cs[jj - 1] = c_jj
         tail = float(np.linalg.norm(cs[-1]))
         if tail <= tail_tol or j >= min(max_depth, j_cap):
             break
@@ -245,21 +244,16 @@ def birkhoff(
     if tail > tail_tol:
         raise FactorizationError(f"g_minus tail {tail:.3e} above {tail_tol:.1e} at depth {j}")
 
-    reality = max(float(np.max(np.abs(c.imag))) for c in cs)
-    g_minus_arr = np.zeros((j + 1, n, n))
-    g_minus_arr[j] = np.eye(n)
-    for jj, c in enumerate(cs, start=1):
-        g_minus_arr[j - jj] = _real_part(c, reality_tol, "g_minus coefficient")
-    g_minus = LaurentLoop(-j, g_minus_arr)
+    reality = float(np.max(np.abs(cs.imag)))
+    g_minus_arr = _real_part(cs[::-1], reality_tol, "g_minus coefficient")
+    g_minus = LaurentLoop(-j, np.concatenate([g_minus_arr, np.eye(n)[None]]))
 
-    j_plus = gamma.m_samples // 2 - j
-    plus_terms = {}
-    for m in range(0, j_plus + 1):
-        acc = gamma.coeff(m).astype(complex)
-        for jj, c in enumerate(cs, start=1):
-            acc = acc + gamma.coeff(m + jj) @ c
-        plus_terms[m] = _real_part(acc, max(reality_tol, 10 * gamma.reality_residual()), "g_plus coefficient")
-    g_plus = LaurentLoop.from_terms(plus_terms, n)
+    ms = np.arange(gamma.m_samples // 2 - j + 1)
+    acc = gamma.coeff(ms)
+    for jj in range(1, j + 1):  # every m at once, each sum still in jj order
+        acc = acc + gamma.coeff(ms + jj) @ cs[jj - 1]
+    tol = max(reality_tol, 10 * gamma.reality_residual())
+    g_plus = LaurentLoop(0, _real_part(acc, tol, "g_plus coefficient"))
 
     zs = circle_points(gamma.m_samples)
     gm_t = g_minus.evaluate(zs).transpose(0, 2, 1)
@@ -327,8 +321,5 @@ def solve_by_factorization(
     """State of the (k, l) flow at time t by Birkhoff factorization."""
     if t == 0.0:
         return x0.S
-    gen = generator(x0, idx)
-    gamma = sample_exp(gen, t, m_samples)
-    factors = birkhoff(gamma, depth)
-    s_minus, _ = conjugated_states(factors, x0)
-    return s_minus
+    factors = birkhoff(sample_exp(generator(x0, idx), t, m_samples), depth)
+    return conjugated_states(factors, x0)[0]

@@ -377,9 +377,5 @@ def random_skew_simple(
 def skew_spectrum_is_simple(k: SkewMatrix | np.ndarray, gap: float = 1e-6) -> bool:
     """True when the +-i*lambda pairs of a skew matrix are separated by gap."""
     svals = np.linalg.svd(as_matrix(k), compute_uv=False)
-    lams = svals[::2][: as_matrix(k).shape[0] // 2]
-    if lams.size == 0:
-        return False
-    if lams[-1] <= gap:
-        return False
-    return bool(np.all(-np.diff(lams) > gap)) if lams.size > 1 else True
+    lams = svals[::2][: svals.size // 2]
+    return bool(lams.size and lams[-1] > gap and np.all(-np.diff(lams) > gap))

@@ -97,15 +97,24 @@ def sym(a, b, i: int, j: int, table: SymmetrizerTable | None = None) -> np.ndarr
     b = as_stack(b)
     if a.shape[-1] != b.shape[-1]:
         raise ValueError("A and B must share one dimension")
-    row = [np.eye(a.shape[-1])]  # row[c] = sym_{r,c}, here for r = 0
-    for _ in range(j):
+    if i + j <= 1:  # sym_{00} = I; a copy, since the kernel returns A or B itself
+        return np.eye(a.shape[-1]) if i + j == 0 else (a if i else b).copy()
+    return _sym(a, b, i, j)
+
+
+def _sym(a: np.ndarray, b: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Unchecked sym_{ij}(A, B), i + j >= 1: the recursion of :func:`sym` started
+    from A and B, not I.  X @ I is an exact copy of X, so the bits agree."""
+    row = [b]  # row[c - 1] = sym_{r,c}, here for r = 0
+    for _ in range(j - 1):
         row.append(b @ row[-1])
-    for _ in range(i):
-        nxt = [a @ row[0]]
-        for c in range(1, j + 1):
-            nxt.append(a @ row[c] + b @ nxt[c - 1])
-        row = nxt
-    return row[j]
+    for r in range(i):
+        col = a @ col if r else a  # sym_{r+1,0}
+        nxt = [col]
+        for c in range(j):
+            nxt.append(a @ row[c] + b @ nxt[-1])
+        row = nxt[1:]
+    return row[-1] if j else col
 
 
 def sym_enumerated(a, b, i: int, j: int) -> np.ndarray:

@@ -175,6 +175,82 @@ class TestReduced:
         assert abs(ddt) > 1e-6
 
 
+def pack_block(bs):
+    return np.concatenate([[bs.a, bs.b, bs.c], bs.u, bs.v])
+
+
+def unpack_block(y, b):
+    m = b.n
+    return BlockState(y[0], y[1], y[2], y[3 : 3 + m], y[3 + m :], b)
+
+
+def rk4_step(f, y, dt):
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestPackedRHS:
+    """The integrators step on packed arrays; each must equal its public form."""
+
+    def test_block_packed_equals_public(self):
+        for seed in range(20):
+            bs = random_block(4 + seed % 6, seed=400 + seed)
+            y = pack_block(bs)
+            m = bs.B.n
+            args = (y[0], y[1], y[2], y[3 : 3 + m], y[3 + m :], bs.B.full())
+            for rhs in (rhs_quadratic, rhs_cubic):
+                want = rhs(unpack_block(y, bs.B))
+                assert np.array_equal(rhs.packed(*args), pack_block(want))
+                assert not want.B.full().any()
+
+    def test_block_step_equals_public_step(self):
+        for seed in range(10):
+            bs = random_block(4 + seed % 6, seed=500 + seed)
+            for rhs in (rhs_quadratic, rhs_cubic):
+                _, path = integrate_block(bs, rhs, t_final=0.01, h=0.01)
+
+                def public(y):
+                    return pack_block(rhs(unpack_block(y, bs.B)))
+
+                want = rk4_step(public, pack_block(bs), 0.01)
+                assert np.array_equal(pack_block(path[1]), want)
+                assert path[1].B is bs.B
+
+    def test_block_rhs_behind_a_wrapper(self):
+        # A wrapper that records what it wraps only in __wrapped__, as a
+        # tracing decorator does, still gives the packed formula.
+        def traced(bs):
+            return rhs_cubic(bs)
+
+        traced.__wrapped__ = rhs_cubic
+        bs = random_block(6, seed=600)
+        _, want = integrate_block(bs, rhs_cubic, t_final=0.05, h=1e-2)
+        _, got = integrate_block(bs, traced, t_final=0.05, h=1e-2)
+        assert all(np.array_equal(pack_block(g), pack_block(w)) for g, w in zip(got, want))
+
+    def test_pde_step_equals_public_step(self):
+        rng = SplitMix64(7)
+        for k in (5, 8, 16):
+            for parity, variant in ((None, False), ("odd", True)):
+                u = np.array([rng.uniform() for _ in range(k)])
+                v = np.array([rng.uniform() for _ in range(k)])
+                st = PDEState.from_fields(u, v, parity)
+
+                def f(y):
+                    d = pde_rhs(PDEState(y[:k], y[k:], parity), variant)
+                    return np.concatenate([d.u_hat, d.v_hat])
+
+                y = rk4_step(f, np.concatenate([st.u_hat, st.v_hat]), 1e-3)
+                halves = [0.5 * (p + np.conj(np.roll(p[::-1], 1))) for p in (y[:k], y[k:])]
+                _, path = integrate_pde(st, t_final=1e-3, h=1e-3, printed_variant=variant)
+                assert np.array_equal(path[1].u_hat, halves[0])
+                assert np.array_equal(path[1].v_hat, halves[1])
+                assert path[1].parity == parity
+
+
 class TestBlockIntegration:
     def test_zero_data_constant(self):
         bs = BlockState(0.0, 0.0, 0.0, np.zeros(3), np.zeros(3), random_sym(3, seed=11))

@@ -208,6 +208,36 @@ class TestBirkhoff:
         assert circle_symmetry_residual(fac.g_minus) <= 1e-8
         assert circle_symmetry_residual(fac.g_plus) <= 1e-8
 
+    def test_matches_coefficient_by_coefficient_build(self):
+        # The system, its right side and the g_plus sums are gathered from
+        # whole coefficient stacks; the factors must keep every bit of the
+        # block-by-block construction.
+        for n, seed, k in ((3, 20, 2), (4, 21, 3), (5, 22, 2)):
+            x = bi_state(n, seed=seed)
+            gamma = sample_exp(generator(x, IntegralIndex(k, 0)), t=0.4, m_samples=256)
+            fac = birkhoff(gamma, depth=40)
+            j = -fac.g_minus.lo
+            rows = range(1, j + 1)
+            system = np.block([[gamma.coeff(c - r) for c in rows] for r in rows])
+            rhs = -np.concatenate([gamma.coeff(-r) for r in rows], axis=0)
+            cs = np.linalg.solve(system, rhs).reshape(j, n, n)
+            assert np.array_equal(fac.g_minus.coeffs[:j], cs[::-1].real)
+            for m in fac.g_plus.degrees():
+                acc = gamma.coeff(m).copy()
+                for jj in rows:
+                    acc = acc + gamma.coeff(m + jj) @ cs[jj - 1]
+                assert np.array_equal(fac.g_plus.coeff(m), acc.real)
+
+    def test_coefficient_gather_keeps_the_band_check(self):
+        x = bi_state(3, seed=23)
+        gamma = sample_exp(generator(x, IntegralIndex(2, 0)), t=0.3, m_samples=64)
+        idx = np.array([[-32, 5], [0, 32]])
+        want = np.stack([gamma.coeff(int(i)) for i in idx.ravel()]).reshape(2, 2, 3, 3)
+        assert np.array_equal(gamma.coeff(idx), want)
+        for bad in (33, -33, np.array([0, 33]), np.array([[-33], [1]])):
+            with pytest.raises(ValueError, match="beyond resolved band"):
+                gamma.coeff(bad)
+
     def test_uniqueness_under_depth_change(self):
         x = bi_state(3, seed=18)
         gamma = sample_exp(generator(x, IntegralIndex(2, 0)), t=0.5, m_samples=256)

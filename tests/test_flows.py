@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biflow import cli
+from biflow import cli, invariants, matcore, symmetrizer
 from biflow.flows import (
+    BLOWUP_NORM,
     BlowupError,
     bi_rhs,
     drift_report,
@@ -14,6 +15,7 @@ from biflow.flows import (
     integrate_matrix,
     invariant_series,
     m_rhs,
+    rk4_path,
     vector_field,
     vector_field_s_form,
 )
@@ -200,6 +202,57 @@ class TestIntegrate:
             integrate_matrix(
                 np.array([[1.0]]), lambda y: y * y, t_final=30.0, h=0.5
             )
+
+    # One step of length 1 from zero with a constant right-hand side lands
+    # on that constant, so each case puts one chosen state before the guard.
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [np.nan, 0.0, 0.0, 0.0],  # a NaN entry
+            [np.inf, 0.0, 0.0, 0.0],  # an inf entry
+            [3.0 * BLOWUP_NORM, 0.0, 0.0, 0.0],  # the largest entry above the bound
+            [0.6 * BLOWUP_NORM] * 4,  # the norm above the bound, every entry below it
+            [1e300, 1e300, 0.0, 0.0],  # huge finite entries, whose norm overflows
+        ],
+        ids=["nan", "inf", "entry", "norm", "huge"],
+    )
+    def test_blowup_guard_branches(self, entries):
+        state = np.array(entries).reshape(2, 2)
+        with pytest.raises(BlowupError):
+            rk4_path(lambda y: state, np.zeros((2, 2)), t_final=1.0, h=1.0)
+
+    def test_blowup_guard_passes_large_entries_under_the_norm(self):
+        state = np.array([[0.9 * BLOWUP_NORM, 0.0], [0.0, 0.3 * BLOWUP_NORM]])
+        _, path = rk4_path(lambda y: state, np.zeros((2, 2)), t_final=1.0, h=1.0)
+        assert np.array_equal(path[-1], state)
+
+    def test_overflow_inside_a_stage_is_a_blowup(self):
+        # No stage checks its state, so an overflow within a step reaches the
+        # guard and ends the run as a numerical error, not as bad input.
+        s = SymMatrix(4, 1e200 * random_sym(4, seed=20).packed)
+        n = random_skew_simple(4, seed=21)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowupError):
+            integrate(s, n, IntegralIndex(2, 0), t_final=1.0, h=0.1)
+
+    def test_no_state_check_per_step(self, monkeypatch):
+        # The right-hand side runs on bare arrays: integrate checks its input
+        # once, where it starts, and never inside the 400 RK4 stages.
+        calls = []
+        original = matcore.as_stack
+
+        def counting(x):
+            calls.append(1)
+            return original(x)
+
+        for module in (matcore, symmetrizer, invariants):
+            monkeypatch.setattr(module, "as_stack", counting)
+        s = random_sym(4, seed=18)
+        n = random_skew_simple(4, seed=19)
+        for idx in (IntegralIndex(2, 0), IntegralIndex(3, 2)):
+            calls.clear()
+            traj = integrate(s, n, idx, t_final=0.1, h=1e-3)
+            assert traj.states.shape == (101, 4, 4)
+            assert len(calls) <= 2
 
 
 class TestDrift:

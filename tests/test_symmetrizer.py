@@ -7,6 +7,7 @@ import pytest
 from biflow.matcore import numerical_rank, random_matrix, random_skew_simple, random_sym
 from biflow.symmetrizer import (
     SymmetrizerTable,
+    _sym,
     cayley_hamilton_dependence,
     degree_below,
     generic_independence,
@@ -16,6 +17,19 @@ from biflow.symmetrizer import (
     sym_enumerated,
     witness_pair,
 )
+
+
+def seeded_sym(a, b, i, j):
+    """The row-by-row recursion seeded with sym_00 = I, products as in the table."""
+    row = [np.eye(a.shape[-1])]
+    for _ in range(j):
+        row.append(b @ row[-1])
+    for _ in range(i):
+        nxt = [a @ row[0]]
+        for c in range(1, j + 1):
+            nxt.append(a @ row[c] + b @ nxt[c - 1])
+        row = nxt
+    return row[j]
 
 
 class TestSym:
@@ -57,6 +71,52 @@ class TestSym:
             sym(a, b, -1, 2)
         with pytest.raises(ValueError):
             sym(a, np.eye(3), 1, 1)
+
+    def test_kernel_matches_identity_seeded_recursion(self):
+        # The kernel starts its recursion from A and B where sym seeded it
+        # with I; every entry must keep its bits, on matrices and on stacks.
+        for n in range(2, 13):
+            a = random_matrix(n, seed=100 + n)
+            b = random_matrix(n, seed=200 + n)
+            stack = np.stack([random_matrix(n, seed=300 + n + 50 * t) for t in range(3)])
+            table = SymmetrizerTable(a, b, 6)
+            for d in range(1, 7):
+                for i in range(d + 1):
+                    j = d - i
+                    want = seeded_sym(a, b, i, j)
+                    assert np.array_equal(want, table.get(i, j))
+                    assert np.array_equal(_sym(a, b, i, j), want)
+                    assert np.array_equal(sym(a, b, i, j), want)
+                    want = seeded_sym(stack, b, i, j)
+                    assert np.array_equal(_sym(stack, b, i, j), want)
+                    assert np.array_equal(sym(stack, b, i, j), want)
+                    assert np.array_equal(sym(b, stack, j, i), seeded_sym(b, stack, j, i))
+
+    def test_public_sym_checks_its_input(self):
+        a = random_matrix(3, seed=11)
+        bad = a.copy()
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            sym(bad, a, 2, 1)
+        bad[1, 2] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            sym(a, bad, 2, 1)
+        with pytest.raises(ValueError, match="square"):
+            sym(a[:, :2], a, 1, 1)
+        with pytest.raises(ValueError, match="square"):
+            sym(a, np.ones(3), 1, 1)
+        with pytest.raises(ValueError, match="dimension"):
+            sym(a, np.eye(4), 2, 2)
+        with pytest.raises(ValueError, match="dimension"):
+            sym(np.stack([a, a]), np.eye(2), 1, 1)
+
+    def test_degree_one_is_a_copy(self):
+        a = random_matrix(3, seed=12)
+        b = random_matrix(3, seed=13)
+        for got, want in ((sym(a, b, 1, 0), a), (sym(a, b, 0, 1), b)):
+            assert got is not want and np.array_equal(got, want)
+            got[0, 0] += 1.0
+            assert not np.array_equal(got, want)
 
     def test_word_count(self):
         # Number of words in sym_{ij} is C(i+j, i): check through the trace
