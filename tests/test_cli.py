@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 from types import FunctionType
 
+import numpy as np
 import numpy.testing as npt
 import pytest
 
@@ -14,6 +15,20 @@ from biflow.invariants import IntegralIndex
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+@pytest.fixture
+def rk4_runs(monkeypatch):
+    """The step count of every `integrate` run the CLI makes, in order."""
+    steps = []
+
+    def counting_integrate(*args):
+        traj = integrate(*args)
+        steps.append(len(traj.times) - 1)
+        return traj
+
+    monkeypatch.setattr(cli, "integrate", counting_integrate)
+    return steps
 
 
 def assert_usage_error(code, capsys, out_dir):
@@ -102,21 +117,17 @@ class TestOtherExperiments:
         out = tmp_path / "out"
         assert_usage_error(run_cli([*args, "--out", out]), capsys, out)
 
-    def test_h_caps_factorize_reference_step(self, tmp_path, monkeypatch):
-        steps = []
-
-        def counting_integrate(*args):
-            traj = integrate(*args)
-            steps.append(len(traj.times) - 1)
-            return traj
-
-        monkeypatch.setattr(cli, "integrate", counting_integrate)
-        for h in (1e-3, 5e-5):
+    def test_h_caps_factorize_reference_step(self, tmp_path, rk4_runs):
+        # --h is the coarse step of the pair, capped at 1e-3; at 5e-5 the
+        # first pair already reaches the floor of twice the steps of a
+        # single run at min(h, 1e-4).
+        for h, want in ((1e-3, [200, 400]), (0.05, [200, 400]), (5e-5, [4000, 8000])):
+            rk4_runs.clear()
             code = run_cli(
                 ["factorize", "--n", 3, "--t", 0.2, "--h", h, "--seed", 2, "--out", tmp_path]
             )
             assert code == 0
-        assert steps == [2000, 4000]
+            assert rk4_runs == want
 
     def test_findim(self, tmp_path):
         assert run_cli(["findim", "--n", 3, "--seed", 2, "--out", tmp_path]) == 0
@@ -143,14 +154,39 @@ class TestOtherExperiments:
 
 
 class TestFactorizeReference:
+    # On the sample below, the largest Frobenius distance over the three
+    # checkpoints between one RK4 run at step 1e-4 and one at 1e-5.  The
+    # extrapolated reference must be no farther from the 1e-5 run.
+    SINGLE_RUN_GAP = 4.302e-14
+
     def test_one_run_matches_separate_runs(self):
         s0, nmat = cli.sample_state(8, 7)
         idx = IntegralIndex(2, 0)
         got = cli._reference_states(s0, nmat, idx, 0.5, 1e-3)
         assert got.shape == (3, 8, 8)
         for t, state in zip((0.125, 0.25, 0.5), got):
-            want = integrate(s0, nmat, idx, t, 1e-4).states[-1]
-            npt.assert_array_equal(state, want)
+            coarse = integrate(s0, nmat, idx, t, 1e-3).states[-1]
+            fine = integrate(s0, nmat, idx, t, 5e-4).states[-1]
+            npt.assert_array_equal(state, (16 * fine - coarse) / 15)
+        tight = integrate(s0, nmat, idx, 0.5, 1e-5).states[[12500, 25000, 50000]]
+        assert np.linalg.norm(got - tight, axis=(1, 2)).max() <= self.SINGLE_RUN_GAP
+
+    def test_halves_until_the_estimate_meets_the_budget(self, rk4_runs):
+        # The first estimate, 1.3e-8, is over the budget 1e-10 |S0|_F = 3.0e-10.
+        s0, nmat = cli.sample_state(8, 7001)
+        idx = IntegralIndex(4, 0)
+        got = cli._reference_states(s0, nmat, idx, 0.5, 1e-3)
+        assert rk4_runs == [500, 1000, 2000, 4000]
+        coarse = integrate(s0, nmat, idx, 0.5, 0.5 / 2000).states[[500, 1000, 2000]]
+        fine = integrate(s0, nmat, idx, 0.5, 0.5 / 4000).states[[1000, 2000, 4000]]
+        npt.assert_array_equal(got, (16 * fine - coarse) / 15)
+
+    def test_stops_at_the_step_floor(self, rk4_runs):
+        # The last estimate is still 5x the budget, but 3200 steps are past
+        # twice the 1000 of a single run at 1e-4.
+        s0, nmat = cli.sample_state(8, 7)
+        cli._reference_states(s0, nmat, IntegralIndex(6, 0), 0.1, 1e-3)
+        assert rk4_runs == [100, 200, 400, 800, 1600, 3200]
 
 
 class TestNumericalFailure:
@@ -193,6 +229,22 @@ class TestAllMode:
         assert run_cli(["report", tmp_path]) == 0
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["pass"] is True and len(payload["experiments"]) == 7
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_tol_does_not_leak_into_the_next_call(self, tmp_path):
+        def gate_tols(out):
+            summary = json.loads((out / "flow.json").read_text())
+            return {g["tol"] for g in summary["gates"]}, summary["config"]["tolerances"]["drift"]
+
+        args = ["flow", "--n", 3, "--t", 0.1, "--seed", 7]
+        assert run_cli([*args, "--tol", "drift=1e-3", "--out", tmp_path / "a"]) == 0
+        assert run_cli([*args, "--out", tmp_path / "b"]) == 0
+        assert gate_tols(tmp_path / "a") == ({1e-3}, 1e-3)
+        assert gate_tols(tmp_path / "b") == ({1e-8}, 1e-8)
 
 
 class TestConfigFile:
