@@ -21,11 +21,13 @@ scalars, mode support never grows, and <u,u> + <v,v> is conserved.  The
 sign of the <u,u> u term is the one forced by the cubic block flow (it is
 what conserves the L^2 pair); the opposite printed variant is available
 behind a flag for comparison.
+
+An integrator returns its path as one state with a leading time axis on each
+field; a diagnostic takes one state or a path and gives a float or a (T,) array.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +54,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlockState:
-    """Block coordinates (a, b, c, u, v, B) of a symmetric matrix."""
+    """Block coordinates (a, b, c, u, v, B) of one symmetric matrix or of a path."""
 
-    a: float
-    b: float
-    c: float
+    a: float | np.ndarray
+    b: float | np.ndarray
+    c: float | np.ndarray
     u: np.ndarray
     v: np.ndarray
     B: SymMatrix
@@ -64,16 +66,16 @@ class BlockState:
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
         v = np.asarray(self.v, dtype=float)
-        if u.shape != v.shape or u.ndim != 1:
-            raise ValueError("u and v must be vectors of equal length")
-        if self.B.n != u.size:
+        if u.shape != v.shape or u.ndim not in (1, 2):
+            raise ValueError("u and v must be vectors, or stacks of them, of equal length")
+        if self.B.n != u.shape[-1]:
             raise ValueError("B dimension must match the vectors")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
     @property
     def n(self) -> int:
-        return self.u.size + 2
+        return self.u.shape[-1] + 2
 
 
 def embed(bs: BlockState) -> SymMatrix:
@@ -140,7 +142,7 @@ def _cubic(a, b, c, u, v, bf: np.ndarray) -> np.ndarray:
 
 
 def _unpack(y: np.ndarray, b: SymMatrix) -> BlockState:
-    return BlockState(y[0], y[1], y[2], y[3 : 3 + b.n], y[3 + b.n :], b)
+    return BlockState(*y[..., :3].T, y[..., 3 : 3 + b.n], y[..., 3 + b.n :], b)
 
 
 def rhs_quadratic(bs: BlockState) -> BlockState:
@@ -151,10 +153,6 @@ def rhs_quadratic(bs: BlockState) -> BlockState:
 def rhs_cubic(bs: BlockState) -> BlockState:
     """Block extraction of [N, S^3]."""
     return _unpack(_cubic(bs.a, bs.b, bs.c, bs.u, bs.v, bs.B.full()), SymMatrix.zero(bs.B.n))
-
-
-rhs_quadratic.packed = _quadratic
-rhs_cubic.packed = _cubic
 
 
 def rhs_reduced(
@@ -176,7 +174,7 @@ def rhs_reduced(
 
 @dataclass(frozen=True)
 class PDEState:
-    """Fourier data of real fields u, v on [0, 2pi).
+    """Fourier data of real fields u, v on [0, 2pi), or a (T, k) path of them.
 
     Coefficients follow numpy's FFT layout divided by the mode count, so
     u(x) = sum_k u_hat[k] exp(i k x); conjugate symmetry keeps the fields
@@ -191,8 +189,8 @@ class PDEState:
     def __post_init__(self):
         u = np.asarray(self.u_hat, dtype=complex)
         v = np.asarray(self.v_hat, dtype=complex)
-        if u.shape != v.shape or u.ndim != 1:
-            raise ValueError("coefficient arrays must be vectors of equal length")
+        if u.shape != v.shape or u.ndim not in (1, 2):
+            raise ValueError("u_hat and v_hat must be equal-shape vectors or stacks of them")
         if self.parity not in (None, "even", "odd"):
             raise ValueError("parity must be None, 'even' or 'odd'")
         object.__setattr__(self, "u_hat", u)
@@ -200,7 +198,7 @@ class PDEState:
 
     @property
     def modes(self) -> int:
-        return self.u_hat.size
+        return self.u_hat.shape[-1]
 
     @classmethod
     def from_fields(cls, u: np.ndarray, v: np.ndarray, parity: str | None = None):
@@ -211,9 +209,10 @@ class PDEState:
         k = self.modes
         return np.fft.ifft(self.u_hat * k).real, np.fft.ifft(self.v_hat * k).real
 
-    def conj_symmetry_residual(self) -> float:
+    def conj_symmetry_residual(self) -> float | np.ndarray:
         mirror = _mirror(self.modes)
-        return float(max(np.abs(x - np.conj(x[mirror])).max() for x in (self.u_hat, self.v_hat)))
+        parts = (np.abs(x - np.conj(x[..., mirror])).max(axis=-1) for x in (self.u_hat, self.v_hat))
+        return np.maximum(*parts)
 
 
 def _wavenumbers(k: int) -> np.ndarray:
@@ -224,12 +223,12 @@ def _mirror(k: int) -> np.ndarray:
     return -np.arange(k) % k  # gather index taking mode j to mode -j
 
 
-def _inner(a_hat: np.ndarray, b_hat: np.ndarray) -> float:
-    """L^2 inner product on [0, 2pi) of the real fields behind the modes."""
-    return float(2.0 * np.pi * np.real(np.vdot(b_hat, a_hat)))
+def _inner(a_hat: np.ndarray, b_hat: np.ndarray) -> float | np.ndarray:
+    """L^2 inner product on [0, 2pi) of the real fields behind the modes, per state."""
+    return 2.0 * np.pi * np.vecdot(b_hat, a_hat).real
 
 
-def l2_pair(st: PDEState) -> float:
+def l2_pair(st: PDEState) -> float | np.ndarray:
     """Conserved quantity <u,u> + <v,v>."""
     return _inner(st.u_hat, st.u_hat) + _inner(st.v_hat, st.v_hat)
 
@@ -254,11 +253,13 @@ def _pde(u: np.ndarray, v: np.ndarray, ksq: np.ndarray, printed_variant: bool) -
 
 
 def integrate_block(
-    bs0: BlockState, rhs, t_final: float, h: float
-) -> tuple[np.ndarray, list[BlockState]]:
-    """RK4 on the packed (a, b, c, u, v) by the ``packed`` formula of ``rhs``
-    (:func:`rhs_quadratic` or :func:`rhs_cubic`, maybe decorated); B stays frozen."""
-    packed = inspect.unwrap(rhs).packed
+    bs0: BlockState, power: int, t_final: float, h: float
+) -> tuple[np.ndarray, BlockState]:
+    """RK4 for S' = [N, S^power], power 2 or 3, on the packed (a, b, c, u, v);
+    the path has (T,) a, b, c, (T, m) u, v and the frozen ``bs0.B``."""
+    packed = {2: _quadratic, 3: _cubic}.get(power)
+    if packed is None:
+        raise ValueError(f"block flows have power 2 or 3, got {power!r}")
     nb, bf = bs0.B.n, bs0.B.full()
     times, path = rk4_path(
         lambda y: packed(y[0], y[1], y[2], y[3 : 3 + nb], y[3 + nb :], bf),
@@ -266,13 +267,13 @@ def integrate_block(
         t_final,
         h,
     )
-    return times, [_unpack(y, bs0.B) for y in path]
+    return times, _unpack(path, bs0.B)
 
 
 def integrate_pde(
     st0: PDEState, t_final: float, h: float, printed_variant: bool = False
-) -> tuple[np.ndarray, list[PDEState]]:
-    """RK4 on the packed coefficients (u_hat, v_hat) with a reality projection each step."""
+) -> tuple[np.ndarray, PDEState]:
+    """RK4 on the packed (u_hat, v_hat), projected to real fields each step; a (T, k) path."""
     k = st0.modes
     ksq = _wavenumbers(k) ** 2
     mirror = np.concatenate([_mirror(k), k + _mirror(k)])
@@ -283,10 +284,10 @@ def integrate_pde(
         h,
         project=lambda y: 0.5 * (y + np.conj(y[mirror])),
     )
-    return times, [PDEState(y[:k], y[k:], st0.parity) for y in path]
+    return times, PDEState(path[:, :k], path[:, k:], st0.parity)
 
 
-def parity_leakage(st: PDEState) -> float:
+def parity_leakage(st: PDEState) -> float | np.ndarray:
     """Largest coefficient mass in the sector opposite the declared parity.
 
     Even fields have u_hat[k] = u_hat[-k]; odd fields flip the sign.  The
@@ -296,4 +297,5 @@ def parity_leakage(st: PDEState) -> float:
         raise ValueError("state carries no parity flag")
     sgn = 1.0 if st.parity == "even" else -1.0
     mirror = _mirror(st.modes)
-    return max(float(np.abs(0.5 * (arr - sgn * arr[mirror])).max()) for arr in (st.u_hat, st.v_hat))
+    parts = (np.abs(0.5 * (x - sgn * x[..., mirror])).max(axis=-1) for x in (st.u_hat, st.v_hat))
+    return np.maximum(*parts)

@@ -268,11 +268,11 @@ def _reference_states(
 
     Global step doubling (Hairer, Norsett & Wanner, Solving ODEs I, II.4):
     one run at a coarse step near min(h, 1e-3) and one at half that step.
-    The estimate is the largest |fine - coarse|_F over the checkpoints.
-    Above 1e-10 max(1, |S0|_F) the step halves and the fine run becomes the
-    coarse one, until the fine run has at least twice the steps of one run
-    at min(h, 1e-4).  The result is the Richardson extrapolation
-    (16 fine - coarse) / 15 (II.9), exactly symmetric as both runs are.
+    The estimate is the largest |fine - coarse|_F / 15 over the checkpoints,
+    the fine run's error by Richardson's rule.  Above 1e-10 max(1, |S0|_F)
+    the step halves and the fine run becomes the coarse one, until the fine
+    run has at least twice the steps of one run at min(h, 1e-4).  The result
+    is the extrapolation (16 fine - coarse) / 15 (II.9), exactly symmetric.
     Step counts are divisible by 4, so every checkpoint falls on a step.
     """
 
@@ -289,7 +289,7 @@ def _reference_states(
     while True:
         coarse, steps = fine, 2 * steps
         fine = checkpoints(steps)
-        estimate = np.linalg.norm(fine - coarse, axis=(1, 2)).max()
+        estimate = np.linalg.norm(fine - coarse, axis=(1, 2)).max() / 15
         if steps >= most or estimate <= budget:
             return (16 * fine - coarse) / 15
 
@@ -327,14 +327,13 @@ def run_pde(cfg: ExperimentConfig) -> list[Gate]:
     m = max(cfg.n - 2, 3)
     a, b, c = rng.uniform(), rng.uniform(), rng.uniform()
     bs = BlockState(a, b, c, rng.matrix(1, m)[0], rng.matrix(1, m)[0], random_sym(m, cfg.seed + 30))
-    nmat = n0(bs.n)
+    nf = n0(bs.n).full()
     sf = embed(bs).full()
-    nf = nmat.full()
     quad_gap = float(np.abs(embed(rhs_quadratic(bs)).full() - commutator(nf, sf @ sf)).max())
     cubic_gap = float(np.abs(embed(rhs_cubic(bs)).full() - commutator(nf, sf @ sf @ sf)).max())
 
-    _, path = integrate_block(bs, rhs_quadratic, cfg.t_final, cfg.h)
-    trace_gap = max(abs((st.a + st.c) - (bs.a + bs.c)) for st in path)
+    _, path = integrate_block(bs, 2, cfg.t_final, cfg.h)
+    trace_gap = np.abs(path.a + path.c - (bs.a + bs.c)).max()
 
     modes = 64
     x = 2.0 * np.pi * np.arange(modes) / modes
@@ -342,17 +341,15 @@ def run_pde(cfg: ExperimentConfig) -> list[Gate]:
         0.4 * np.sin(x) + 0.2 * np.sin(3 * x), 0.3 * np.sin(2 * x), parity="odd"
     )
     times, pde_path = integrate_pde(st0, cfg.t_final, cfg.h)
-    l2 = [l2_pair(stt) for stt in pde_path]
-    leaks = [parity_leakage(stt) for stt in pde_path]
-    base = l2_pair(st0)
-    l2_drift = max(abs(v - base) for v in l2)
+    l2, leaks = l2_pair(pde_path), parity_leakage(pde_path)
+    l2_drift = np.abs(l2 - l2_pair(st0)).max()
     _write_csv(cfg, ["t", "l2_pair", "parity_leakage"], zip(times, l2, leaks))
     return [
         Gate.leq("block_oracle_quadratic", quad_gap, cfg.tol("block_oracle_quadratic")),
         Gate.leq("block_oracle_cubic", cubic_gap, cfg.tol("block_oracle_cubic")),
         Gate.leq("trace_pair", trace_gap, cfg.tol("trace_pair")),
         Gate.leq("l2_drift", l2_drift, cfg.tol("l2_drift")),
-        Gate.leq("parity", max(leaks), cfg.tol("parity")),
+        Gate.leq("parity", leaks.max(), cfg.tol("parity")),
     ]
 
 
@@ -409,6 +406,10 @@ def run(cfg: ExperimentConfig) -> int:
     names = EXPERIMENTS if cfg.experiment == "all" else (cfg.experiment,)
     if cfg.h <= 0:
         raise ValueError(f"--h must be positive, got {cfg.h!r}")
+    if cfg.m_samples < 4 or cfg.m_samples & (cfg.m_samples - 1):
+        raise ValueError(f"--m must be a power of two, at least 4, got {cfg.m_samples!r}")
+    if cfg.depth < 1:
+        raise ValueError(f"--j must be at least 1, got {cfg.depth!r}")
     if "factorize" in names and cfg.t_final <= 0:
         raise ValueError(f"factorize needs --t > 0, got {cfg.t_final!r}")
     failures = []

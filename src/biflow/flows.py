@@ -64,7 +64,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     N: SkewMatrix
-    idx: IntegralIndex | None
 
     @property
     def n(self) -> int:
@@ -169,7 +168,7 @@ def integrate(
     times, path = rk4_path(
         lambda y: _field(y, nf, idx), s0.full(), t_final, h, project=lambda y: 0.5 * (y + y.T)
     )
-    return Trajectory(times, path, n, idx)
+    return Trajectory(times, path, n)
 
 
 def integrate_matrix(

@@ -81,16 +81,14 @@ class SymmetrizerTable:
         return self.get(i - 1, j) @ self.a + self.get(i, j - 1) @ self.b
 
 
-def sym(a, b, i: int, j: int, table: SymmetrizerTable | None = None) -> np.ndarray:
+def sym(a, b, i: int, j: int) -> np.ndarray:
     """sym_{ij}(A, B) via the memoized recursion.
 
-    Without a table only the (i+1) x (j+1) rectangle of entries that
-    sym_{ij} depends on is built, row by row in i, with the products of
-    :class:`SymmetrizerTable`.  A and B may be stacks of shape (..., n, n)
-    that broadcast against each other.
+    Only the (i+1) x (j+1) rectangle of entries that sym_{ij} depends on is
+    built, row by row in i, with the products of :class:`SymmetrizerTable`.
+    A and B may be stacks of shape (..., n, n) that broadcast against each
+    other.
     """
-    if table is not None:
-        return table.get(i, j)
     if i < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
     a = as_stack(a)

@@ -1,9 +1,12 @@
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from biflow.blockpde import (
     BlockState,
     PDEState,
+    _cubic,
+    _quadratic,
     embed,
     extract,
     integrate_block,
@@ -184,6 +187,11 @@ def unpack_block(y, b):
     return BlockState(y[0], y[1], y[2], y[3 : 3 + m], y[3 + m :], b)
 
 
+def block_at(path, i):
+    """State i of a block path."""
+    return BlockState(path.a[i], path.b[i], path.c[i], path.u[i], path.v[i], path.B)
+
+
 def rk4_step(f, y, dt):
     k1 = f(y)
     k2 = f(y + 0.5 * dt * k1)
@@ -201,35 +209,23 @@ class TestPackedRHS:
             y = pack_block(bs)
             m = bs.B.n
             args = (y[0], y[1], y[2], y[3 : 3 + m], y[3 + m :], bs.B.full())
-            for rhs in (rhs_quadratic, rhs_cubic):
+            for packed, rhs in ((_quadratic, rhs_quadratic), (_cubic, rhs_cubic)):
                 want = rhs(unpack_block(y, bs.B))
-                assert np.array_equal(rhs.packed(*args), pack_block(want))
+                assert np.array_equal(packed(*args), pack_block(want))
                 assert not want.B.full().any()
 
     def test_block_step_equals_public_step(self):
         for seed in range(10):
             bs = random_block(4 + seed % 6, seed=500 + seed)
-            for rhs in (rhs_quadratic, rhs_cubic):
-                _, path = integrate_block(bs, rhs, t_final=0.01, h=0.01)
+            for power, rhs in ((2, rhs_quadratic), (3, rhs_cubic)):
+                _, path = integrate_block(bs, power, t_final=0.01, h=0.01)
 
                 def public(y):
                     return pack_block(rhs(unpack_block(y, bs.B)))
 
                 want = rk4_step(public, pack_block(bs), 0.01)
-                assert np.array_equal(pack_block(path[1]), want)
-                assert path[1].B is bs.B
-
-    def test_block_rhs_behind_a_wrapper(self):
-        # A wrapper that records what it wraps only in __wrapped__, as a
-        # tracing decorator does, still gives the packed formula.
-        def traced(bs):
-            return rhs_cubic(bs)
-
-        traced.__wrapped__ = rhs_cubic
-        bs = random_block(6, seed=600)
-        _, want = integrate_block(bs, rhs_cubic, t_final=0.05, h=1e-2)
-        _, got = integrate_block(bs, traced, t_final=0.05, h=1e-2)
-        assert all(np.array_equal(pack_block(g), pack_block(w)) for g, w in zip(got, want))
+                assert np.array_equal(pack_block(block_at(path, 1)), want)
+                assert path.B is bs.B
 
     def test_pde_step_equals_public_step(self):
         rng = SplitMix64(7)
@@ -246,31 +242,32 @@ class TestPackedRHS:
                 y = rk4_step(f, np.concatenate([st.u_hat, st.v_hat]), 1e-3)
                 halves = [0.5 * (p + np.conj(np.roll(p[::-1], 1))) for p in (y[:k], y[k:])]
                 _, path = integrate_pde(st, t_final=1e-3, h=1e-3, printed_variant=variant)
-                assert np.array_equal(path[1].u_hat, halves[0])
-                assert np.array_equal(path[1].v_hat, halves[1])
-                assert path[1].parity == parity
+                assert np.array_equal(path.u_hat[1], halves[0])
+                assert np.array_equal(path.v_hat[1], halves[1])
+                assert path.parity == parity
 
 
 class TestBlockIntegration:
     def test_zero_data_constant(self):
         bs = BlockState(0.0, 0.0, 0.0, np.zeros(3), np.zeros(3), random_sym(3, seed=11))
-        _, path = integrate_block(bs, rhs_quadratic, t_final=0.5, h=1e-2)
-        assert all(st.a == 0.0 and not st.u.any() for st in path)
+        _, path = integrate_block(bs, 2, t_final=0.5, h=1e-2)
+        assert not path.a.any() and not path.u.any()
 
     def test_a_plus_c_conserved(self):
-        for rhs in (rhs_quadratic, rhs_cubic):
+        for power in (2, 3):
             bs = random_block(6, seed=12)
-            _, path = integrate_block(bs, rhs, t_final=1.0, h=1e-3)
-            drift = max(abs((st.a + st.c) - (bs.a + bs.c)) for st in path)
+            _, path = integrate_block(bs, power, t_final=1.0, h=1e-3)
+            drift = np.abs(path.a + path.c - (bs.a + bs.c)).max()
             assert drift <= 1e-10
 
     def test_embedded_casimirs_conserved(self):
         bs = random_block(6, seed=13)
         nmat = n0(6)
-        _, path = integrate_block(bs, rhs_quadratic, t_final=1.0, h=1e-3)
+        times, path = integrate_block(bs, 2, t_final=1.0, h=1e-3)
         base = np.array(casimirs(embed(bs), nmat))
         worst = max(
-            np.max(np.abs(np.array(casimirs(embed(st), nmat)) - base)) for st in path
+            np.max(np.abs(np.array(casimirs(embed(block_at(path, i)), nmat)) - base))
+            for i in range(len(times))
         )
         assert worst <= 1e-8
 
@@ -278,16 +275,21 @@ class TestBlockIntegration:
         # Dual representation: the block cubic flow against the matrix-level
         # S' = [N, S^3] integrated with the same scheme.
         bs = random_block(6, seed=14)
-        _, path = integrate_block(bs, rhs_cubic, t_final=1.0, h=1e-3)
+        _, path = integrate_block(bs, 3, t_final=1.0, h=1e-3)
         traj = integrate(embed(bs), n0(6), IntegralIndex(3, 0), t_final=1.0, h=1e-3)
-        gap = np.linalg.norm(embed(path[-1]).full() - traj.states[-1])
+        gap = np.linalg.norm(embed(block_at(path, -1)).full() - traj.states[-1])
         assert gap <= 1e-9
+
+    @pytest.mark.parametrize("power", [1, 4])
+    def test_refuses_other_powers(self, power):
+        with pytest.raises(ValueError, match="power 2 or 3"):
+            integrate_block(random_block(5, seed=16), power, t_final=0.1, h=1e-2)
 
     def test_block_quadratic_matches_matrix_flow(self):
         bs = random_block(5, seed=15)
-        _, path = integrate_block(bs, rhs_quadratic, t_final=1.0, h=1e-3)
+        _, path = integrate_block(bs, 2, t_final=1.0, h=1e-3)
         traj = integrate(embed(bs), n0(5), IntegralIndex(2, 0), t_final=1.0, h=1e-3)
-        gap = np.linalg.norm(embed(path[-1]).full() - traj.states[-1])
+        gap = np.linalg.norm(embed(block_at(path, -1)).full() - traj.states[-1])
         assert gap <= 1e-9
 
 
@@ -323,29 +325,29 @@ class TestPDE:
         st = mode_state(64, {1: 0.4, 3: 0.2}, {1: 0.1, 2: 0.3}, "even")
         _, path = integrate_pde(st, t_final=1.0, h=1e-3)
         base = l2_pair(st)
-        drift = max(abs(l2_pair(s) - base) for s in path)
+        drift = np.abs(l2_pair(path) - base).max()
         assert drift <= 1e-6
 
     def test_odd_parity_preserved(self):
         st = mode_state(64, {1: 0.5, 2: 0.2}, {3: 0.4}, "odd")
         _, path = integrate_pde(st, t_final=1.0, h=1e-3)
-        worst = max(parity_leakage(s) for s in path)
+        worst = parity_leakage(path).max()
         assert worst <= 1e-12
 
     def test_fields_stay_real(self):
         st = mode_state(32, {1: 0.5}, {2: 0.4}, "even")
         _, path = integrate_pde(st, t_final=0.5, h=1e-3)
-        assert max(s.conj_symmetry_residual() for s in path) <= 1e-13
+        assert path.conj_symmetry_residual().max() <= 1e-13
 
     def test_mode_support_frozen(self):
         # scalar * field nonlinearity cannot create new modes.
         st = mode_state(32, {1: 0.5}, {3: 0.4}, "even")
         _, path = integrate_pde(st, t_final=0.3, h=1e-3)
         live = {1, 3, 31, 29}  # +-1 and +-3 in fft layout
-        for s in path[:: len(path) // 5]:
-            for arr in (s.u_hat, s.v_hat):
-                dead = np.delete(np.abs(arr), sorted(live | {0}))
-                assert dead.max() <= 1e-13
+        every = len(path.u_hat) // 5
+        for arr in (path.u_hat[::every], path.v_hat[::every]):
+            dead = np.delete(np.abs(arr), sorted(live | {0}), axis=-1)
+            assert dead.max() <= 1e-13
 
     def test_printed_variant_drifts(self):
         from biflow.flows import BlowupError
@@ -353,7 +355,36 @@ class TestPDE:
         st = mode_state(32, {1: 0.6}, {1: 0.3, 2: 0.4}, "even")
         try:
             _, path = integrate_pde(st, t_final=1.0, h=1e-3, printed_variant=True)
-            drift = abs(l2_pair(path[-1]) - l2_pair(st))
+            drift = abs(l2_pair(path)[-1] - l2_pair(st))
         except BlowupError:
             drift = np.inf
         assert drift > 1e-4
+
+
+class TestPathDiagnostics:
+    """On an integrate_pde path each diagnostic equals, bit for bit, the
+    per-state value: that of the same function on one state, and the
+    formula it had as a per-state function."""
+
+    @pytest.mark.parametrize("k", [5, 8, 16, 64])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_path_equals_per_state(self, k, parity):
+        rng = SplitMix64(100 + k)
+        u, v = (np.array([rng.uniform() for _ in range(k)]) for _ in range(2))
+        times, path = integrate_pde(PDEState.from_fields(u, v, parity), t_final=0.05, h=1e-3)
+        l2, leak, real = l2_pair(path), parity_leakage(path), path.conj_symmetry_residual()
+        assert l2.shape == leak.shape == real.shape == times.shape
+        mirror = -np.arange(k) % k
+        sgn = 1.0 if parity == "even" else -1.0
+        for i in range(len(times)):
+            st = PDEState(path.u_hat[i], path.v_hat[i], parity)
+            parts = (st.u_hat, st.v_hat)
+            want_l2 = sum(float(2.0 * np.pi * np.real(np.vdot(x, x))) for x in parts)
+            want_leak = max(float(np.abs(0.5 * (x - sgn * x[mirror])).max()) for x in parts)
+            want_real = float(max(np.abs(x - np.conj(x[mirror])).max() for x in parts))
+            assert (l2_pair(st), parity_leakage(st), st.conj_symmetry_residual()) == (
+                want_l2, want_leak, want_real
+            )
+            assert (l2[i], leak[i], real[i]) == (want_l2, want_leak, want_real)
+            values = (l2_pair(st), parity_leakage(st), st.conj_symmetry_residual())
+            assert all(isinstance(x, float) and np.ndim(x) == 0 for x in values)

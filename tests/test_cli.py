@@ -111,7 +111,12 @@ class TestOtherExperiments:
 
     @pytest.mark.parametrize(
         "args",
-        [["all", "--n", 3, "--t", 0, "--seed", 1], ["factorize", "--h", 0, "--seed", 1]],
+        [
+            ["all", "--n", 3, "--t", 0, "--seed", 1],
+            ["factorize", "--h", 0, "--seed", 1],
+            ["all", "--n", 4, "--t", 0.2, "--m", 100, "--seed", 3],
+            ["all", "--n", 4, "--t", 0.2, "--j", 0, "--seed", 3],
+        ],
     )
     def test_checked_before_any_runner(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -172,20 +177,21 @@ class TestFactorizeReference:
         assert np.linalg.norm(got - tight, axis=(1, 2)).max() <= self.SINGLE_RUN_GAP
 
     def test_halves_until_the_estimate_meets_the_budget(self, rk4_runs):
-        # The first estimate, 1.3e-8, is over the budget 1e-10 |S0|_F = 3.0e-10.
+        # The first estimate of the fine run's error, |fine - coarse| / 15 =
+        # 8.8e-10, is over the budget 1e-10 |S0|_F = 3.0e-10; the next is not.
         s0, nmat = cli.sample_state(8, 7001)
         idx = IntegralIndex(4, 0)
         got = cli._reference_states(s0, nmat, idx, 0.5, 1e-3)
-        assert rk4_runs == [500, 1000, 2000, 4000]
-        coarse = integrate(s0, nmat, idx, 0.5, 0.5 / 2000).states[[500, 1000, 2000]]
-        fine = integrate(s0, nmat, idx, 0.5, 0.5 / 4000).states[[1000, 2000, 4000]]
+        assert rk4_runs == [500, 1000, 2000]
+        coarse = integrate(s0, nmat, idx, 0.5, 0.5 / 1000).states[[250, 500, 1000]]
+        fine = integrate(s0, nmat, idx, 0.5, 0.5 / 2000).states[[500, 1000, 2000]]
         npt.assert_array_equal(got, (16 * fine - coarse) / 15)
 
     def test_stops_at_the_step_floor(self, rk4_runs):
-        # The last estimate is still 5x the budget, but 3200 steps are past
+        # The last estimate is still 28x the budget, but 3200 steps are past
         # twice the 1000 of a single run at 1e-4.
         s0, nmat = cli.sample_state(8, 7)
-        cli._reference_states(s0, nmat, IntegralIndex(6, 0), 0.1, 1e-3)
+        cli._reference_states(s0, nmat, IntegralIndex(7, 0), 0.1, 1e-3)
         assert rk4_runs == [100, 200, 400, 800, 1600, 3200]
 
 
