@@ -168,7 +168,7 @@ def _out_path(cfg: ExperimentConfig, suffix: str) -> Path:
     return cfg.out_dir / f"{cfg.experiment}.{suffix}"
 
 
-def _write_json(cfg: ExperimentConfig, gates: list[Gate]) -> Path:
+def _write_json(cfg: ExperimentConfig, gates: list[Gate]) -> None:
     payload = {
         "schema": 1,
         "experiment": cfg.experiment,
@@ -179,13 +179,10 @@ def _write_json(cfg: ExperimentConfig, gates: list[Gate]) -> Path:
         ],
         "pass": all(g.passed for g in gates),
     }
-    path = _out_path(cfg, "json")
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    _out_path(cfg, "json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(cfg: ExperimentConfig, columns: list[str], rows) -> Path:
-    path = _out_path(cfg, "csv")
+def _write_csv(cfg: ExperimentConfig, columns: list[str], rows) -> None:
     lines = [
         f"# biflow {__version__}",
         "# schema: 1",
@@ -194,8 +191,7 @@ def _write_csv(cfg: ExperimentConfig, columns: list[str], rows) -> Path:
     ]
     for row in rows:
         lines.append(",".join(repr(float(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    _out_path(cfg, "csv").write_text("\n".join(lines) + "\n")
 
 
 # -- experiments ---------------------------------------------------------------
@@ -498,9 +494,12 @@ def _tolerance(name: str, raw) -> float:
     if name not in DEFAULT_TOLERANCES:
         raise ValueError(f"unknown tolerance {name!r}")
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
-        raise ValueError(f"tolerance {name} needs a number, got {raw!r}") from None
+        value = np.nan  # fails the range check below
+    if isinstance(raw, bool) or not 0.0 <= value < np.inf:
+        raise ValueError(f"tolerance {name} needs a finite number >= 0, got {raw!r}")
+    return value
 
 
 def _config_number(key: str, kind: type, val) -> int | float:

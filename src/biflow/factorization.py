@@ -51,6 +51,16 @@ class AliasingError(FactorizationError):
     """Top Fourier coefficients too large; increase the sample count."""
 
 
+EXPM_TOL = 1e-13  # 1-norm of the last Taylor term summed by expm
+ALIASING_TOL = 1e-10  # largest top-frequency coefficient sample_exp accepts
+TAIL_TOL = 1e-10  # largest deepest g_minus coefficient birkhoff accepts
+RESIDUAL_TOL = 1e-6  # largest sample norm of gamma - g_plus g_minus^-1
+REALITY_TOL = 1e-10  # largest imaginary part of a factor coefficient
+MAX_DEPTH = 256  # deepest g_minus window birkhoff doubles up to
+N_TOL = 1e-8  # drift of the z^1 coefficient from N, and asymmetry of S(t)
+AGREE_TOL = 1e-7  # gap between the states conjugated by g_minus and g_plus
+
+
 def generator(x0: BILoop, idx: IntegralIndex) -> LaurentLoop:
     """Exponent loop X0(z)^k z^-(l+1) of the factorization problem.
 
@@ -63,13 +73,13 @@ def generator(x0: BILoop, idx: IntegralIndex) -> LaurentLoop:
     return gradient_loop(x0, idx)  # which rejects an index not admissible for n
 
 
-def expm(a: np.ndarray, tol: float = 1e-13, max_terms: int = 60) -> np.ndarray:
+def expm(a: np.ndarray, max_terms: int = 60) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a Taylor core.
 
     ``a`` is one (n, n) matrix or a stack (..., n, n).  Each matrix is
     scaled by its own 2^-s until its 1-norm is at most 1/2, its series is
-    summed until its own term norm falls below tol, and the result is
-    squared s times.  A stack does per matrix exactly the arithmetic of a
+    summed until its own term norm falls below ``EXPM_TOL``, and the result
+    is squared s times.  A stack does per matrix exactly the arithmetic of a
     single call, so each slice equals the exponential of that slice alone.
     """
     a = np.asarray(a)
@@ -86,7 +96,7 @@ def expm(a: np.ndarray, tol: float = 1e-13, max_terms: int = 60) -> np.ndarray:
     for m in range(1, max_terms + 1):
         term = term @ b[live] / m
         out[live] += term
-        going = ~(np.linalg.norm(term, 1, axis=(1, 2)) < tol)
+        going = ~(np.linalg.norm(term, 1, axis=(1, 2)) < EXPM_TOL)
         live, term = live[going], term[going]
         if not live.size:
             break
@@ -140,26 +150,24 @@ def circle_points(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def sample_exp(
-    gen: LaurentLoop, t: float, m_samples: int = 256, aliasing_tol: float = 1e-10
-) -> FourierLoop:
+def sample_exp(gen: LaurentLoop, t: float, m_samples: int = 256) -> FourierLoop:
     """Sample exp(-t * gen(z)) on the unit circle and take its DFT.
 
-    ``m_samples`` must be a power of two and clear the heuristic floor
-    4 * span * max(1, t * ||gen||); an aliasing estimate above tol raises
-    :class:`AliasingError` (increase the sample count).
+    ``m_samples`` must be a power of two.  A count below the heuristic floor
+    4 * span * max(1, t * ||gen||), or an aliasing estimate above
+    ``ALIASING_TOL``, raises :class:`AliasingError` (increase the count).
     """
     if m_samples < 4 or (m_samples & (m_samples - 1)) != 0:
         raise ValueError("sample count must be a power of two, at least 4")
     floor = 4 * gen.span * max(1.0, abs(t) * gen.norm())
     if m_samples < floor:
-        raise ValueError(f"sample count {m_samples} below heuristic floor {floor:.0f}")
+        raise AliasingError(f"sample count {m_samples} below heuristic floor {floor:.0f}")
     samples = expm(-t * gen.evaluate(circle_points(m_samples)))
     coeffs = np.fft.fft(samples, axis=0) / m_samples
     loop = FourierLoop(samples, coeffs)
-    if loop.aliasing_estimate() > aliasing_tol:
+    if loop.aliasing_estimate() > ALIASING_TOL:
         raise AliasingError(
-            f"aliasing estimate {loop.aliasing_estimate():.3e} above {aliasing_tol:.1e}"
+            f"aliasing estimate {loop.aliasing_estimate():.3e} above {ALIASING_TOL:.1e}"
         )
     return loop
 
@@ -202,22 +210,15 @@ def _real_part(arr: np.ndarray, tol: float, what: str) -> np.ndarray:
     return arr.real.copy()
 
 
-def birkhoff(
-    gamma: FourierLoop,
-    depth: int = 40,
-    tail_tol: float = 1e-10,
-    residual_tol: float = 1e-6,
-    reality_tol: float = 1e-10,
-    max_depth: int = 256,
-) -> BirkhoffFactors:
+def birkhoff(gamma: FourierLoop, depth: int = 40) -> BirkhoffFactors:
     """Split gamma into analytic factors with trivial diagonal part.
 
     Writing g- = I + sum_{j=1..J} c_j z^-j, the defining condition that
     gamma * g- has no negative Fourier coefficients down to depth J is the
     block-Toeplitz system  sum_j Gamma_{m+j} c_j = -Gamma_m, m = -1..-J,
     solved densely by LU with partial pivoting.  If the deepest computed
-    coefficient is above ``tail_tol`` the depth is doubled (up to
-    ``max_depth``); a singular system means the loop left the factorizable
+    coefficient is above ``TAIL_TOL`` the depth is doubled (up to
+    ``MAX_DEPTH``); a singular system means the loop left the factorizable
     cell, which the loop symmetry rules out for healthy inputs.
     """
     if depth < 1:
@@ -238,21 +239,21 @@ def birkhoff(
             raise FactorizationError("block-Toeplitz system singular") from exc
         cs = stacked.reshape(j, n, n)  # cs[jj - 1] = c_jj
         tail = float(np.linalg.norm(cs[-1]))
-        if tail <= tail_tol or j >= min(max_depth, j_cap):
+        if tail <= TAIL_TOL or j >= min(MAX_DEPTH, j_cap):
             break
-        j = min(2 * j, max_depth, j_cap)
-    if tail > tail_tol:
-        raise FactorizationError(f"g_minus tail {tail:.3e} above {tail_tol:.1e} at depth {j}")
+        j = min(2 * j, MAX_DEPTH, j_cap)
+    if tail > TAIL_TOL:
+        raise FactorizationError(f"g_minus tail {tail:.3e} above {TAIL_TOL:.1e} at depth {j}")
 
     reality = float(np.max(np.abs(cs.imag)))
-    g_minus_arr = _real_part(cs[::-1], reality_tol, "g_minus coefficient")
+    g_minus_arr = _real_part(cs[::-1], REALITY_TOL, "g_minus coefficient")
     g_minus = LaurentLoop(-j, np.concatenate([g_minus_arr, np.eye(n)[None]]))
 
     ms = np.arange(gamma.m_samples // 2 - j + 1)
     acc = gamma.coeff(ms)
     for jj in range(1, j + 1):  # every m at once, each sum still in jj order
         acc = acc + gamma.coeff(ms + jj) @ cs[jj - 1]
-    tol = max(reality_tol, 10 * gamma.reality_residual())
+    tol = max(REALITY_TOL, 10 * gamma.reality_residual())
     g_plus = LaurentLoop(0, _real_part(acc, tol, "g_plus coefficient"))
 
     zs = circle_points(gamma.m_samples)
@@ -260,8 +261,8 @@ def birkhoff(
     gp_t = g_plus.evaluate(zs).transpose(0, 2, 1)
     approx = np.linalg.solve(gm_t, gp_t).transpose(0, 2, 1)  # g_plus @ inv(g_minus)
     residual = _max_norm(gamma.samples - approx)
-    if residual > residual_tol:
-        raise FactorizationError(f"factorization residual {residual:.3e} above {residual_tol:.1e}")
+    if residual > RESIDUAL_TOL:
+        raise FactorizationError(f"factorization residual {residual:.3e} above {RESIDUAL_TOL:.1e}")
     return BirkhoffFactors(g_minus, g_plus, residual, tail, winding, reality)
 
 
@@ -283,9 +284,7 @@ def _max_norm(stack: np.ndarray) -> float:
     return float(np.sqrt(sq).max())
 
 
-def conjugated_states(
-    factors: BirkhoffFactors, x0: BILoop, n_tol: float = 1e-8, agree_tol: float = 1e-7
-) -> tuple[SymMatrix, SymMatrix]:
+def conjugated_states(factors: BirkhoffFactors, x0: BILoop) -> tuple[SymMatrix, SymMatrix]:
     """Flowed state from each factor: z^0 coefficient of g^-1 X0 g.
 
     Inverses go through the loop symmetry g^-1(z) = g(-z)^T.  The z^1
@@ -297,16 +296,16 @@ def conjugated_states(
         cap = 2 * g.span + 4
         conj = mul(mul(g.transpose_flip(), x0.loop(), cap), g, cap)
         n_err = np.linalg.norm(conj.coeff(1) - x0.N.full())
-        if n_err > n_tol:
+        if n_err > N_TOL:
             raise FactorizationError(f"z^1 coefficient drifted from N by {n_err:.3e}")
         c0 = conj.coeff(0)
         sym_err = np.linalg.norm(c0 - c0.T)
-        if sym_err > n_tol:
+        if sym_err > N_TOL:
             raise FactorizationError(f"flowed state asymmetric by {sym_err:.3e}")
         out.append(SymMatrix.symmetric_part(c0))
     s_minus, s_plus = out
     gap = np.linalg.norm(s_minus.full() - s_plus.full())
-    if gap > agree_tol:
+    if gap > AGREE_TOL:
         raise FactorizationError(f"factor conjugations disagree by {gap:.3e}")
     return s_minus, s_plus
 

@@ -207,6 +207,15 @@ class TestNumericalFailure:
         err = capsys.readouterr().err
         assert "AliasingError" in err and "Traceback" not in err
 
+    def test_undersampled_circle_becomes_failing_gate(self, tmp_path, capsys):
+        code = run_cli(["all", "--n", 3, "--t", 0.4, "--seed", 9, "--m", 8, "--out", tmp_path])
+        assert code == 1
+        assert {p.stem for p in tmp_path.glob("*.json")} == set(cli.EXPERIMENTS)
+        summary = json.loads((tmp_path / "factorize.json").read_text())
+        assert [(g["name"], g["pass"]) for g in summary["gates"]] == [("AliasingError", False)]
+        err = capsys.readouterr().err
+        assert "failed gates: factorize:AliasingError\n" in err and "Traceback" not in err
+
     def test_all_mode_continues_after_failure(self, tmp_path, monkeypatch):
         def blows_up(cfg):
             raise BlowupError("state left the admissible region")
@@ -240,6 +249,13 @@ class TestAllMode:
 class TestParser:
     def test_built_once(self):
         assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("raw", ["nan", "-1", "inf"])
+    def test_tol_needs_a_finite_number_at_least_zero(self, tmp_path, capsys, raw):
+        out = tmp_path / "out"
+        code = run_cli(["flow", "--n", 3, "--t", 0.1, "--seed", 4, "--out", out,
+                        "--tol", f"drift={raw}"])
+        assert_usage_error(code, capsys, out)
 
     def test_tol_does_not_leak_into_the_next_call(self, tmp_path):
         def gate_tols(out):
@@ -286,6 +302,7 @@ class TestConfigFile:
             {"n": 3.9},
             {"n": True},
             {"h": "1e-3"},
+            {"tolerances": {"drift": True}},
         ],
     )
     def test_malformed_config_usage_error(self, tmp_path, capsys, content):

@@ -193,11 +193,12 @@ class TestParity:
         assert parity_check(s, n, 1, 2)
 
     def test_all_small_indices(self):
-        s = random_sym(5, seed=23)
-        n = random_skew_simple(5, seed=24)
-        for i in range(4):
-            for j in range(4):
-                assert parity_check(s, n, i, j)
+        for dim in (3, 4, 5):
+            s = random_sym(dim, seed=23)
+            n = random_skew_simple(dim, seed=24)
+            for i in range(4):
+                for j in range(4):
+                    assert parity_check(s, n, i, j)
 
 
 class TestCayleyHamiltonDependence:
