@@ -14,7 +14,10 @@ numerically on every run.
 
 Discretization is spectral: gamma is entire in z and 1/z away from the
 circle, so its Fourier coefficients decay superexponentially and modest
-M already leaves the top frequencies at rounding level.
+M already leaves the top frequencies at rounding level.  The factors are
+evaluated on the circle by one inverse FFT each, g(-z) is the same samples
+rolled by a half-turn, and the conjugation forms only the z^0 and z^1
+coefficients that the checks read.
 """
 
 from __future__ import annotations
@@ -256,9 +259,8 @@ def birkhoff(gamma: FourierLoop, depth: int = 40) -> BirkhoffFactors:
     tol = max(REALITY_TOL, 10 * gamma.reality_residual())
     g_plus = LaurentLoop(0, _real_part(acc, tol, "g_plus coefficient"))
 
-    zs = circle_points(gamma.m_samples)
-    gm_t = g_minus.evaluate(zs).transpose(0, 2, 1)
-    gp_t = g_plus.evaluate(zs).transpose(0, 2, 1)
+    gm_t = _circle_values(g_minus, gamma.m_samples).transpose(0, 2, 1)
+    gp_t = _circle_values(g_plus, gamma.m_samples).transpose(0, 2, 1)
     approx = np.linalg.solve(gm_t, gp_t).transpose(0, 2, 1)  # g_plus @ inv(g_minus)
     residual = _max_norm(gamma.samples - approx)
     if residual > RESIDUAL_TOL:
@@ -266,11 +268,31 @@ def birkhoff(gamma: FourierLoop, depth: int = 40) -> BirkhoffFactors:
     return BirkhoffFactors(g_minus, g_plus, residual, tail, winding, reality)
 
 
+def _circle_values(loop: LaurentLoop, m_samples: int) -> np.ndarray:
+    """Values of a loop at ``circle_points(m_samples)``, by one inverse FFT.
+
+    At the M-th roots of unity z^d depends only on d mod M, so coefficient d
+    goes into slot d mod M and the sum is exact for any window.  A window
+    wider than M folds in chunks of M degrees, whose slots are distinct.
+    """
+    slots = np.zeros((m_samples, loop.n, loop.n), dtype=complex)
+    where = np.arange(loop.lo, loop.hi + 1) % m_samples
+    for k in range(0, loop.span, m_samples):
+        slots[where[k : k + m_samples]] += loop.coeffs[k : k + m_samples]
+    return np.fft.ifft(slots, axis=0, norm="forward")
+
+
 def circle_symmetry_residual(loop: LaurentLoop, m_samples: int = 256) -> float:
-    """Max over circle samples of ||g(z) g(-z)^T - I||."""
-    zs = circle_points(m_samples)
-    vals = loop.evaluate(zs) @ loop.evaluate(-zs).transpose(0, 2, 1) - np.eye(loop.n)
-    return _max_norm(vals)
+    """Max over circle samples of ||g(z) g(-z)^T - I||.
+
+    ``m_samples`` must be even: then -z_m = z_{m + M/2}, so g(-z) is the
+    samples of g rolled by a half-turn.
+    """
+    if m_samples % 2:
+        raise ValueError(f"sample count must be even, got {m_samples}")
+    vals = _circle_values(loop, m_samples)
+    flipped = np.roll(vals, -(m_samples // 2), axis=0)
+    return _max_norm(vals @ flipped.transpose(0, 2, 1) - np.eye(loop.n))
 
 
 def _max_norm(stack: np.ndarray) -> float:
@@ -284,21 +306,38 @@ def _max_norm(stack: np.ndarray) -> float:
     return float(np.sqrt(sq).max())
 
 
+def _conjugation_coeffs(g: LaurentLoop, x0: BILoop) -> np.ndarray:
+    """The z^0 and z^1 coefficients of g(-z)^T X0(z) g(z), stacked (2, n, n).
+
+    With P = g(-z)^T X0, each c_d = sum_i P_i G_{d-i} is summed as
+    :func:`~biflow.laurent.mul` sums it, in order of i, so it equals the
+    coefficient of the full product bit for bit.
+    """
+    p = mul(g.transpose_flip(), x0.loop(), 2 * g.span + 4)
+    c = np.zeros((2, x0.n, x0.n))
+    for i, pi in zip(p.degrees(), p.coeffs):
+        lo, hi = max(-i, g.lo), min(1 - i, g.hi)  # degrees of G that reach c
+        if lo <= hi:
+            c[i + lo : i + hi + 1] += np.einsum(
+                "ab,kbc->kac", pi, g.coeffs[lo - g.lo : hi - g.lo + 1]
+            )
+    return c
+
+
 def conjugated_states(factors: BirkhoffFactors, x0: BILoop) -> tuple[SymMatrix, SymMatrix]:
     """Flowed state from each factor: z^0 coefficient of g^-1 X0 g.
 
-    Inverses go through the loop symmetry g^-1(z) = g(-z)^T.  The z^1
-    coefficient must reproduce the frozen N and the two factors must agree;
-    both checks raise :class:`FactorizationError` on failure.
+    Inverses go through the loop symmetry g^-1(z) = g(-z)^T, and only the
+    two coefficients the checks read are formed.  The z^1 coefficient must
+    reproduce the frozen N and the two factors must agree; both checks
+    raise :class:`FactorizationError` on failure.
     """
     out = []
     for g in (factors.g_minus, factors.g_plus):
-        cap = 2 * g.span + 4
-        conj = mul(mul(g.transpose_flip(), x0.loop(), cap), g, cap)
-        n_err = np.linalg.norm(conj.coeff(1) - x0.N.full())
+        c0, c1 = _conjugation_coeffs(g, x0)
+        n_err = np.linalg.norm(c1 - x0.N.full())
         if n_err > N_TOL:
             raise FactorizationError(f"z^1 coefficient drifted from N by {n_err:.3e}")
-        c0 = conj.coeff(0)
         sym_err = np.linalg.norm(c0 - c0.T)
         if sym_err > N_TOL:
             raise FactorizationError(f"flowed state asymmetric by {sym_err:.3e}")

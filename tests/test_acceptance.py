@@ -35,13 +35,14 @@ def gate(num, description, ok, detail, elapsed, budget):
 def runner_gates(name, tmp_path, configs):
     """Every gate of the command line's ``name`` runner, run once per config.
 
-    Each config is a dict of :class:`ExperimentConfig` fields.
+    Each config is a dict of :class:`ExperimentConfig` fields.  A runner
+    that also returns diagnostics (``factorize``) gives its gates first.
     """
-    return [
-        g
-        for fields in configs
-        for g in RUNNERS[name](ExperimentConfig(name, out_dir=tmp_path, **fields))
-    ]
+    gates = []
+    for fields in configs:
+        result = RUNNERS[name](ExperimentConfig(name, out_dir=tmp_path, **fields))
+        gates += result[0] if isinstance(result, tuple) else result
+    return gates
 
 
 def worst(gates, prefix=""):

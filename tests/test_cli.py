@@ -1,5 +1,6 @@
 import importlib
 import json
+import warnings
 from pathlib import Path
 from types import FunctionType
 
@@ -102,6 +103,13 @@ class TestOtherExperiments:
         names = {g["name"] for g in summary["gates"]}
         assert any(n.startswith("birkhoff_residual") for n in names)
         assert any(n.startswith("ode_gap") for n in names)
+        diagnostics = summary["diagnostics"]
+        assert [c["t"] for c in diagnostics["checkpoints"]] == [0.125, 0.25, 0.5]
+        for c in diagnostics["checkpoints"]:
+            assert 1 <= c["depth"] <= 40
+            assert max(c["tail"], c["reality"], c["aliasing"]) <= 1e-10
+        assert diagnostics["reference"]["met_budget"] is True
+        assert diagnostics["reference"]["estimate"] <= diagnostics["reference"]["budget"]
 
     @pytest.mark.parametrize("t", [0, -1])
     def test_nonpositive_time_usage_error(self, tmp_path, capsys, t):
@@ -143,6 +151,14 @@ class TestOtherExperiments:
     def test_lemma41(self, tmp_path):
         assert run_cli(["lemma41", "--n", 4, "--seed", 2, "--out", tmp_path]) == 0
 
+    def test_lemma41_witness_scaling_stays_finite(self, tmp_path):
+        # At n=24 the witness entries reach 2^552, and squaring them for the
+        # norm overflowed before each matrix was scaled by its largest entry.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            gates = cli.run_lemma41(cli.ExperimentConfig("lemma41", n=24, seed=7, out_dir=tmp_path))
+        assert all(np.isfinite(g.value) for g in gates)
+
     def test_out_is_a_file_usage_error(self, tmp_path, capsys):
         out = tmp_path / "file"
         out.write_text("")
@@ -167,8 +183,9 @@ class TestFactorizeReference:
     def test_one_run_matches_separate_runs(self):
         s0, nmat = cli.sample_state(8, 7)
         idx = IntegralIndex(2, 0)
-        got = cli._reference_states(s0, nmat, idx, 0.5, 1e-3)
+        got, info = cli._reference_states(s0, nmat, idx, 0.5, 1e-3)
         assert got.shape == (3, 8, 8)
+        assert info["steps"] == 1000 and info["met_budget"] is True
         for t, state in zip((0.125, 0.25, 0.5), got):
             coarse = integrate(s0, nmat, idx, t, 1e-3).states[-1]
             fine = integrate(s0, nmat, idx, t, 5e-4).states[-1]
@@ -181,18 +198,22 @@ class TestFactorizeReference:
         # 8.8e-10, is over the budget 1e-10 |S0|_F = 3.0e-10; the next is not.
         s0, nmat = cli.sample_state(8, 7001)
         idx = IntegralIndex(4, 0)
-        got = cli._reference_states(s0, nmat, idx, 0.5, 1e-3)
+        got, info = cli._reference_states(s0, nmat, idx, 0.5, 1e-3)
         assert rk4_runs == [500, 1000, 2000]
+        assert info["steps"] == 2000 and info["met_budget"] is True
+        assert info["estimate"] <= info["budget"] < 8.8e-10
         coarse = integrate(s0, nmat, idx, 0.5, 0.5 / 1000).states[[250, 500, 1000]]
         fine = integrate(s0, nmat, idx, 0.5, 0.5 / 2000).states[[500, 1000, 2000]]
         npt.assert_array_equal(got, (16 * fine - coarse) / 15)
 
     def test_stops_at_the_step_floor(self, rk4_runs):
         # The last estimate is still 28x the budget, but 3200 steps are past
-        # twice the 1000 of a single run at 1e-4.
+        # twice the 1000 of a single run at 1e-4; the diagnostics say so.
         s0, nmat = cli.sample_state(8, 7)
-        cli._reference_states(s0, nmat, IntegralIndex(7, 0), 0.1, 1e-3)
+        _, info = cli._reference_states(s0, nmat, IntegralIndex(7, 0), 0.1, 1e-3)
         assert rk4_runs == [100, 200, 400, 800, 1600, 3200]
+        assert info["steps"] == 3200 and info["met_budget"] is False
+        assert 20 * info["budget"] < info["estimate"] < 40 * info["budget"]
 
 
 class TestNumericalFailure:
@@ -303,6 +324,7 @@ class TestConfigFile:
             {"n": True},
             {"h": "1e-3"},
             {"tolerances": {"drift": True}},
+            {"tolerances": {"drift": "1e-3"}},
         ],
     )
     def test_malformed_config_usage_error(self, tmp_path, capsys, content):

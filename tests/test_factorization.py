@@ -5,6 +5,8 @@ import pytest
 from biflow.factorization import (
     AliasingError,
     FactorizationError,
+    _circle_values,
+    _conjugation_coeffs,
     birkhoff,
     circle_points,
     circle_symmetry_residual,
@@ -17,7 +19,7 @@ from biflow.factorization import (
 )
 from biflow.flows import integrate
 from biflow.invariants import IntegralIndex, orbit_membership
-from biflow.laurent import BILoop
+from biflow.laurent import BILoop, LaurentLoop, mul
 from biflow.matcore import SkewMatrix, SymMatrix, random_matrix, random_skew_simple, random_sym
 
 
@@ -247,6 +249,54 @@ class TestBirkhoff:
             npt.assert_allclose(
                 f1.g_minus.coeff(-j), f2.g_minus.coeff(-j), atol=1e-9
             )
+
+
+class TestCirclePath:
+    """Factors on the circle by inverse FFT, g(-z) by a half-turn, and the
+    two conjugation coefficients, against the term-by-term forms."""
+
+    @pytest.mark.parametrize(
+        "lo, span, m",
+        [
+            (0, 5, 64),  # a g_plus-like window
+            (-40, 41, 256),  # a g_minus-like window
+            (-3, 8, 8),  # span = M
+            (-7, 19, 8),  # span > M: degrees fold onto each slot
+            (5, 40, 16),  # a window away from degree 0, folded too
+        ],
+    )
+    def test_fft_values_equal_evaluate(self, lo, span, m):
+        coeffs = np.stack([random_matrix(3, seed=300 + d) for d in range(span)])
+        loop = LaurentLoop(lo, coeffs)
+        want = loop.evaluate(circle_points(m))
+        got = _circle_values(loop, m)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_symmetry_residual_equals_two_evaluations(self):
+        x = bi_state(4, seed=31)
+        fac = birkhoff(sample_exp(generator(x, IntegralIndex(2, 0)), t=0.5), depth=40)
+        skewed = LaurentLoop(-2, [random_matrix(4, seed=32 + d) for d in range(5)])
+        for loop, m in ((fac.g_minus, 256), (fac.g_plus, 256), (skewed, 16), (skewed, 4)):
+            zs = circle_points(m)
+            prods = loop.evaluate(zs) @ loop.evaluate(-zs).transpose(0, 2, 1) - np.eye(4)
+            want = max(np.linalg.norm(p) for p in prods)
+            assert abs(circle_symmetry_residual(loop, m) - want) <= 1e-14 * max(1.0, want)
+
+    def test_symmetry_residual_needs_an_even_count(self):
+        with pytest.raises(ValueError, match="even"):
+            circle_symmetry_residual(LaurentLoop.identity(2), 15)
+
+    @pytest.mark.parametrize("n, seed, k", [(3, 33, 2), (5, 34, 3), (8, 7000, 2)])
+    def test_conjugation_coeffs_bit_identical_to_full_product(self, n, seed, k):
+        x = bi_state(n, seed=seed)
+        gamma = sample_exp(generator(x, IntegralIndex(k, 0)), t=0.5, m_samples=256)
+        fac = birkhoff(gamma, depth=40)
+        for g in (fac.g_minus, fac.g_plus):
+            cap = 2 * g.span + 4
+            full = mul(mul(g.transpose_flip(), x.loop(), cap), g, cap)
+            c0, c1 = _conjugation_coeffs(g, x)
+            assert np.array_equal(c0, full.coeff(0))
+            assert np.array_equal(c1, full.coeff(1))
 
 
 class TestSolution:
