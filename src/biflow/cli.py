@@ -79,12 +79,12 @@ from .matcore import (
     random_sym,
 )
 from .symmetrizer import (
+    SymmetrizerTable,
     cayley_hamilton_dependence,
     degree_below,
     generic_independence,
     lemma_a_residual,
     parity_check,
-    sym,
     witness_pair,
 )
 
@@ -393,8 +393,8 @@ def run_lemma41(cfg: ExperimentConfig) -> list[Gate]:
         cayley_hamilton_dependence(SplitMix64(cfg.seed + n).matrix(n), SplitMix64(cfg.seed + 50 + n).matrix(n))
         for n in range(2, 6)
     )
-    aw, bw = witness_pair(cfg.n, c=2.0)
-    fams = [sym(aw, bw, i, j) for i, j in degree_below(cfg.n)]
+    table = SymmetrizerTable(*witness_pair(cfg.n, c=2.0), cfg.n - 1)
+    fams = [table.get(i, j) for i, j in degree_below(cfg.n)]
     fams = [f / np.abs(f).max() for f in fams]  # from n = 24 the squares in the norm overflow
     fams = [f / np.linalg.norm(f) for f in fams]
     witness_ok = numerical_rank(fams) == cfg.n * (cfg.n + 1) // 2

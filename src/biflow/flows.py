@@ -33,7 +33,7 @@ from .invariants import (
     spectral_coeffs,
 )
 from .matcore import NumericalError, SkewMatrix, SymMatrix, as_matrix, commutator
-from .symmetrizer import _sym, sym
+from .symmetrizer import _sweep, sym
 
 __all__ = [
     "Trajectory",
@@ -84,7 +84,7 @@ def _check_flow(s: SymMatrix, n: SkewMatrix, idx: IntegralIndex) -> None:
 
 def _field(sf: np.ndarray, nf: np.ndarray, idx: IntegralIndex) -> np.ndarray:
     """-[sym_{k-l,l}(S, N), N] on bare arrays that :func:`_check_flow` vetted."""
-    m = _sym(sf, nf, idx.k - idx.l, idx.l)
+    m = _sweep(sf, nf, idx.k - idx.l, idx.l)
     return nf @ m - m @ nf
 
 
@@ -183,19 +183,23 @@ def invariant_series(traj: Trajectory) -> dict[str, np.ndarray]:
 
     Keys: H_k_l for each admissible integral, casimir_l for each even l,
     I_r_k for the spectral-curve table, and eig_i for the sorted spectrum,
-    each computed over the whole stack of states at once.
+    each computed over the whole stack of states at once.  The H_k_l are
+    tr sym_{k+1-l,l}(S, N) / (k+1) from one row sweep to degree n, l <= n-2.
     """
-    states, nf = traj.states, traj.N.full()
-    out = {}
-    for idx in enumerate_indices(traj.n):
-        m = sym(states, nf, idx.k + 1 - idx.l, idx.l)
-        out[str(idx)] = np.trace(m, axis1=1, axis2=2) / (idx.k + 1)
+    states, nf, n = traj.states, traj.N.full(), traj.n
+    out = dict.fromkeys(map(str, enumerate_indices(n)))
+
+    def keep(r, row):  # the even l of row r >= 2 are exactly the admissible H_{r+l-1,l}
+        for l in range(0, len(row) if r > 1 else 0, 2):
+            out[str(IntegralIndex(r + l - 1, l))] = np.trace(row[l], axis1=1, axis2=2) / (r + l)
+
+    _sweep(states, nf, n, n - 2, keep, n)
     cas = casimirs(states, traj.N)
-    out.update((f"casimir_{l}", cas[:, j]) for j, l in enumerate(casimir_exponents(traj.n)))
+    out.update((f"casimir_{l}", cas[:, j]) for j, l in enumerate(casimir_exponents(n)))
     table = spectral_coeffs(states, traj.N)
     out.update((f"I_{r}_{k}", table.value(r, k)) for r, k in table.keys())
     eig = np.linalg.eigvalsh(states)
-    out.update((f"eig_{i}", eig[:, i]) for i in range(traj.n))
+    out.update((f"eig_{i}", eig[:, i]) for i in range(n))
     return out
 
 

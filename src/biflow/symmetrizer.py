@@ -1,14 +1,14 @@
 """The two-letter symmetrizer calculus.
 
 sym_{ij}(A, B) is the sum of all words of length i+j containing i copies of
-A and j copies of B.  The production path is the memoized two-sided
-recursion
+A and j copies of B.  Every path runs one row sweep of the two-sided recursion
 
     sym_{i+1,j+1} = A sym_{i,j+1} + B sym_{i+1,j}
                   = sym_{i,j+1} A + sym_{i+1,j} B,
 
-which costs O(i*j) matrix products; explicit word enumeration is kept as a
-small-degree oracle.  On top of the table sit the executable identities the
+over matrices or stacks, holding one row of the table at a time: O(i*j)
+products for one entry, O(d^2) for a table to degree d.  Explicit word
+enumeration is a small-degree oracle.  On top sit the executable identities the
 hierarchy rests on: the commutator cancellation
 
     [sym_{i,j+1}, A] + [sym_{i+1,j}, B] = 0,
@@ -40,7 +40,7 @@ __all__ = [
 
 
 class SymmetrizerTable:
-    """Memoized table of sym_{ij}(A, B) for i + j up to a degree cap."""
+    """Every sym_{ij}(A, B) with i + j up to a degree cap, from one row sweep."""
 
     def __init__(self, a, b, degree_cap: int):
         self.a = as_matrix(a)
@@ -50,25 +50,18 @@ class SymmetrizerTable:
         if degree_cap < 0:
             raise ValueError("degree cap must be nonnegative")
         self.degree_cap = degree_cap
-        n = self.a.shape[0]
-        self._table: dict[tuple[int, int], np.ndarray] = {(0, 0): np.eye(n)}
-        for d in range(1, degree_cap + 1):
-            for i in range(d + 1):
-                j = d - i
-                if i == 0:
-                    val = self.b @ self._table[(0, j - 1)]
-                elif j == 0:
-                    val = self.a @ self._table[(i - 1, 0)]
-                else:
-                    val = self.a @ self._table[(i - 1, j)] + self.b @ self._table[(i, j - 1)]
-                self._table[(i, j)] = val
+        # rows[i][j] = sym_{ij}; copies, as the sweep stores the A and B it gets
+        rows = self._rows = [[np.eye(self.a.shape[0])]]
+        if degree_cap:
+            keep = lambda r, row: rows.append(row) if r else rows[0].extend(row[1:])
+            _sweep(self.a.copy(), self.b.copy(), degree_cap, degree_cap, keep, degree_cap)
 
     def get(self, i: int, j: int) -> np.ndarray:
         if i < 0 or j < 0:
             raise ValueError("indices must be nonnegative")
         if i + j > self.degree_cap:
             raise ValueError(f"degree {i + j} beyond table cap {self.degree_cap}")
-        return self._table[(i, j)]
+        return self._rows[i][j]
 
     def right_recursion(self, i: int, j: int) -> np.ndarray:
         """sym_{ij} rebuilt from the right-sided recursion (consistency probe)."""
@@ -82,37 +75,43 @@ class SymmetrizerTable:
 
 
 def sym(a, b, i: int, j: int) -> np.ndarray:
-    """sym_{ij}(A, B) via the memoized recursion.
+    """sym_{ij}(A, B) by the row sweep over the (i+1) x (j+1) rectangle it needs.
 
-    Only the (i+1) x (j+1) rectangle of entries that sym_{ij} depends on is
-    built, row by row in i, with the products of :class:`SymmetrizerTable`.
-    A and B may be stacks of shape (..., n, n) that broadcast against each
-    other.
-    """
+    A and B may be stacks (..., n, n) that broadcast against each other."""
     if i < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
     a = as_stack(a)
     b = as_stack(b)
     if a.shape[-1] != b.shape[-1]:
         raise ValueError("A and B must share one dimension")
-    if i + j <= 1:  # sym_{00} = I; a copy, since the kernel returns A or B itself
+    if i + j <= 1:  # sym_{00} = I; a copy, since the sweep returns A or B itself
         return np.eye(a.shape[-1]) if i + j == 0 else (a if i else b).copy()
-    return _sym(a, b, i, j)
+    return _sweep(a, b, i, j)
 
 
-def _sym(a: np.ndarray, b: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Unchecked sym_{ij}(A, B), i + j >= 1: the recursion of :func:`sym` started
-    from A and B, not I.  X @ I is an exact copy of X, so the bits agree."""
+def _sweep(a: np.ndarray, b: np.ndarray, i: int, j: int, keep=None, degree=None) -> np.ndarray:
+    """Unchecked sym_{ij}(A, B), i + j >= 1, from rows r = 0..i of the table.
+
+    Only the last row is held, unless ``keep(r, row)`` takes each row as it is
+    made, row[c] = sym_{rc} (row[0] is None at r = 0), cut at ``degree`` >= i, j
+    to r + c <= degree.  The recursion starts from A and B, not I; X @ I is an
+    exact copy of X, so the bits agree with the identity-seeded table."""
     row = [b]  # row[c - 1] = sym_{r,c}, here for r = 0
     for _ in range(j - 1):
         row.append(b @ row[-1])
+    if keep is not None:
+        keep(0, [None, *row[:j]])
+        j = min(j, degree - 1)  # the width of row 1
     for r in range(i):
         col = a @ col if r else a  # sym_{r+1,0}
         nxt = [col]
         for c in range(j):
             nxt.append(a @ row[c] + b @ nxt[-1])
         row = nxt[1:]
-    return row[-1] if j else col
+        if keep is not None:
+            keep(r + 1, nxt)
+            j = min(j, degree - r - 2)  # the width of row r + 2
+    return row[-1] if row else col
 
 
 def sym_enumerated(a, b, i: int, j: int) -> np.ndarray:
@@ -159,10 +158,7 @@ def cayley_hamilton_dependence(a, b) -> float:
     a = as_matrix(a)
     n = a.shape[0]
     table = SymmetrizerTable(a, b, n)
-    basis = np.stack(
-        [table.get(r, s).ravel() for d in range(n) for r in range(d + 1) for s in [d - r]],
-        axis=1,
-    )
+    basis = np.stack([table.get(i, j).ravel() for i, j in degree_below(n)], axis=1)
     worst = 0.0
     for ell in range(n + 1):
         target = table.get(n - ell, ell).ravel()

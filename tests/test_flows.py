@@ -294,6 +294,20 @@ class TestDrift:
             for name, v in want.items():
                 assert abs(series[name][i] - v) <= 1e-12 * max(1.0, abs(v)), name
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_hamiltonian_columns_are_single_entry_traces(self, n):
+        # The one sweep over the stack keeps the bits of tr sym_{k+1-l,l} / (k+1)
+        # taken entry by entry; n = 2 sweeps with no column past l = 0.
+        s = random_sym(n, seed=60 + n)
+        k = random_skew_simple(n, seed=70 + n)
+        higher = enumerate_indices(n)[min(n, 5) - 2]  # H_3_0 at n = 4, then H_3_2
+        for idx in dict.fromkeys([IntegralIndex(2, 0) if n > 2 else IntegralIndex(1, 0), higher]):
+            traj = integrate(s, k, idx, t_final=0.01, h=2e-3)
+            series = invariant_series(traj)
+            for h in enumerate_indices(n):
+                want = np.trace(symmetrizer.sym(traj.states, k.full(), h.k + 1 - h.l, h.l), axis1=1, axis2=2)
+                assert np.array_equal(series[str(h)], want / (h.k + 1)), (idx, h)
+
     def test_report_covers_all_quantities(self):
         s = random_sym(4, seed=21)
         n = random_skew_simple(4, seed=22)

@@ -7,7 +7,7 @@ import pytest
 from biflow.matcore import numerical_rank, random_matrix, random_skew_simple, random_sym
 from biflow.symmetrizer import (
     SymmetrizerTable,
-    _sym,
+    _sweep,
     cayley_hamilton_dependence,
     degree_below,
     generic_independence,
@@ -73,8 +73,8 @@ class TestSym:
             sym(a, np.eye(3), 1, 1)
 
     def test_kernel_matches_identity_seeded_recursion(self):
-        # The kernel starts its recursion from A and B where sym seeded it
-        # with I; every entry must keep its bits, on matrices and on stacks.
+        # The sweep starts its recursion from A and B where seeded_sym starts
+        # from I; every entry must keep its bits, on matrices and on stacks.
         for n in range(2, 13):
             a = random_matrix(n, seed=100 + n)
             b = random_matrix(n, seed=200 + n)
@@ -85,12 +85,23 @@ class TestSym:
                     j = d - i
                     want = seeded_sym(a, b, i, j)
                     assert np.array_equal(want, table.get(i, j))
-                    assert np.array_equal(_sym(a, b, i, j), want)
+                    assert np.array_equal(_sweep(a, b, i, j), want)
                     assert np.array_equal(sym(a, b, i, j), want)
                     want = seeded_sym(stack, b, i, j)
-                    assert np.array_equal(_sym(stack, b, i, j), want)
+                    assert np.array_equal(_sweep(stack, b, i, j), want)
                     assert np.array_equal(sym(stack, b, i, j), want)
                     assert np.array_equal(sym(b, stack, j, i), seeded_sym(b, stack, j, i))
+            # Degree-bounded sweeps hand keep each row r = 0..i_max, holding
+            # sym_rc for c <= j_max, r + c <= degree (row[0] is None at r = 0).
+            for i_max, j_max, degree in ((6, 6, 6), (6, 3, 6), (4, 4, 7), (3, 0, 3)):
+                for left in (a, stack):
+                    rows = []
+                    _sweep(left, b, i_max, j_max, lambda r, row: rows.append(row), degree)
+                    assert [len(row) for row in rows] == [1 + min(j_max, degree - r) for r in range(i_max + 1)]
+                    assert rows[0][0] is None
+                    for r, row in enumerate(rows):
+                        for c in range(r == 0, len(row)):
+                            assert np.array_equal(row[c], seeded_sym(left, b, r, c))
 
     def test_public_sym_checks_its_input(self):
         a = random_matrix(3, seed=11)
@@ -113,7 +124,9 @@ class TestSym:
     def test_degree_one_is_a_copy(self):
         a = random_matrix(3, seed=12)
         b = random_matrix(3, seed=13)
-        for got, want in ((sym(a, b, 1, 0), a), (sym(a, b, 0, 1), b)):
+        table = SymmetrizerTable(a, b, 2)
+        pairs = ((sym(a, b, 1, 0), a), (sym(a, b, 0, 1), b), (table.get(1, 0), table.a), (table.get(0, 1), table.b))
+        for got, want in pairs:
             assert got is not want and np.array_equal(got, want)
             got[0, 0] += 1.0
             assert not np.array_equal(got, want)
