@@ -193,7 +193,7 @@ def invariant_series(traj: Trajectory) -> dict[str, np.ndarray]:
         for l in range(0, len(row) if r > 1 else 0, 2):
             out[str(IntegralIndex(r + l - 1, l))] = np.trace(row[l], axis1=1, axis2=2) / (r + l)
 
-    _sweep(states, nf, n, n - 2, keep, n)
+    _sweep(states, nf, n, n - 2, keep)
     cas = casimirs(states, traj.N)
     out.update((f"casimir_{l}", cas[:, j]) for j, l in enumerate(casimir_exponents(n)))
     table = spectral_coeffs(states, traj.N)

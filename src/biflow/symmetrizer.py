@@ -54,7 +54,7 @@ class SymmetrizerTable:
         rows = self._rows = [[np.eye(self.a.shape[0])]]
         if degree_cap:
             keep = lambda r, row: rows.append(row) if r else rows[0].extend(row[1:])
-            _sweep(self.a.copy(), self.b.copy(), degree_cap, degree_cap, keep, degree_cap)
+            _sweep(self.a.copy(), self.b.copy(), degree_cap, degree_cap, keep)
 
     def get(self, i: int, j: int) -> np.ndarray:
         if i < 0 or j < 0:
@@ -89,19 +89,19 @@ def sym(a, b, i: int, j: int) -> np.ndarray:
     return _sweep(a, b, i, j)
 
 
-def _sweep(a: np.ndarray, b: np.ndarray, i: int, j: int, keep=None, degree=None) -> np.ndarray:
+def _sweep(a: np.ndarray, b: np.ndarray, i: int, j: int, keep=None) -> np.ndarray:
     """Unchecked sym_{ij}(A, B), i + j >= 1, from rows r = 0..i of the table.
 
-    Only the last row is held, unless ``keep(r, row)`` takes each row as it is
-    made, row[c] = sym_{rc} (row[0] is None at r = 0), cut at ``degree`` >= i, j
-    to r + c <= degree.  The recursion starts from A and B, not I; X @ I is an
+    Only the last row is held, unless ``keep(r, row)`` takes each row as made,
+    row[c] = sym_{rc} (None at r = c = 0), cut to r + c <= i (j <= i; the return
+    is then unused).  The recursion starts from A and B, not I; X @ I is an
     exact copy of X, so the bits agree with the identity-seeded table."""
     row = [b]  # row[c - 1] = sym_{r,c}, here for r = 0
     for _ in range(j - 1):
         row.append(b @ row[-1])
     if keep is not None:
         keep(0, [None, *row[:j]])
-        j = min(j, degree - 1)  # the width of row 1
+        j = min(j, i - 1)  # the width of row 1
     for r in range(i):
         col = a @ col if r else a  # sym_{r+1,0}
         nxt = [col]
@@ -110,7 +110,7 @@ def _sweep(a: np.ndarray, b: np.ndarray, i: int, j: int, keep=None, degree=None)
         row = nxt[1:]
         if keep is not None:
             keep(r + 1, nxt)
-            j = min(j, degree - r - 2)  # the width of row r + 2
+            j = min(j, i - r - 2)  # the width of row r + 2
     return row[-1] if row else col
 
 

@@ -92,12 +92,12 @@ class TestSym:
                     assert np.array_equal(sym(stack, b, i, j), want)
                     assert np.array_equal(sym(b, stack, j, i), seeded_sym(b, stack, j, i))
             # Degree-bounded sweeps hand keep each row r = 0..i_max, holding
-            # sym_rc for c <= j_max, r + c <= degree (row[0] is None at r = 0).
-            for i_max, j_max, degree in ((6, 6, 6), (6, 3, 6), (4, 4, 7), (3, 0, 3)):
+            # sym_rc for c <= j_max, r + c <= i_max (row[0] is None at r = 0).
+            for i_max, j_max in ((6, 6), (6, 3), (4, 4), (4, 2), (3, 0), (1, 1)):
                 for left in (a, stack):
                     rows = []
-                    _sweep(left, b, i_max, j_max, lambda r, row: rows.append(row), degree)
-                    assert [len(row) for row in rows] == [1 + min(j_max, degree - r) for r in range(i_max + 1)]
+                    _sweep(left, b, i_max, j_max, lambda r, row: rows.append(row))
+                    assert [len(row) for row in rows] == [1 + min(j_max, i_max - r) for r in range(i_max + 1)]
                     assert rows[0][0] is None
                     for r, row in enumerate(rows):
                         for c in range(r == 0, len(row)):
