@@ -22,6 +22,15 @@ sign of the <u,u> u term is the one forced by the cubic block flow (it is
 what conserves the L^2 pair); the opposite printed variant is available
 behind a flag for comparison.
 
+The integrators step on packed arrays, and the public right-hand sides
+call the same kernels, so the two forms agree bit for bit.  A block state
+is the vector (a, b, c, u, v): its scalars are read once as floats, (u, v)
+is a (2, m) view, one Gram product gives every inner product and one
+product with a 2-row coefficient matrix gives (u', v').  A PDE state is the
+(2, 2k) float view of the stacked (u_hat, v_hat), each row interleaving real
+and imaginary parts: 2 pi Y Y^T holds the three L^2 products, and the
+projection onto real fields acts on the same view.
+
 An integrator returns its path as one state with a leading time axis on each
 field; a diagnostic takes one state or a path and gives a float or a (T,) array.
 """
@@ -116,43 +125,53 @@ def n0(n: int) -> SkewMatrix:
     return SkewMatrix.from_full(k)
 
 
-def _quadratic(a, b, c, u, v, bf: np.ndarray) -> np.ndarray:
-    """[N, S^2] on the block variables, packed as (a', b', c', u', v')."""
-    da = 2.0 * (b * (a + c) + float(u @ v))
-    db = c ** 2 - a ** 2 + float(v @ v) - float(u @ u)
-    du = b * u + c * v + bf @ v
-    dv = -(a * u + b * v + bf @ u)
-    return np.concatenate([[da, db, -da], du, dv])
-
-
-def _cubic(a, b, c, u, v, bf: np.ndarray) -> np.ndarray:
-    """[N, S^3] on the block variables, packed as (a', b', c', u', v')."""
-    bu, bv = bf @ u, bf @ v
-    uu, vv, uv = float(u @ u), float(v @ v), float(u @ v)
-    t11 = a ** 2 + b ** 2 + uu
-    t12 = b * (a + c) + uv
-    t22 = b ** 2 + c ** 2 + vv
-    da = 2.0 * (b * t11 + c * t12 + a * uv + b * vv + float(u @ bv))
-    s3_22 = b * t12 + c * t22 + b * uv + c * vv + float(v @ bv)
-    s3_11 = a * t11 + b * t12 + a * uu + b * uv + float(u @ bu)
-    db = s3_22 - s3_11
-    du = t12 * u + t22 * v + b * bu + c * bv + bf @ bv
-    dv = -(t11 * u + t12 * v + a * bu + b * bv + bf @ bu)
-    return np.concatenate([[da, db, -da], du, dv])
+def _pack(bs: BlockState) -> np.ndarray:
+    return np.concatenate([[bs.a, bs.b, bs.c], bs.u, bs.v])
 
 
 def _unpack(y: np.ndarray, b: SymMatrix) -> BlockState:
     return BlockState(*y[..., :3].T, y[..., 3 : 3 + b.n], y[..., 3 + b.n :], b)
 
 
+def _quadratic(y: np.ndarray, bf: np.ndarray) -> np.ndarray:
+    """[N, S^2] on the packed (a, b, c, u, v), packed as (a', b', c', u', v')."""
+    a, b, c = y[:3].tolist()
+    w = y[3:].reshape(2, -1)  # rows u, v
+    (uu, uv), (_, vv) = np.dot(w, w.T).tolist()
+    da = 2.0 * (b * (a + c) + uv)
+    db = c ** 2 - a ** 2 + vv - uu
+    # u' = b u + c v + B v,  v' = -(a u + b v + B u);  w B has rows B u, B v (B is symmetric)
+    dw = np.dot(np.array([[b, c, 0.0, 1.0], [-a, -b, -1.0, 0.0]]), np.concatenate([w, np.dot(w, bf)]))
+    return np.concatenate([[da, db, -da], dw.ravel()])
+
+
+def _cubic(y: np.ndarray, bf: np.ndarray) -> np.ndarray:
+    """[N, S^3] on the packed (a, b, c, u, v), packed as (a', b', c', u', v')."""
+    a, b, c = y[:3].tolist()
+    w = y[3:].reshape(2, -1)  # rows u, v
+    wb = np.dot(w, bf)  # rows B u, B v
+    x = np.concatenate([w, wb, np.dot(wb, bf)])  # rows u, v, B u, B v, B^2 u, B^2 v
+    (uu, uv, ubu, ubv), (_, vv, _, vbv) = np.dot(w, x[:4].T).tolist()
+    t11 = a ** 2 + b ** 2 + uu
+    t12 = b * (a + c) + uv
+    t22 = b ** 2 + c ** 2 + vv
+    da = 2.0 * (b * t11 + c * t12 + a * uv + b * vv + ubv)
+    s3_22 = b * t12 + c * t22 + b * uv + c * vv + vbv
+    s3_11 = a * t11 + b * t12 + a * uu + b * uv + ubu
+    db = s3_22 - s3_11
+    # u' = t12 u + t22 v + b B u + c B v + B^2 v,  v' = -(t11 u + t12 v + a B u + b B v + B^2 u)
+    coef = np.array([[t12, t22, b, c, 0.0, 1.0], [-t11, -t12, -a, -b, -1.0, 0.0]])
+    return np.concatenate([[da, db, -da], np.dot(coef, x).ravel()])
+
+
 def rhs_quadratic(bs: BlockState) -> BlockState:
     """Block extraction of [N, S^2]."""
-    return _unpack(_quadratic(bs.a, bs.b, bs.c, bs.u, bs.v, bs.B.full()), SymMatrix.zero(bs.B.n))
+    return _unpack(_quadratic(_pack(bs), bs.B.full()), SymMatrix.zero(bs.B.n))
 
 
 def rhs_cubic(bs: BlockState) -> BlockState:
     """Block extraction of [N, S^3]."""
-    return _unpack(_cubic(bs.a, bs.b, bs.c, bs.u, bs.v, bs.B.full()), SymMatrix.zero(bs.B.n))
+    return _unpack(_cubic(_pack(bs), bs.B.full()), SymMatrix.zero(bs.B.n))
 
 
 def rhs_reduced(
@@ -239,17 +258,34 @@ def pde_rhs(st: PDEState, printed_variant: bool = False) -> PDEState:
     The nonlinearity is scalar * field, so the evaluation is alias-free:
     no padding is needed and the mode support of (u, v) never grows.
     """
-    d = _pde(st.u_hat, st.v_hat, _wavenumbers(st.modes) ** 2, printed_variant)
-    return PDEState(d[: st.modes], d[st.modes :], st.parity)
+    y = np.stack([st.u_hat, st.v_hat]).view(float)
+    d = _pde(y, _signed_ksq(st.modes), printed_variant).view(complex)
+    return PDEState(d[0], d[1], st.parity)
 
 
-def _pde(u: np.ndarray, v: np.ndarray, ksq: np.ndarray, printed_variant: bool) -> np.ndarray:
-    """:func:`pde_rhs` on bare coefficient arrays, packed as (u_hat', v_hat')."""
-    uu, vv, uv = _inner(u, u), _inner(v, v), _inner(u, v)
-    du = uv * u + vv * v + ksq * v
-    sign = 1.0 if printed_variant else -1.0
-    dv = sign * uu * u - uv * v - ksq * u
-    return np.concatenate([du, dv])
+def _signed_ksq(k: int) -> np.ndarray:
+    """J k^2 on the float view, as the (2, 2k) rows k^2 and -k^2 that multiply the swapped rows."""
+    ksq = np.repeat(_wavenumbers(k) ** 2, 2)
+    return np.stack([ksq, -ksq])
+
+
+def _pde(y: np.ndarray, signed_ksq: np.ndarray, printed_variant: bool) -> np.ndarray:
+    """:func:`pde_rhs` on Y, the (2, 2k) float view of the stacked (u_hat, v_hat).
+
+    Each row of Y interleaves the real and imaginary parts of its field, so
+    G = 2 pi Y Y^T holds every L^2 product (Parseval) and the derivative is
+    J (G Y + k^2 Y) with J = [[0, 1], [-1, 0]]:
+    u' = <u,v> u + <v,v> v - v_xx and v' = -<u,u> u - <u,v> v + u_xx.
+    The printed variant flips the sign of G[0, 0].
+    """
+    g = np.dot(y, y.T)  # G / (2 pi)
+    if printed_variant:
+        g[0, 0] = -g[0, 0]
+    # J M is M with its rows swapped and the new second row negated
+    return np.dot(g[::-1] * _TWO_PI_ROW_SIGNS, y) + signed_ksq * y[::-1]
+
+
+_TWO_PI_ROW_SIGNS = np.array([[2.0 * np.pi], [-2.0 * np.pi]])
 
 
 def integrate_block(
@@ -260,31 +296,30 @@ def integrate_block(
     packed = {2: _quadratic, 3: _cubic}.get(power)
     if packed is None:
         raise ValueError(f"block flows have power 2 or 3, got {power!r}")
-    nb, bf = bs0.B.n, bs0.B.full()
-    times, path = rk4_path(
-        lambda y: packed(y[0], y[1], y[2], y[3 : 3 + nb], y[3 + nb :], bf),
-        np.concatenate([[bs0.a, bs0.b, bs0.c], bs0.u, bs0.v]),
-        t_final,
-        h,
-    )
+    bf = bs0.B.full()
+    times, path = rk4_path(lambda y: packed(y, bf), _pack(bs0), t_final, h)
     return times, _unpack(path, bs0.B)
 
 
 def integrate_pde(
     st0: PDEState, t_final: float, h: float, printed_variant: bool = False
 ) -> tuple[np.ndarray, PDEState]:
-    """RK4 on the packed (u_hat, v_hat), projected to real fields each step; a (T, k) path."""
+    """RK4 on the (2, 2k) float view of (u_hat, v_hat), projected to real fields each step;
+    a (T, k) path."""
     k = st0.modes
-    ksq = _wavenumbers(k) ** 2
-    mirror = np.concatenate([_mirror(k), k + _mirror(k)])
+    signed_ksq = _signed_ksq(k)
+    # conj(x[-j]) on the float view: gather the mirrored pair, negate its imaginary part
+    flip = (2 * _mirror(k)[:, None] + [0, 1]).ravel()
+    imag_sign = np.tile([1.0, -1.0], k)
     times, path = rk4_path(
-        lambda y: _pde(y[:k], y[k:], ksq, printed_variant),
-        np.concatenate([st0.u_hat, st0.v_hat]),
+        lambda y: _pde(y, signed_ksq, printed_variant),
+        np.stack([st0.u_hat, st0.v_hat]).view(float),
         t_final,
         h,
-        project=lambda y: 0.5 * (y + np.conj(y[mirror])),
+        project=lambda y: 0.5 * (y + y.take(flip, axis=1) * imag_sign),
     )
-    return times, PDEState(path[:, :k], path[:, k:], st0.parity)
+    path = path.view(complex)
+    return times, PDEState(path[:, 0], path[:, 1], st0.parity)
 
 
 def parity_leakage(st: PDEState) -> float | np.ndarray:

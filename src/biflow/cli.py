@@ -195,8 +195,7 @@ def _write_csv(cfg: ExperimentConfig, columns: list[str], rows) -> None:
         "# columns: " + ", ".join(columns),
         ",".join(columns),
     ]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines.extend(",".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist())
     _out_path(cfg, "csv").write_text("\n".join(lines) + "\n")
 
 
@@ -364,7 +363,7 @@ def run_pde(cfg: ExperimentConfig) -> list[Gate]:
     times, pde_path = integrate_pde(st0, cfg.t_final, cfg.h)
     l2, leaks = l2_pair(pde_path), parity_leakage(pde_path)
     l2_drift = np.abs(l2 - l2_pair(st0)).max()
-    _write_csv(cfg, ["t", "l2_pair", "parity_leakage"], zip(times, l2, leaks))
+    _write_csv(cfg, ["t", "l2_pair", "parity_leakage"], np.column_stack([times, l2, leaks]))
     return [
         Gate.leq("block_oracle_quadratic", quad_gap, cfg.tol("block_oracle_quadratic")),
         Gate.leq("block_oracle_cubic", cubic_gap, cfg.tol("block_oracle_cubic")),

@@ -286,17 +286,20 @@ def numerical_rank(mats, tol: float = 1e-8) -> int:
     """Rank of a family of matrices under the trace inner product.
 
     Forms the Gram matrix G_ij = tr(A_i^T A_j) of the vectorized inputs and
-    counts its singular values above ``tol`` times the largest one.
+    counts its singular values above ``tol`` times the largest one.  The
+    family is a (P, n, n) stack or a sequence of n x n arrays, checked as
+    one stack.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mats = [as_matrix(m) for m in mats]
-    if not mats:
+    if len(mats) == 0:
         return 0
-    dims = {m.shape for m in mats}
-    if len(dims) != 1:
+    if len({np.shape(m) for m in mats}) != 1:
         raise ValueError("all matrices must share one dimension")
-    v = np.stack([m.ravel() for m in mats])
+    v = as_stack(mats)
+    if v.ndim != 3:
+        raise ValueError(f"expected a family of square matrices, got shape {v.shape}")
+    v = v.reshape(len(v), -1)
     gram = v @ v.T
     svals = np.linalg.svd(gram, compute_uv=False)
     if svals[0] <= 0.0:
@@ -332,8 +335,20 @@ class SplitMix64:
         return lo + (hi - lo) * (u / float(1 << 53))
 
     def matrix(self, n: int, m: int | None = None) -> np.ndarray:
+        """n x m uniforms in [-1, 1), row by row: the next n*m values of :meth:`uniform`.
+
+        Entry i mixes the counter state + (i+1)*GAMMA in wrapping uint64
+        arithmetic; the state then advances by n*m increments at once.
+        """
         m = n if m is None else m
-        return np.array([[self.uniform() for _ in range(m)] for _ in range(n)])
+        count = n * m
+        steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(self._GAMMA)
+        z = np.uint64(self._state) + steps
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(self._MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(self._MIX2)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + count * self._GAMMA) & _U64
+        return (-1.0 + 2.0 * ((z >> np.uint64(11)).astype(float) / float(1 << 53))).reshape(n, m)
 
 
 def random_matrix(n: int, seed: int) -> np.ndarray:

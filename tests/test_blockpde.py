@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -34,7 +36,8 @@ def random_block(n, seed, zero_trace_corner=False, zero_corner=False):
         a = b = c = 0.0
     u = np.array([rng.uniform() for _ in range(m)])
     v = np.array([rng.uniform() for _ in range(m)])
-    return BlockState(a, b, c, u, v, random_sym(m, seed + 5000))
+    core = random_sym(m, seed + 5000) if m > 1 else SymMatrix.from_full([[rng.uniform()]])
+    return BlockState(a, b, c, u, v, core)
 
 
 def oracle_blocks(bs, power):
@@ -106,8 +109,8 @@ class TestQuadraticRHS:
         npt.assert_allclose(d.a, 2.0 * bs.u @ bs.u, atol=1e-14)
 
     def test_matrix_oracle(self):
-        for seed in range(10):
-            bs = random_block(6, seed=10 + seed)
+        for n, seed in itertools.product(range(3, 11), range(10)):
+            bs = random_block(n, seed=10 + seed)
             assert_matches_oracle(rhs_quadratic(bs), oracle_blocks(bs, 2), atol=1e-13)
 
     def test_c_dot_is_minus_a_dot(self):
@@ -133,8 +136,8 @@ class TestCubicRHS:
         )
 
     def test_matrix_oracle(self):
-        for seed in range(10):
-            bs = random_block(6, seed=30 + seed)
+        for n, seed in itertools.product(range(3, 11), range(10)):
+            bs = random_block(n, seed=30 + seed)
             assert_matches_oracle(rhs_cubic(bs), oracle_blocks(bs, 3), atol=1e-12)
 
     def test_parity_sector_freezes_scalars(self):
@@ -207,11 +210,9 @@ class TestPackedRHS:
         for seed in range(20):
             bs = random_block(4 + seed % 6, seed=400 + seed)
             y = pack_block(bs)
-            m = bs.B.n
-            args = (y[0], y[1], y[2], y[3 : 3 + m], y[3 + m :], bs.B.full())
             for packed, rhs in ((_quadratic, rhs_quadratic), (_cubic, rhs_cubic)):
                 want = rhs(unpack_block(y, bs.B))
-                assert np.array_equal(packed(*args), pack_block(want))
+                assert np.array_equal(packed(y, bs.B.full()), pack_block(want))
                 assert not want.B.full().any()
 
     def test_block_step_equals_public_step(self):
@@ -359,6 +360,32 @@ class TestPDE:
         except BlowupError:
             drift = np.inf
         assert drift > 1e-4
+
+
+def plain_pde_rhs(u, v, printed_variant):
+    """The spectral system on complex coefficients, one term at a time."""
+    k = len(u)
+    wavenumber = np.array([j if j <= k // 2 else j - k for j in range(k)], dtype=float)
+    uu, vv, uv = (2.0 * np.pi * np.sum(a * np.conj(b)).real for a, b in ((u, u), (v, v), (u, v)))
+    du = uv * u + vv * v + wavenumber**2 * v
+    dv = (uu if printed_variant else -uu) * u - uv * v - wavenumber**2 * u
+    return du, dv
+
+
+class TestPDERHS:
+    @pytest.mark.parametrize("k", [5, 8, 16, 64])
+    @pytest.mark.parametrize("variant", [False, True])
+    def test_matches_plain_formula(self, k, variant):
+        rng = SplitMix64(200 + k)
+        real_fields = PDEState.from_fields(*rng.matrix(2, k), "odd")
+        complex_modes = PDEState(*(rng.matrix(2, k) + 1j * rng.matrix(2, k)))
+        for st in (real_fields, complex_modes):
+            d = pde_rhs(st, variant)
+            du, dv = plain_pde_rhs(st.u_hat, st.v_hat, variant)
+            scale = np.abs(np.concatenate([du, dv])).max()
+            npt.assert_allclose(d.u_hat, du, rtol=0, atol=1e-14 * scale)
+            npt.assert_allclose(d.v_hat, dv, rtol=0, atol=1e-14 * scale)
+            assert d.parity == st.parity and d.u_hat.shape == d.v_hat.shape == (k,)
 
 
 class TestPathDiagnostics:

@@ -376,3 +376,17 @@ def test_tracer_finds_every_runner(monkeypatch):
         runner = getattr(cli, name)
         assert isinstance(runner, FunctionType) and runner.__module__ == "biflow.cli"
         assert runner in cli.RUNNERS.values()
+
+
+def test_csv_rows_match_per_value_repr(tmp_path):
+    """Each CSV row is written from one tolist(); the bytes are those of repr(float(v)) per value."""
+    rows = np.array(
+        [[0.0, -0.0, 5e-324, 2.2250738585072014e-308], [1.0, 3.0, -7.0, 0.1], [1e300, -1e-300, 1 / 3, 2.5]]
+    )
+    mixed = [[0, -0.0, 5e-324, np.float64(2.2250738585072014e-308)], [1, 3, -7, np.float64(0.1)], rows[2]]
+    for case in (rows, mixed, list(zip(*rows.T))):
+        cfg = cli.ExperimentConfig("flow", n=4, seed=0, out_dir=tmp_path)
+        cli._write_csv(cfg, ["a", "b", "c", "d"], case)
+        body = (tmp_path / "flow.csv").read_text().splitlines()[4:]
+        assert body == [",".join(repr(float(v)) for v in row) for row in case]
+        assert body[0] == "0.0,-0.0,5e-324,2.2250738585072014e-308" and body[1] == "1.0,3.0,-7.0,0.1"

@@ -182,8 +182,27 @@ class TestNumericalRank:
         assert numerical_rank([np.zeros((3, 3))]) == 0
 
     def test_mixed_dimension_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="share one dimension"):
             numerical_rank([np.eye(2), np.eye(3)])
+
+    @pytest.mark.parametrize(
+        "family",
+        [[np.ones((2, 3))], [np.ones(3)], [np.ones(1)], [np.ones((2, 2, 2))], np.ones((2, 3, 3, 3))],
+    )
+    def test_non_square_rejected(self, family):
+        with pytest.raises(ValueError, match="square"):
+            numerical_rank(family)
+
+    def test_non_finite_rejected(self):
+        bad = np.eye(3)
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            numerical_rank([np.eye(3), bad])
+
+    def test_stack_equals_list(self):
+        fam = np.stack([random_matrix(4, seed) for seed in range(5)] + [np.zeros((4, 4))])
+        assert numerical_rank(fam) == numerical_rank(list(fam)) == 5
+        assert numerical_rank(np.zeros((0, 3, 3))) == 0
 
 
 class TestRandomGeneration:
@@ -198,6 +217,17 @@ class TestRandomGeneration:
         rng = SplitMix64(0)
         assert rng.next_u64() == 0xE220A8397B1DCDAF
         assert rng.next_u64() == 0x6E789E6AA1B965F4
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1])
+    def test_matrix_is_the_uniform_stream(self, seed):
+        # Reference: the nested per-entry loop the vectorized draw replaced.
+        for n, m in ((1, 1), (3, None), (4, 7), (8, None), (5, 2)):
+            fast, slow = SplitMix64(seed), SplitMix64(seed)
+            got = fast.matrix(n, m)
+            want = np.array([[slow.uniform() for _ in range(n if m is None else m)] for _ in range(n)])
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert fast.next_u64() == slow.next_u64()
 
     def test_uniform_range(self):
         rng = SplitMix64(42)
