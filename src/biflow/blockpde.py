@@ -263,6 +263,9 @@ def pde_rhs(st: PDEState, printed_variant: bool = False) -> PDEState:
     return PDEState(d[0], d[1], st.parity)
 
 
+_TWO_PI_ROW_SIGNS = np.array([[2.0 * np.pi], [-2.0 * np.pi]])
+
+
 def _signed_ksq(k: int) -> np.ndarray:
     """J k^2 on the float view, as the (2, 2k) rows k^2 and -k^2 that multiply the swapped rows."""
     ksq = np.repeat(_wavenumbers(k) ** 2, 2)
@@ -283,9 +286,6 @@ def _pde(y: np.ndarray, signed_ksq: np.ndarray, printed_variant: bool) -> np.nda
         g[0, 0] = -g[0, 0]
     # J M is M with its rows swapped and the new second row negated
     return np.dot(g[::-1] * _TWO_PI_ROW_SIGNS, y) + signed_ksq * y[::-1]
-
-
-_TWO_PI_ROW_SIGNS = np.array([[2.0 * np.pi], [-2.0 * np.pi]])
 
 
 def integrate_block(
