@@ -60,7 +60,7 @@ from .findim import (
     induced_flow_rhs,
     orbit_dimension_f,
 )
-from .flows import bi_rhs, drift_report, integrate, invariant_series
+from .flows import _field, bi_rhs, drift_report, integrate, invariant_series, rk4_path
 from .invariants import (
     IntegralIndex,
     enumerate_indices,
@@ -288,21 +288,34 @@ def _reference_states(
     Step counts are divisible by 4, so every checkpoint falls on a step.
     Returned with it: the last estimate, the budget, the fine run's step
     count, and whether the estimate met the budget.
-    """
 
-    def checkpoints(steps: int) -> np.ndarray:
-        states = integrate(s0, nmat, idx, t_end, t_end / steps).states
-        return states[[steps // 4, steps // 2, steps]]
+    The first pair shares one stacked pass: (S0, S0) steps over t_end/2 at
+    the fine step, the first member on twice the field.  RK4 on 2f at step
+    dt is RK4 on f at step 2 dt bit for bit, so that member is the coarse
+    run to t_end; the second is the fine run to t_end/2, which then runs on
+    alone.  Every run keeps its step count and its arithmetic, and the pair
+    costs as many loop steps as the fine run alone.
+    """
+    sf, nf = s0.full(), nmat.full()
+    doubled = np.array([2.0, 1.0])[:, None, None]
+
+    def field(y: np.ndarray) -> np.ndarray:
+        return _field(y, nf, idx)
+
+    def run(y0: np.ndarray, span: float, steps: int, rhs=field) -> np.ndarray:
+        return rk4_path(rhs, y0, span, span / steps, lambda y: 0.5 * (y + y.swapaxes(-1, -2)))[1]
 
     def step_count(step: float) -> int:
         return 4 * max(1, round(t_end / (4 * step)))
 
     steps, most = step_count(min(h, 1e-3)), 2 * step_count(min(h, 1e-4))
-    budget = 1e-10 * max(1.0, float(np.linalg.norm(s0.full())))
-    fine = checkpoints(steps)
+    budget = 1e-10 * max(1.0, float(np.linalg.norm(sf)))
+    pair = run(np.stack([sf, sf]), t_end / 2, steps, lambda y: doubled * field(y))
+    coarse = pair[[steps // 4, steps // 2, steps], 0]
+    half = pair[[steps // 2, steps], 1]  # the fine run at t_end/4 and t_end/2
+    fine = np.concatenate([half, run(half[-1], t_end / 2, steps)[-1:]])
+    steps *= 2
     while True:
-        coarse, steps = fine, 2 * steps
-        fine = checkpoints(steps)
         estimate = np.linalg.norm(fine - coarse, axis=(1, 2)).max() / 15
         if steps >= most or estimate <= budget:
             info = {
@@ -312,6 +325,8 @@ def _reference_states(
                 "met_budget": bool(estimate <= budget),
             }
             return (16 * fine - coarse) / 15, info
+        coarse, steps = fine, 2 * steps
+        fine = run(sf, t_end, steps)[[steps // 4, steps // 2, steps]]
 
 
 def run_findim(cfg: ExperimentConfig) -> list[Gate]:

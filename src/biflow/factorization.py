@@ -252,10 +252,11 @@ def birkhoff(gamma: FourierLoop, depth: int = 40) -> BirkhoffFactors:
     g_minus_arr = _real_part(cs[::-1], REALITY_TOL, "g_minus coefficient")
     g_minus = LaurentLoop(-j, np.concatenate([g_minus_arr, np.eye(n)[None]]))
 
-    ms = np.arange(gamma.m_samples // 2 - j + 1)
-    acc = gamma.coeff(ms)
+    width = gamma.m_samples // 2 - j + 1  # g_plus degrees 0 .. M/2 - j
+    gamma.coeff(width - 1 + j)  # the last slice below ends at M/2, inside the resolved band
+    acc = gamma.coeffs[:width]
     for jj in range(1, j + 1):  # every m at once, each sum still in jj order
-        acc = acc + gamma.coeff(ms + jj) @ cs[jj - 1]
+        acc = acc + gamma.coeffs[jj : jj + width] @ cs[jj - 1]
     tol = max(REALITY_TOL, 10 * gamma.reality_residual())
     g_plus = LaurentLoop(0, _real_part(acc, tol, "g_plus coefficient"))
 
@@ -309,18 +310,19 @@ def _max_norm(stack: np.ndarray) -> float:
 def _conjugation_coeffs(g: LaurentLoop, x0: BILoop) -> np.ndarray:
     """The z^0 and z^1 coefficients of g(-z)^T X0(z) g(z), stacked (2, n, n).
 
-    With P = g(-z)^T X0, each c_d = sum_i P_i G_{d-i} is summed as
-    :func:`~biflow.laurent.mul` sums it, in order of i, so it equals the
+    With P = g(-z)^T X0, each c_d = sum_i P_i G_{d-i} takes the products of
+    all its pairs in one stacked einsum and adds them onto +0.0 in order of
+    i, as :func:`~biflow.laurent.mul` sums them, so it equals the
     coefficient of the full product bit for bit.
     """
     p = mul(g.transpose_flip(), x0.loop(), 2 * g.span + 4)
     c = np.zeros((2, x0.n, x0.n))
-    for i, pi in zip(p.degrees(), p.coeffs):
-        lo, hi = max(-i, g.lo), min(1 - i, g.hi)  # degrees of G that reach c
+    for d in (0, 1):
+        lo, hi = max(p.lo, d - g.hi), min(p.hi, d - g.lo)  # degrees i of P that reach c_d
         if lo <= hi:
-            c[i + lo : i + hi + 1] += np.einsum(
-                "ab,kbc->kac", pi, g.coeffs[lo - g.lo : hi - g.lo + 1]
-            )
+            i = np.arange(lo, hi + 1)
+            terms = np.einsum("kab,kbc->kac", p.coeffs[i - p.lo], g.coeffs[d - i - g.lo])
+            c[d] = np.add.reduce(terms, axis=0, initial=0.0)
     return c
 
 

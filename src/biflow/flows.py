@@ -128,7 +128,8 @@ def rk4_path(
     aborts with :class:`BlowupError`.  The guard takes the largest entry
     first: a NaN or inf fails it, and any entry above the bound puts the
     norm above it too.  The norm, which can overflow for a huge finite
-    state, is taken only when the entries do not already bound it.
+    state, is taken only when the entries do not already bound it.  It is
+    the norm of the whole state: a stack of states is bounded jointly.
     ``rhs`` checks nothing: callers vet the state where integration starts.
     """
     if h <= 0:
@@ -144,15 +145,16 @@ def rk4_path(
     path = np.empty((steps + 1, *y.shape), dtype=y.dtype)
     path[0] = y
     quiet = 0.5 * BLOWUP_NORM / np.sqrt(max(y.size, 1))  # entries <= quiet: norm <= half the bound
+    half, sixth = 0.5 * dt, dt / 6.0
     for i in range(1, steps + 1):
         k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
+        k2 = rhs(y + half * k1)
+        k3 = rhs(y + half * k2)
         k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if project is not None:
             y = project(y)
-        big = np.abs(y).max()
+        big = np.maximum.reduce(np.abs(y), axis=None)
         if not big <= BLOWUP_NORM or (big > quiet and np.linalg.norm(y) > BLOWUP_NORM):
             raise BlowupError("state left the admissible region")
         path[i] = y

@@ -72,16 +72,16 @@ class LaurentLoop:
     __slots__ = ("lo", "coeffs")
 
     def __init__(self, lo: int, coeffs):
-        arr = np.array(coeffs, dtype=float)
+        arr = np.array(coeffs, dtype=float, order="C")  # one layout, however the stack was built
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"coefficients must be stacked square matrices, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
-        nz = [k for k in range(arr.shape[0]) if np.any(arr[k])]
-        if not nz:
+        nz = np.flatnonzero(arr.reshape(len(arr), -1).any(axis=1))
+        if not nz.size:
             lo, arr = 0, np.zeros((1, arr.shape[1], arr.shape[2]))
         else:
-            lo, arr = lo + nz[0], arr[nz[0] : nz[-1] + 1]
+            lo, arr = lo + int(nz[0]), arr[nz[0] : nz[-1] + 1]
         arr.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "coeffs", arr)
@@ -198,8 +198,8 @@ class LaurentLoop:
 
     def transpose_flip(self) -> "LaurentLoop":
         """The loop z -> X(-z)^T, coefficient j -> (-1)^j X_j^T."""
-        arr = np.array([((-1.0) ** d) * self.coeff(d).T for d in self.degrees()])
-        return LaurentLoop(self.lo, arr)
+        signs = np.where(np.arange(self.lo, self.hi + 1) % 2, -1.0, 1.0)
+        return LaurentLoop(self.lo, signs[:, None, None] * self.coeffs.transpose(0, 2, 1))
 
     def _check_dim(self, other: "LaurentLoop"):
         if self.n != other.n:
@@ -239,7 +239,11 @@ def mul(x: LaurentLoop, y: LaurentLoop, max_span: int | None = None) -> LaurentL
 
     The result window is the sum of the factor windows; a span above
     ``max_span`` (default :data:`DEFAULT_MAX_SPAN`) raises
-    :class:`WindowOverflowError` rather than truncating.
+    :class:`WindowOverflowError` rather than truncating.  One stacked
+    product per coefficient of the shorter factor: x_i times all of y in
+    order of i, or all of x times y_j from the last j to the first.  Either
+    way each coefficient is the sum of x_i y_{m-i} in increasing order of
+    i, so both give the same bits.
     """
     x._check_dim(y)
     cap = DEFAULT_MAX_SPAN if max_span is None else max_span
@@ -248,8 +252,13 @@ def mul(x: LaurentLoop, y: LaurentLoop, max_span: int | None = None) -> LaurentL
     if hi - lo + 1 > cap:
         raise WindowOverflowError(f"product span {hi - lo + 1} exceeds cap {cap}")
     arr = np.zeros((hi - lo + 1, x.n, x.n))
-    for i, ci in enumerate(x.coeffs):
-        arr[i : i + y.coeffs.shape[0]] += np.einsum("ab,kbc->kac", ci, y.coeffs)
+    lx, ly = len(x.coeffs), len(y.coeffs)
+    if lx <= ly:
+        for i, ci in enumerate(x.coeffs):
+            arr[i : i + ly] += np.einsum("ab,kbc->kac", ci, y.coeffs)
+    else:
+        for j in range(ly - 1, -1, -1):
+            arr[j : j + lx] += np.einsum("kab,bc->kac", x.coeffs, y.coeffs[j])
     return LaurentLoop(lo, arr)
 
 

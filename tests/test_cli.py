@@ -8,9 +8,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from biflow import cli
+from biflow import cli, flows
 from biflow.cli import Gate, main
-from biflow.flows import BlowupError, integrate
+from biflow.flows import BlowupError, integrate, rk4_path
 from biflow.invariants import IntegralIndex
 
 
@@ -20,16 +20,20 @@ def run_cli(args):
 
 @pytest.fixture
 def rk4_runs(monkeypatch):
-    """The step count of every `integrate` run the CLI makes, in order."""
-    steps = []
+    """Every RK4 loop the CLI runs, in order: (loop steps, members stepped).
 
-    def counting_integrate(*args):
-        traj = integrate(*args)
-        steps.append(len(traj.times) - 1)
-        return traj
+    A (2, n, n) state is a stacked pair; any other state is one member.
+    """
+    passes = []
 
-    monkeypatch.setattr(cli, "integrate", counting_integrate)
-    return steps
+    def counting_rk4_path(rhs, y0, *args, **kwargs):
+        times, path = rk4_path(rhs, y0, *args, **kwargs)
+        passes.append((len(times) - 1, len(y0) if np.ndim(y0) == 3 else 1))
+        return times, path
+
+    for module in (cli, flows):
+        monkeypatch.setattr(module, "rk4_path", counting_rk4_path)
+    return passes
 
 
 def assert_usage_error(code, capsys, out_dir):
@@ -133,8 +137,13 @@ class TestOtherExperiments:
     def test_h_caps_factorize_reference_step(self, tmp_path, rk4_runs):
         # --h is the coarse step of the pair, capped at 1e-3; at 5e-5 the
         # first pair already reaches the floor of twice the steps of a
-        # single run at min(h, 1e-4).
-        for h, want in ((1e-3, [200, 400]), (0.05, [200, 400]), (5e-5, [4000, 8000])):
+        # single run at min(h, 1e-4).  The coarse run of 200 steps and the
+        # fine run of 400 take one stacked pass of 200 and 200 steps alone.
+        for h, want in (
+            (1e-3, [(200, 2), (200, 1)]),
+            (0.05, [(200, 2), (200, 1)]),
+            (5e-5, [(4000, 2), (4000, 1)]),
+        ):
             rk4_runs.clear()
             code = run_cli(
                 ["factorize", "--n", 3, "--t", 0.2, "--h", h, "--seed", 2, "--out", tmp_path]
@@ -193,13 +202,35 @@ class TestFactorizeReference:
         tight = integrate(s0, nmat, idx, 0.5, 1e-5).states[[12500, 25000, 50000]]
         assert np.linalg.norm(got - tight, axis=(1, 2)).max() <= self.SINGLE_RUN_GAP
 
+    @pytest.mark.parametrize(
+        "n, k, l, t, seed, steps", [(8, 4, 2, 0.2, 7, 400), (4, 2, 0, 4.0, 3, 8000)]
+    )
+    def test_stacked_pair_matches_separate_runs(self, n, k, l, t, seed, steps):
+        s0, nmat = cli.sample_state(n, seed)
+        idx = IntegralIndex(k, l)
+        got, info = cli._reference_states(s0, nmat, idx, t, 1e-3)
+        assert info["steps"] == steps and info["met_budget"] is True
+        q = steps // 4
+        coarse = integrate(s0, nmat, idx, t, t / (2 * q)).states[[q // 2, q, 2 * q]]
+        fine = integrate(s0, nmat, idx, t, t / steps).states[[q, 2 * q, steps]]
+        npt.assert_array_equal(got, (16 * fine - coarse) / 15)
+
+    def test_first_pair_costs_the_fine_run_steps(self, tmp_path, rk4_runs):
+        # The factorize-n8 op: a coarse run of 500 steps and a fine run of
+        # 1000 took 1500 loop steps as two runs, and take 1000 as one
+        # stacked pass of 500 and 500 steps of the fine run alone.
+        args = ["factorize", "--n", 8, "--k", 2, "--l", 0, "--t", 0.5, "--seed", 7]
+        assert run_cli([*args, "--out", tmp_path]) == 0
+        assert rk4_runs == [(500, 2), (500, 1)]
+        assert sum(steps for steps, _ in rk4_runs) == 1000
+
     def test_halves_until_the_estimate_meets_the_budget(self, rk4_runs):
         # The first estimate of the fine run's error, |fine - coarse| / 15 =
         # 8.8e-10, is over the budget 1e-10 |S0|_F = 3.0e-10; the next is not.
         s0, nmat = cli.sample_state(8, 7001)
         idx = IntegralIndex(4, 0)
         got, info = cli._reference_states(s0, nmat, idx, 0.5, 1e-3)
-        assert rk4_runs == [500, 1000, 2000]
+        assert rk4_runs == [(500, 2), (500, 1), (2000, 1)]  # runs of 500, 1000 and 2000 steps
         assert info["steps"] == 2000 and info["met_budget"] is True
         assert info["estimate"] <= info["budget"] < 8.8e-10
         coarse = integrate(s0, nmat, idx, 0.5, 0.5 / 1000).states[[250, 500, 1000]]
@@ -211,7 +242,8 @@ class TestFactorizeReference:
         # twice the 1000 of a single run at 1e-4; the diagnostics say so.
         s0, nmat = cli.sample_state(8, 7)
         _, info = cli._reference_states(s0, nmat, IntegralIndex(7, 0), 0.1, 1e-3)
-        assert rk4_runs == [100, 200, 400, 800, 1600, 3200]
+        # Runs of 100, 200, 400, 800, 1600 and 3200 steps; the first two share a pass.
+        assert rk4_runs == [(100, 2), (100, 1), (400, 1), (800, 1), (1600, 1), (3200, 1)]
         assert info["steps"] == 3200 and info["met_budget"] is False
         assert 20 * info["budget"] < info["estimate"] < 40 * info["budget"]
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -39,6 +41,21 @@ class TestLoopBasics:
         x = LaurentLoop(-1, arr)
         assert x.window == (0, 0)
 
+    def test_trim_matches_per_coefficient_scan(self):
+        # Zero edge and interior coefficients, and a -0.0 edge, which counts
+        # as zero; the window is the one the per-coefficient scan finds.
+        arr = np.random.default_rng(3).standard_normal((9, 3, 3))
+        arr[[0, 1, 4, 6, 8]] = 0.0
+        arr[8, 1, 2] = -0.0
+        for lo in (-5, 0, 2):
+            x = LaurentLoop(lo, arr)
+            nz = [k for k in range(len(arr)) if np.any(arr[k])]
+            assert x.window == (lo + nz[0], lo + nz[-1]) == (lo + 2, lo + 7)
+            assert type(x.lo) is int
+            npt.assert_array_equal(x.coeffs, arr[2:8])
+            assert not x.coeff(lo + 4).any()  # an interior zero stays in the window
+        assert LaurentLoop(4, -0.0 * arr[:1]).window == (0, 0)
+
     def test_zero_canonical(self):
         x = LaurentLoop(5, np.zeros((2, 3, 3)))
         assert x.window == (0, 0) and x.is_zero()
@@ -78,7 +95,26 @@ class TestLoopBasics:
         assert not x.coeffs.flags.writeable
 
 
+def mul_by_rows(x, y):
+    """The Cauchy product summed row by row, x_i times all of y in order of i."""
+    arr = np.zeros((x.span + y.span - 1, x.n, x.n))
+    for i, ci in enumerate(x.coeffs):
+        arr[i : i + y.span] += np.einsum("ab,kbc->kac", ci, y.coeffs)
+    return LaurentLoop(x.lo + y.lo, arr)
+
+
 class TestMul:
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_matches_row_by_row_sum(self, n):
+        # Either factor may be the shorter one; the sum must keep every bit.
+        rng = np.random.default_rng(n)
+        for sx, sy in itertools.product((1, 2, 41, 89), repeat=2):
+            x = LaurentLoop(-sx // 2, rng.standard_normal((sx, n, n)))
+            y = LaurentLoop(3 - sy, rng.standard_normal((sy, n, n)))
+            got, want = mul(x, y, 200), mul_by_rows(x, y)
+            assert got.window == want.window
+            assert np.array_equal(got.coeffs, want.coeffs), (sx, sy)
+
     def test_identity_neutral(self):
         y = bi_loop(3, seed=1)
         prod = mul(LaurentLoop.identity(3), y)
@@ -167,6 +203,15 @@ class TestSigma:
         x = LaurentLoop.monomial(p, 0)
         npt.assert_array_equal(sigma(x).coeffs, -x.coeffs)
         assert not is_sigma_fixed(x)
+
+    def test_transpose_flip_per_degree(self):
+        rng = np.random.default_rng(5)
+        for lo, hi in ((-4, 3), (1, 6), (-3, -3)):
+            x = LaurentLoop(lo, rng.standard_normal((hi - lo + 1, 3, 3)))
+            got = x.transpose_flip()
+            assert got.window == x.window
+            for d in x.degrees():
+                assert np.array_equal(got.coeff(d), (-1.0) ** d * x.coeff(d).T), d
 
     def test_involution(self):
         x = random_dual_loop(3, -3, 2, seed=15)
