@@ -237,10 +237,12 @@ def run_factorize(cfg: ExperimentConfig) -> tuple[list[Gate], dict]:
     idx = IntegralIndex(cfg.k, cfg.l)
     times = [cfg.t_final / 4, cfg.t_final / 2, cfg.t_final]
     # Every Birkhoff solve runs before the RK4 reference, which costs the
-    # most, so that a run the solve rejects ends early.
-    solved, checkpoints = [], []
+    # most, so that a run the solve rejects ends early.  Each checkpoint
+    # doubles the last, so its samples are the last ones squared.
+    gen = generator(x0, idx)
+    solved, checkpoints, gamma = [], [], None
     for t in times:
-        gamma = sample_exp(generator(x0, idx), t, cfg.m_samples)
+        gamma = sample_exp(gen, t, cfg.m_samples, half=gamma)
         fac = birkhoff(gamma, cfg.depth)
         solved.append((fac, conjugated_states(fac, x0)[0]))
         checkpoints.append(
@@ -284,7 +286,9 @@ def _reference_states(
     the fine run's error by Richardson's rule.  Above 1e-10 max(1, |S0|_F)
     the step halves and the fine run becomes the coarse one, until the fine
     run has at least twice the steps of one run at min(h, 1e-4).  The result
-    is the extrapolation (16 fine - coarse) / 15 (II.9), exactly symmetric.
+    is the extrapolation (16 fine - coarse) / 15 (II.9).  The field is
+    symmetric bit for bit, so every state, and the result, is exactly
+    symmetric with no projection.
     Step counts are divisible by 4, so every checkpoint falls on a step.
     Returned with it: the last estimate, the budget, the fine run's step
     count, and whether the estimate met the budget.
@@ -303,7 +307,7 @@ def _reference_states(
         return _field(y, nf, idx)
 
     def run(y0: np.ndarray, span: float, steps: int, rhs=field) -> np.ndarray:
-        return rk4_path(rhs, y0, span, span / steps, lambda y: 0.5 * (y + y.swapaxes(-1, -2)))[1]
+        return rk4_path(rhs, y0, span, span / steps)[1]
 
     def step_count(step: float) -> int:
         return 4 * max(1, round(t_end / (4 * step)))
@@ -440,8 +444,10 @@ RUNNERS = {
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment (or 'all'); returns the process exit code."""
     names = EXPERIMENTS if cfg.experiment == "all" else (cfg.experiment,)
-    if cfg.h <= 0:
-        raise ValueError(f"--h must be positive, got {cfg.h!r}")
+    if not 0 < cfg.h < np.inf:
+        raise ValueError(f"--h must be positive and finite, got {cfg.h!r}")
+    if not np.isfinite(cfg.t_final):
+        raise ValueError(f"--t must be finite, got {cfg.t_final!r}")
     if cfg.m_samples < 4 or cfg.m_samples & (cfg.m_samples - 1):
         raise ValueError(f"--m must be a power of two, at least 4, got {cfg.m_samples!r}")
     if cfg.depth < 1:

@@ -95,14 +95,17 @@ def expm(a: np.ndarray, max_terms: int = 60) -> np.ndarray:
     b = stack / (2.0 ** s)[:, None, None]
     out = np.broadcast_to(np.eye(n, dtype=b.dtype), b.shape).copy()
     term = out.copy()
-    live = np.arange(len(stack))  # matrices whose series has not converged
+    live, b_live = slice(None), b  # the series not yet converged: all, ungathered, at first
     for m in range(1, max_terms + 1):
-        term = term @ b[live] / m
+        term = term @ b_live / m
         out[live] += term
         going = ~(np.linalg.norm(term, 1, axis=(1, 2)) < EXPM_TOL)
-        live, term = live[going], term[going]
+        if going.all() and going.size:
+            continue  # the live set is unchanged: gather nothing
+        live = np.arange(len(stack))[live][going]
         if not live.size:
             break
+        b_live, term = b[live], term[going]
     else:
         raise FactorizationError("matrix exponential series did not converge")
     for r in range(s.max(initial=0)):
@@ -153,19 +156,33 @@ def circle_points(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def sample_exp(gen: LaurentLoop, t: float, m_samples: int = 256) -> FourierLoop:
+def sample_exp(
+    gen: LaurentLoop, t: float, m_samples: int = 256, half: FourierLoop | None = None
+) -> FourierLoop:
     """Sample exp(-t * gen(z)) on the unit circle and take its DFT.
 
     ``m_samples`` must be a power of two.  A count below the heuristic floor
     4 * span * max(1, t * ||gen||), or an aliasing estimate above
     ``ALIASING_TOL``, raises :class:`AliasingError` (increase the count).
+
+    ``half`` is this loop already sampled at t/2, from the same ``gen`` and
+    ``m_samples``.  The loops exp(-t gen) form a one-parameter group, so each
+    sample at t is the square of the sample at t/2, and no exponential is
+    taken.  Where every sample's scaling exponent in :func:`expm` grows by
+    one from t/2 to t, the direct call runs the same Taylor core and one
+    squaring more, so both ways give the same bits.
     """
     if m_samples < 4 or (m_samples & (m_samples - 1)) != 0:
         raise ValueError("sample count must be a power of two, at least 4")
+    if half is not None and half.m_samples != m_samples:
+        raise ValueError(f"half-time loop has {half.m_samples} samples, not {m_samples}")
     floor = 4 * gen.span * max(1.0, abs(t) * gen.norm())
     if m_samples < floor:
         raise AliasingError(f"sample count {m_samples} below heuristic floor {floor:.0f}")
-    samples = expm(-t * gen.evaluate(circle_points(m_samples)))
+    if half is None:
+        samples = expm(-t * gen.evaluate(circle_points(m_samples)))
+    else:
+        samples = half.samples @ half.samples
     coeffs = np.fft.fft(samples, axis=0) / m_samples
     loop = FourierLoop(samples, coeffs)
     if loop.aliasing_estimate() > ALIASING_TOL:
@@ -233,9 +250,12 @@ def birkhoff(gamma: FourierLoop, depth: int = 40) -> BirkhoffFactors:
     j_cap = gamma.m_samples // 2 - 1
     j = min(depth, j_cap)
     while True:
-        rows = np.arange(1, j + 1)  # system block (r, c) is Gamma_{c-r}; rhs block r, -Gamma_{-r}
-        system = gamma.coeff(rows - rows[:, None]).transpose(0, 2, 1, 3).reshape(j * n, j * n)
-        rhs = -gamma.coeff(-rows).reshape(j * n, n)
+        # System block (r, c) is Gamma_{c-r}, r, c = 1..j; rhs block r is -Gamma_{-r}.
+        # Block row r is window r of the degrees j-1 .. -(j-1), read backwards.
+        band = gamma.coeff(np.arange(j - 1, -j, -1))
+        rows = np.lib.stride_tricks.sliding_window_view(band, j, axis=0)[..., ::-1]
+        system = rows.transpose(0, 1, 3, 2).reshape(j * n, j * n)
+        rhs = -gamma.coeff(-np.arange(1, j + 1)).reshape(j * n, n)
         try:
             stacked = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError as exc:

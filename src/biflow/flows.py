@@ -7,9 +7,10 @@ moves S by
 
 the two forms agreeing through the symmetrizer commutator identity.  The
 index (2, 0) is the Bloch-Iserles equation S' = [NS + SN, S] = [N, S^2].
-Integration is classical fixed-step RK4 with a symmetrization projection
-after every step; drift reports evaluate every conserved quantity along a
-trajectory.  The companion full-matrix equation
+Integration is classical fixed-step RK4.  The field is formed symmetric bit
+for bit, so every RK4 state is exactly symmetric with no projection; drift
+reports evaluate every conserved quantity along a trajectory.  The
+companion full-matrix equation
 
     M' = [(M^T M + M M^T) + M^2, M^T] / 4
 
@@ -83,9 +84,14 @@ def _check_flow(s: SymMatrix, n: SkewMatrix, idx: IntegralIndex) -> None:
 
 
 def _field(sf: np.ndarray, nf: np.ndarray, idx: IntegralIndex) -> np.ndarray:
-    """-[sym_{k-l,l}(S, N), N] on bare arrays that :func:`_check_flow` vetted."""
-    m = _sweep(sf, nf, idx.k - idx.l, idx.l)
-    return nf @ m - m @ nf
+    """-[sym_{k-l,l}(S, N), N] on bare arrays that :func:`_check_flow` vetted.
+
+    Admissible l is even, so M = sym_{k-l,l}(S, N) is symmetric, and with N
+    skew (N M)^T = -M N.  The field N M - M N is therefore P + P^T for
+    P = N M: one product, and a result symmetric bit for bit.
+    """
+    p = nf @ _sweep(sf, nf, idx.k - idx.l, idx.l)
+    return p + p.swapaxes(-1, -2)
 
 
 def vector_field_s_form(s: SymMatrix, n: SkewMatrix, idx: IntegralIndex) -> SymMatrix:
@@ -167,9 +173,7 @@ def integrate(
     """Integrate the (k, l) flow from s0; returns the whole sample path."""
     _check_flow(s0, n, idx)
     nf = n.full()
-    times, path = rk4_path(
-        lambda y: _field(y, nf, idx), s0.full(), t_final, h, project=lambda y: 0.5 * (y + y.T)
-    )
+    times, path = rk4_path(lambda y: _field(y, nf, idx), s0.full(), t_final, h)
     return Trajectory(times, path, n)
 
 

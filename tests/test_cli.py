@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from biflow import cli, flows
+from biflow import cli, factorization, flows
 from biflow.cli import Gate, main
 from biflow.flows import BlowupError, integrate, rk4_path
 from biflow.invariants import IntegralIndex
@@ -115,6 +115,19 @@ class TestOtherExperiments:
         assert diagnostics["reference"]["met_budget"] is True
         assert diagnostics["reference"]["estimate"] <= diagnostics["reference"]["budget"]
 
+    def test_one_exponential_for_three_checkpoints(self, tmp_path, monkeypatch):
+        # The samples at t/2 and t are the squares of those at t/4 and t/2.
+        shapes = []
+        expm = factorization.expm
+
+        def counting_expm(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return expm(a, *args, **kwargs)
+
+        monkeypatch.setattr(factorization, "expm", counting_expm)
+        assert run_cli(["factorize", "--n", 4, "--t", 0.5, "--seed", 2, "--out", tmp_path]) == 0
+        assert shapes == [(256, 4, 4)]
+
     @pytest.mark.parametrize("t", [0, -1])
     def test_nonpositive_time_usage_error(self, tmp_path, capsys, t):
         out = tmp_path / "out"
@@ -214,6 +227,26 @@ class TestFactorizeReference:
         coarse = integrate(s0, nmat, idx, t, t / (2 * q)).states[[q // 2, q, 2 * q]]
         fine = integrate(s0, nmat, idx, t, t / steps).states[[q, 2 * q, steps]]
         npt.assert_array_equal(got, (16 * fine - coarse) / 15)
+
+    @pytest.mark.parametrize(
+        "n, k, l, t, seed", [(8, 2, 0, 0.5, 7), (6, 3, 0, 0.2, 7), (8, 4, 2, 0.2, 7)]
+    )
+    def test_states_exactly_symmetric(self, monkeypatch, n, k, l, t, seed):
+        # No run projects, so every state of every pass, and the
+        # extrapolation, are symmetric through the field alone.
+        paths = []
+
+        def keep(rhs, y0, *args, **kwargs):
+            times, path = rk4_path(rhs, y0, *args, **kwargs)
+            paths.append(path)
+            return times, path
+
+        monkeypatch.setattr(cli, "rk4_path", keep)
+        s0, nmat = cli.sample_state(n, seed)
+        got, _ = cli._reference_states(s0, nmat, IntegralIndex(k, l), t, 1e-3)
+        assert len(paths) >= 2
+        for path in [*paths, got]:
+            assert np.array_equal(path, path.swapaxes(-1, -2))
 
     def test_first_pair_costs_the_fine_run_steps(self, tmp_path, rk4_runs):
         # The factorize-n8 op: a coarse run of 500 steps and a fine run of
@@ -320,6 +353,41 @@ class TestParser:
         assert run_cli([*args, "--out", tmp_path / "b"]) == 0
         assert gate_tols(tmp_path / "a") == ({1e-3}, 1e-3)
         assert gate_tols(tmp_path / "b") == ({1e-8}, 1e-8)
+
+
+class TestNonFiniteTimeOrStep:
+    # Only the sign used to be checked: --t inf escaped as an OverflowError,
+    # a NaN time became a FactorizationError gate, and --h inf took one step
+    # and failed every drift gate.
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["flow", "--n", 4, "--t", "inf", "--seed", 1],
+            ["factorize", "--n", 4, "--t", "nan", "--seed", 1],
+            ["flow", "--n", 4, "--h", "inf", "--seed", 1],
+            ["flow", "--n", 4, "--h", "nan", "--seed", 1],
+            ["all", "--n", 3, "--t", "nan", "--seed", 1],
+        ],
+    )
+    def test_flag_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert_usage_error(run_cli([*args, "--out", out]), capsys, out)
+
+    @pytest.mark.parametrize(
+        "exp, content",
+        [
+            ("flow", {"t_final": float("inf")}),
+            ("factorize", {"t_final": float("nan")}),
+            ("flow", {"h": float("inf")}),
+            ("factorize", {"h": float("nan")}),
+        ],
+    )
+    def test_config_usage_error(self, tmp_path, capsys, exp, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))  # Infinity and NaN, which json reads back
+        out = tmp_path / "out"
+        code = run_cli([exp, "--n", 4, "--seed", 1, "--out", out, "--config", cfg])
+        assert_usage_error(code, capsys, out)
 
 
 class TestConfigFile:

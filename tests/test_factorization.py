@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from biflow import cli
 from biflow.factorization import (
     AliasingError,
     FactorizationError,
@@ -100,6 +101,37 @@ class TestExpm:
             npt.assert_array_equal(got[i], expm(a))
         npt.assert_array_equal(expm(stack.reshape(2, 2, 4, 4)), got.reshape(2, 2, 4, 4))
 
+    def test_matches_gathering_every_term(self):
+        # The series gathers its live set only once one series has
+        # converged; the loop below gathers every term, as expm used to.
+        def gathering(stack):
+            norms = np.linalg.norm(stack, 1, axis=(1, 2))
+            s = np.zeros(len(stack), dtype=int)
+            s[norms > 0.5] = np.ceil(np.log2(norms[norms > 0.5] / 0.5))
+            b = stack / (2.0 ** s)[:, None, None]
+            out = np.broadcast_to(np.eye(stack.shape[-1], dtype=b.dtype), b.shape).copy()
+            term, live = out.copy(), np.arange(len(stack))
+            for m in range(1, 61):
+                term = term @ b[live] / m
+                out[live] += term
+                going = ~(np.linalg.norm(term, 1, axis=(1, 2)) < 1e-13)
+                live, term = live[going], term[going]
+                if not live.size:
+                    break
+            for r in range(s.max(initial=0)):
+                out[s > r] = out[s > r] @ out[s > r]
+            return out
+
+        # A zero slice converges at the first term and a tiny one soon after;
+        # the others run on, so the live set shrinks in several steps.
+        scales = [0.0, 1e-9, 1e-3, 0.1, 0.4, 3.0, 40.0]
+        stack = np.stack(
+            [c * random_matrix(5, seed=40 + i) * (1.0 - 0.5j) for i, c in enumerate(scales)]
+        )
+        npt.assert_array_equal(expm(stack), gathering(stack))
+        npt.assert_array_equal(expm(stack[3:]), gathering(stack[3:]))
+        assert expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
     def test_stack_raises_when_one_slice_diverges(self):
         stack = np.stack([np.zeros((3, 3)), random_matrix(3, seed=9)])
         npt.assert_array_equal(expm(stack[:1], max_terms=2)[0], np.eye(3))
@@ -142,6 +174,45 @@ class TestSampleExp:
         gen = generator(x, IntegralIndex(2, 0))
         with pytest.raises(AliasingError):
             sample_exp(gen, t=2.0, m_samples=32)
+
+    def test_ladder_equals_direct_call_bit_for_bit(self):
+        # The factorize-n8 op: every sample's scaling exponent grows by one
+        # per doubling, so squaring the samples at t/2 repeats expm's last
+        # squaring, and the loops at t/2 and t come out the same.
+        s0, nmat = cli.sample_state(8, 7)
+        gen = generator(BILoop(s0, nmat), IntegralIndex(2, 0))
+        quarter = sample_exp(gen, 0.125)
+        half = sample_exp(gen, 0.25, half=quarter)
+        full = sample_exp(gen, 0.5, half=half)
+        for got, t in ((half, 0.25), (full, 0.5)):
+            want = sample_exp(gen, t)
+            npt.assert_array_equal(got.samples, want.samples)
+            npt.assert_array_equal(got.coeffs, want.coeffs)
+
+    def test_ladder_near_direct_call(self):
+        # Here small samples keep exponent 0 at t/2 and t, so the two ways
+        # differ in rounding only.
+        s0, nmat = cli.sample_state(6, 7)
+        gen = generator(BILoop(s0, nmat), IntegralIndex(3, 0))
+        full = sample_exp(gen, 0.2, half=sample_exp(gen, 0.1, half=sample_exp(gen, 0.05)))
+        want = sample_exp(gen, 0.2)
+        for got, ref in ((full.samples, want.samples), (full.coeffs, want.coeffs)):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_ladder_checks_the_floor_at_the_doubled_time(self):
+        # At t=4 the floor is 151 of 256 samples; at t=8 it is 303.
+        s0, nmat = cli.sample_state(4, 3)
+        gen = generator(BILoop(s0, nmat), IntegralIndex(2, 0))
+        half = sample_exp(gen, 4.0)
+        with pytest.raises(AliasingError, match="floor 303"):
+            sample_exp(gen, 8.0, half=half)
+        with pytest.raises(AliasingError, match="floor 303"):
+            sample_exp(gen, 8.0)
+
+    def test_ladder_needs_the_same_sample_count(self):
+        gen = generator(bi_state(3, seed=13), IntegralIndex(2, 0))
+        with pytest.raises(ValueError, match="128 samples"):
+            sample_exp(gen, 0.2, m_samples=256, half=sample_exp(gen, 0.1, m_samples=128))
 
     def test_sample_count_validation(self):
         x = bi_state(3, seed=13)
@@ -193,6 +264,27 @@ class TestBirkhoff:
             npt.assert_allclose(fac.g_minus.coeff(-d), np.zeros((3, 3)), atol=1e-11)
         for d in fac.g_plus.degrees():
             npt.assert_allclose(fac.g_plus.coeff(d), coeffs[d % 64].real, atol=1e-11)
+
+    def test_system_matches_fancy_index_build(self, monkeypatch):
+        # The block-Toeplitz system is a copy of strided windows; the old
+        # build gathered every block by index and transposed.
+        gamma = sample_exp(generator(bi_state(4, seed=21), IntegralIndex(2, 0)), 0.5, 256)
+        systems = []
+        solve = np.linalg.solve
+
+        def keep(a, b):
+            if a.ndim == 2:
+                systems.append(a)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", keep)
+        for depth in (1, 2, 7, 40):
+            systems.clear()
+            birkhoff(gamma, depth=depth)
+            j = systems[0].shape[0] // 4
+            rows = np.arange(1, j + 1)
+            want = gamma.coeff(rows - rows[:, None]).transpose(0, 2, 1, 3).reshape(4 * j, 4 * j)
+            npt.assert_array_equal(systems[0], want)
 
     def test_bi_generator_run(self):
         x = bi_state(3, seed=16)

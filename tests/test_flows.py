@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biflow import cli, invariants, matcore, symmetrizer
+from biflow import cli, flows, invariants, matcore, symmetrizer
 from biflow.flows import (
     BLOWUP_NORM,
     BlowupError,
@@ -85,6 +85,23 @@ class TestVectorField:
             for l in range(0, 5, 2):
                 val = np.trace(v @ np.linalg.matrix_power(nf, l))
                 assert abs(val) <= 1e-12 * max(1.0, np.linalg.norm(v))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_field_bitwise_symmetric(self, n):
+        # P + P^T with P = N M is symmetric bit for bit, alone and on a
+        # stack, and equals the commutator N M - M N to rounding.
+        for seed in (1, 2, 3):
+            sf, nf = random_sym(n, seed).full(), random_skew_simple(n, seed + 50).full()
+            stack = np.stack([sf, 0.5 * sf])
+            for idx in enumerate_indices(n):
+                f = flows._field(sf, nf, idx)
+                assert np.array_equal(f, f.T), (n, seed, idx)
+                fs = flows._field(stack, nf, idx)
+                assert np.array_equal(fs, fs.transpose(0, 2, 1)), (n, seed, idx)
+                npt.assert_array_equal(fs[0], f)
+                m = symmetrizer.sym(sf, nf, idx.k - idx.l, idx.l)
+                want = nf @ m - m @ nf
+                npt.assert_allclose(f, want, rtol=0, atol=1e-14 * max(1.0, np.abs(want).max()))
 
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
@@ -174,6 +191,14 @@ class TestIntegrate:
         n = random_skew_simple(3, seed=13)
         traj = integrate(s, n, IntegralIndex(2, 0), t_final=0.5, h=1e-2)
         assert traj.states.shape == (51, 3, 3)
+        assert np.array_equal(traj.states, traj.states.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("n, k, l", [(6, 3, 0), (8, 4, 2), (8, 7, 0)])
+    def test_higher_flow_states_exactly_symmetric(self, n, k, l):
+        # No step projects: the field alone keeps every state symmetric.
+        s = random_sym(n, seed=12)
+        nmat = random_skew_simple(n, seed=13)
+        traj = integrate(s, nmat, IntegralIndex(k, l), t_final=0.05, h=1e-3)
         assert np.array_equal(traj.states, traj.states.transpose(0, 2, 1))
 
     def test_fourth_order_endpoint(self):
