@@ -12,12 +12,12 @@ Output formats are stable contracts: JSON summaries carry ``schema: 1``
 and a ``gates`` list of ``{name, value, tol, pass}``.  A runner returns
 its gates, or its gates and a ``diagnostics`` object for the summary:
 ``factorize`` records there each solve's depth, tail, reality and
-aliasing estimate, and its reference's error estimate and step count
-(gates and diagnostics alike are deterministic).  CSV files start with
-a version header line (the only line allowed to differ between releases),
-a ``# schema: 1`` line, and a column-documentation comment.  All
-randomness flows through the explicit --seed; reruns with the same config
-are byte-identical after the version line.
+aliasing estimate, and its reference's error estimate, macro steps and
+field evaluations (gates and diagnostics alike are deterministic).  CSV
+files start with a version header line (the only line allowed to differ
+between releases), a ``# schema: 1`` line, and a column-documentation
+comment.  All randomness flows through the explicit --seed; reruns with
+the same config are byte-identical after the version line.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .findim import (
     induced_flow_rhs,
     orbit_dimension_f,
 )
-from .flows import _field, bi_rhs, drift_report, integrate, invariant_series, rk4_path
+from .flows import BlowupError, _field, bi_rhs, drift_report, gbs_path, integrate, invariant_series
 from .invariants import (
     IntegralIndex,
     enumerate_indices,
@@ -89,6 +89,11 @@ from .symmetrizer import (
 )
 
 EXPERIMENTS = ("flow", "invariants", "commute", "factorize", "findim", "pde", "lemma41")
+# Largest --t / --h of flow and pde, which record every step: it bounds their
+# paths, such as flow's steps + 1 states of n x n floats (51 MB at n = 8).
+MAX_STEPS = 100_000
+# Macro steps of the finest factorize reference run; all runs take at most 504.
+REFERENCE_MACRO_CAP = 256
 
 DEFAULT_TOLERANCES = {
     "drift": 1e-8,
@@ -123,11 +128,7 @@ class ExperimentConfig:
     k: int = _param("--k", 2, "flow index k")
     l: int = _param("--l", 0, "flow index l (even)")
     t_final: float = _param("--t", 1.0, "final time")
-    h: float = _param(
-        "--h",
-        1e-3,
-        "RK4 step (factorize: the coarse step, at most 1e-3, of its step-doubling reference)",
-    )
+    h: float = _param("--h", 1e-3, "RK4 step")
     m_samples: int = _param("--m", 256, "circle samples")
     depth: int = _param("--j", 40, "factor depth")
     out_dir: Path = field(default_factory=lambda: Path("."))
@@ -236,25 +237,20 @@ def run_factorize(cfg: ExperimentConfig) -> tuple[list[Gate], dict]:
     x0 = BILoop(s0, nmat)
     idx = IntegralIndex(cfg.k, cfg.l)
     times = [cfg.t_final / 4, cfg.t_final / 2, cfg.t_final]
-    # Every Birkhoff solve runs before the RK4 reference, which costs the
-    # most, so that a run the solve rejects ends early.  Each checkpoint
-    # doubles the last, so its samples are the last ones squared.
+    # Every Birkhoff solve runs before the reference, so that a run the
+    # solve rejects ends early.  Each checkpoint doubles the last, so its
+    # samples are the last ones squared.
     gen = generator(x0, idx)
     solved, checkpoints, gamma = [], [], None
     for t in times:
         gamma = sample_exp(gen, t, cfg.m_samples, half=gamma)
         fac = birkhoff(gamma, cfg.depth)
         solved.append((fac, conjugated_states(fac, x0)[0]))
+        aliasing = gamma.aliasing_estimate()
         checkpoints.append(
-            {
-                "t": t,
-                "depth": fac.g_minus.span - 1,
-                "tail": fac.tail,
-                "reality": fac.reality,
-                "aliasing": gamma.aliasing_estimate(),
-            }
+            dict(t=t, depth=fac.g_minus.span - 1, tail=fac.tail, reality=fac.reality, aliasing=aliasing)
         )
-    refs, reference = _reference_states(s0, nmat, idx, times[-1], cfg.h)
+    refs, reference = _reference_states(s0, nmat, idx, times[-1])
     gates = []
     for t, (fac, s_fact), s_ode in zip(times, solved, refs):
         gap = float(np.linalg.norm(s_fact.full() - s_ode))
@@ -276,61 +272,38 @@ def run_factorize(cfg: ExperimentConfig) -> tuple[list[Gate], dict]:
 
 
 def _reference_states(
-    s0: SymMatrix, nmat: "SkewMatrix", idx: IntegralIndex, t_end: float, h: float
+    s0: SymMatrix, nmat: "SkewMatrix", idx: IntegralIndex, t_end: float
 ) -> tuple[np.ndarray, dict]:
-    """RK4 reference at t_end/4, t_end/2 and t_end, extrapolated: (3, n, n).
+    """Gragg-Bulirsch-Stoer reference at t_end/4, t_end/2 and t_end: (3, n, n).
 
-    Global step doubling (Hairer, Norsett & Wanner, Solving ODEs I, II.4):
-    one run at a coarse step near min(h, 1e-3) and one at half that step.
-    The estimate is the largest |fine - coarse|_F / 15 over the checkpoints,
-    the fine run's error by Richardson's rule.  Above 1e-10 max(1, |S0|_F)
-    the step halves and the fine run becomes the coarse one, until the fine
-    run has at least twice the steps of one run at min(h, 1e-4).  The result
-    is the extrapolation (16 fine - coarse) / 15 (II.9).  The field is
-    symmetric bit for bit, so every state, and the result, is exactly
-    symmetric with no projection.
-    Step counts are divisible by 4, so every checkpoint falls on a step.
-    Returned with it: the last estimate, the budget, the fine run's step
-    count, and whether the estimate met the budget.
-
-    The first pair shares one stacked pass: (S0, S0) steps over t_end/2 at
-    the fine step, the first member on twice the field.  RK4 on 2f at step
-    dt is RK4 on f at step 2 dt bit for bit, so that member is the coarse
-    run to t_end; the second is the fine run to t_end/2, which then runs on
-    alone.  Every run keeps its step count and its arithmetic, and the pair
-    costs as many loop steps as the fine run alone.
+    Runs :func:`~biflow.flows.gbs_path` at 8, 16, 32, ... macro steps.  The
+    estimate is the largest Frobenius gap of the last two runs at the
+    checkpoints.  While it is above the budget 1e-10 max(1, |S0|_F), or a
+    run below REFERENCE_MACRO_CAP steps ends in BlowupError, macro doubles,
+    up to that cap.  Returns the last run and its diagnostics.
     """
     sf, nf = s0.full(), nmat.full()
-    doubled = np.array([2.0, 1.0])[:, None, None]
+    budget = 1e-10 * max(1.0, float(np.linalg.norm(sf)))
+    evals = 0
 
     def field(y: np.ndarray) -> np.ndarray:
+        nonlocal evals
+        evals += 1
         return _field(y, nf, idx)
 
-    def run(y0: np.ndarray, span: float, steps: int, rhs=field) -> np.ndarray:
-        return rk4_path(rhs, y0, span, span / steps)[1]
-
-    def step_count(step: float) -> int:
-        return 4 * max(1, round(t_end / (4 * step)))
-
-    steps, most = step_count(min(h, 1e-3)), 2 * step_count(min(h, 1e-4))
-    budget = 1e-10 * max(1.0, float(np.linalg.norm(sf)))
-    pair = run(np.stack([sf, sf]), t_end / 2, steps, lambda y: doubled * field(y))
-    coarse = pair[[steps // 4, steps // 2, steps], 0]
-    half = pair[[steps // 2, steps], 1]  # the fine run at t_end/4 and t_end/2
-    fine = np.concatenate([half, run(half[-1], t_end / 2, steps)[-1:]])
-    steps *= 2
-    while True:
-        estimate = np.linalg.norm(fine - coarse, axis=(1, 2)).max() / 15
-        if steps >= most or estimate <= budget:
-            info = {
-                "estimate": float(estimate),
-                "budget": budget,
-                "steps": steps,
-                "met_budget": bool(estimate <= budget),
-            }
-            return (16 * fine - coarse) / 15, info
-        coarse, steps = fine, 2 * steps
-        fine = run(sf, t_end, steps)[[steps // 4, steps // 2, steps]]
+    macro, fine, estimate = 4, None, np.inf
+    while estimate > budget and macro < REFERENCE_MACRO_CAP:
+        coarse, macro = fine, 2 * macro
+        try:
+            fine = gbs_path(field, sf, t_end, macro)[[macro // 4, macro // 2, macro]]
+        except BlowupError:  # not converged, unless at the cap
+            if macro >= REFERENCE_MACRO_CAP:
+                raise
+            fine = None
+        both = coarse is not None and fine is not None
+        estimate = float(np.linalg.norm(fine - coarse, axis=(1, 2)).max()) if both else np.inf
+    met = estimate <= budget
+    return fine, {"estimate": estimate, "budget": budget, "steps": macro, "met_budget": met, "evals": evals}
 
 
 def run_findim(cfg: ExperimentConfig) -> list[Gate]:
@@ -452,6 +425,8 @@ def run(cfg: ExperimentConfig) -> int:
         raise ValueError(f"--m must be a power of two, at least 4, got {cfg.m_samples!r}")
     if cfg.depth < 1:
         raise ValueError(f"--j must be at least 1, got {cfg.depth!r}")
+    if {"flow", "pde"} & set(names) and cfg.t_final / cfg.h > MAX_STEPS:
+        raise ValueError(f"--t / --h may be at most {MAX_STEPS} steps, got {cfg.t_final / cfg.h:.3g}")
     if "factorize" in names and cfg.t_final <= 0:
         raise ValueError(f"factorize needs --t > 0, got {cfg.t_final!r}")
     failures = []

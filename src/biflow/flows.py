@@ -7,10 +7,10 @@ moves S by
 
 the two forms agreeing through the symmetrizer commutator identity.  The
 index (2, 0) is the Bloch-Iserles equation S' = [NS + SN, S] = [N, S^2].
-Integration is classical fixed-step RK4.  The field is formed symmetric bit
-for bit, so every RK4 state is exactly symmetric with no projection; drift
-reports evaluate every conserved quantity along a trajectory.  The
-companion full-matrix equation
+Integration is fixed-step RK4, or Gragg-Bulirsch-Stoer for references.
+The field is formed symmetric bit for bit, so every state is too, with no
+projection; drift reports evaluate every conserved quantity along a
+trajectory.  The companion full-matrix equation
 
     M' = [(M^T M + M M^T) + M^2, M^T] / 4
 
@@ -44,14 +44,15 @@ __all__ = [
     "bi_rhs",
     "m_rhs",
     "rk4_path",
+    "gbs_path",
     "integrate",
-    "integrate_matrix",
     "invariant_series",
     "drift_report",
     "flow_commutation",
 ]
 
 BLOWUP_NORM = 1e8
+GBS_STAGES = 6  # q: each GBS macro step runs 2, 4, ..., 2q midpoint substeps
 
 
 class BlowupError(NumericalError):
@@ -130,12 +131,7 @@ def rk4_path(
 
     Returns the times and a (steps+1, *y0.shape) array of the states.  The
     step count is round(t_final / h) with the step adjusted to land on
-    t_final exactly; a state norm above BLOWUP_NORM or a non-finite entry
-    aborts with :class:`BlowupError`.  The guard takes the largest entry
-    first: a NaN or inf fails it, and any entry above the bound puts the
-    norm above it too.  The norm, which can overflow for a huge finite
-    state, is taken only when the entries do not already bound it.  It is
-    the norm of the whole state: a stack of states is bounded jointly.
+    t_final exactly; every new state passes :func:`_guarded`.
     ``rhs`` checks nothing: callers vet the state where integration starts.
     """
     if h <= 0:
@@ -150,7 +146,6 @@ def rk4_path(
     times = np.linspace(0.0, t_final, steps + 1)
     path = np.empty((steps + 1, *y.shape), dtype=y.dtype)
     path[0] = y
-    quiet = 0.5 * BLOWUP_NORM / np.sqrt(max(y.size, 1))  # entries <= quiet: norm <= half the bound
     half, sixth = 0.5 * dt, dt / 6.0
     for i in range(1, steps + 1):
         k1 = rhs(y)
@@ -160,11 +155,48 @@ def rk4_path(
         y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if project is not None:
             y = project(y)
-        big = np.maximum.reduce(np.abs(y), axis=None)
-        if not big <= BLOWUP_NORM or (big > quiet and np.linalg.norm(y) > BLOWUP_NORM):
-            raise BlowupError("state left the admissible region")
-        path[i] = y
+        path[i] = _guarded(y)
     return times, path
+
+
+def gbs_path(
+    rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, t_final: float, macro: int
+) -> np.ndarray:
+    """Gragg-Bulirsch-Stoer over ``macro`` equal steps; the (macro+1, *y0.shape) states.
+
+    Each macro step runs Gragg's smoothed midpoint rule at 2, 4, ..., 2q
+    substeps (q = GBS_STAGES) and extrapolates in h^2 by Aitken-Neville
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.9), at 1 + q(q+1) calls of
+    ``rhs``.  Every stage passes :func:`_guarded` before ``rhs`` sees it.
+    """
+    path = np.empty((macro + 1, *np.shape(y0)))
+    y = path[0] = _guarded(np.asarray(y0, dtype=float))
+    for i in range(1, macro + 1):
+        f0, table = rhs(y), []
+        for count in range(2, 2 * GBS_STAGES + 1, 2):
+            h = t_final / (macro * count)
+            prev, z = y, y + h * f0
+            for _ in range(count - 1):
+                prev, z = z, prev + 2.0 * h * rhs(_guarded(z))
+            table.append(0.5 * (prev + z + h * rhs(_guarded(z))))
+        for k in range(1, GBS_STAGES):  # column k in place; entry j took 2j + 2 substeps
+            for j in range(GBS_STAGES - 1, k - 1, -1):
+                table[j] = table[j] + (table[j] - table[j - 1]) / (((j + 1) / (j + 1 - k)) ** 2 - 1.0)
+        y = path[i] = _guarded(table[-1])
+    return path
+
+
+def _guarded(y: np.ndarray) -> np.ndarray:
+    """``y`` if it is finite with norm at most BLOWUP_NORM, else :class:`BlowupError`.
+
+    The norm, which overflows for huge finite entries, is taken only when
+    the largest entry does not already bound it; a stack is bounded jointly.
+    """
+    big = np.maximum.reduce(np.abs(y), axis=None)
+    quiet = 0.5 * BLOWUP_NORM / y.size**0.5  # entries <= quiet: norm <= half the bound
+    if not big <= BLOWUP_NORM or (big > quiet and np.linalg.norm(y) > BLOWUP_NORM):
+        raise BlowupError("state left the admissible region")
+    return y
 
 
 def integrate(
@@ -175,13 +207,6 @@ def integrate(
     nf = n.full()
     times, path = rk4_path(lambda y: _field(y, nf, idx), s0.full(), t_final, h)
     return Trajectory(times, path, n)
-
-
-def integrate_matrix(
-    m0, rhs: Callable[[np.ndarray], np.ndarray], t_final: float, h: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 on a full (not necessarily symmetric) matrix state, no projection."""
-    return rk4_path(rhs, as_matrix(m0), t_final, h)
 
 
 def invariant_series(traj: Trajectory) -> dict[str, np.ndarray]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from biflow.blockpde import rhs_reduced
 from biflow.cli import RUNNERS, ExperimentConfig, sample_state
-from biflow.flows import bi_rhs, flow_commutation, integrate_matrix, m_rhs, rk4_path
+from biflow.flows import bi_rhs, flow_commutation, m_rhs, rk4_path
 from biflow.invariants import IntegralIndex, enumerate_indices
 from biflow.matcore import SplitMix64, random_matrix, random_sym
 from biflow.symmetrizer import lemma_a_residual
@@ -114,7 +114,7 @@ def test_criterion_6_factorization_solution(tmp_path):
     cfg = {"n": 3, "seed": 21, "k": 2, "l": 0, "t_final": 1.0, "m_samples": 256, "depth": 40}
     gates = runner_gates("factorize", tmp_path, [cfg])
     windings = [int(g.value) for g in gates if g.name.startswith("det_winding")]
-    gate(6, "Birkhoff solution matches RK4 (n=3, t in {0.25,0.5,1.0})",
+    gate(6, "Birkhoff solution matches the ODE reference (n=3, t in {0.25,0.5,1.0})",
          all(g.passed for g in gates),
          f"|dS| {worst(gates, 'ode_gap'):.3e}, residual {worst(gates, 'birkhoff_residual'):.3e}, "
          f"symmetry {worst(gates, 'factor_symmetry'):.3e}, windings {windings}",
@@ -169,7 +169,7 @@ def test_criterion_9_m_equation():
             float(np.linalg.norm(m_rhs(s.full() + k.full()) - bi_rhs(s, k).full())),
         )
     s, k = sample_state(3, seed=77)
-    _, path = integrate_matrix(s.full() + k.full(), m_rhs, t_final=1.0, h=1e-3)
+    _, path = rk4_path(m_rhs, s.full() + k.full(), t_final=1.0, h=1e-3)
     skew0 = 0.5 * (path[0] - path[0].T)
     skew_drift = max(float(np.linalg.norm(0.5 * (m - m.T) - skew0)) for m in path)
     ok = ident <= 1e-12 and skew_drift <= 1e-10

@@ -8,9 +8,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from biflow import cli, factorization, flows
+from biflow import cli, factorization
 from biflow.cli import Gate, main
-from biflow.flows import BlowupError, integrate, rk4_path
+from biflow.flows import BlowupError, gbs_path, integrate
 from biflow.invariants import IntegralIndex
 
 
@@ -19,21 +19,24 @@ def run_cli(args):
 
 
 @pytest.fixture
-def rk4_runs(monkeypatch):
-    """Every RK4 loop the CLI runs, in order: (loop steps, members stepped).
+def gbs_runs(monkeypatch):
+    """Every GBS run of the factorize reference, in order: (macro steps, paths kept).
 
-    A (2, n, n) state is a stacked pair; any other state is one member.
+    A run that ends in BlowupError is recorded as (macro, None).
     """
-    passes = []
+    runs = []
 
-    def counting_rk4_path(rhs, y0, *args, **kwargs):
-        times, path = rk4_path(rhs, y0, *args, **kwargs)
-        passes.append((len(times) - 1, len(y0) if np.ndim(y0) == 3 else 1))
-        return times, path
+    def recording_gbs_path(rhs, y0, t_final, macro):
+        try:
+            path = gbs_path(rhs, y0, t_final, macro)
+        except BlowupError:
+            runs.append((macro, None))
+            raise
+        runs.append((macro, path))
+        return path
 
-    for module in (cli, flows):
-        monkeypatch.setattr(module, "rk4_path", counting_rk4_path)
-    return passes
+    monkeypatch.setattr(cli, "gbs_path", recording_gbs_path)
+    return runs
 
 
 def assert_usage_error(code, capsys, out_dir):
@@ -147,22 +150,15 @@ class TestOtherExperiments:
         out = tmp_path / "out"
         assert_usage_error(run_cli([*args, "--out", out]), capsys, out)
 
-    def test_h_caps_factorize_reference_step(self, tmp_path, rk4_runs):
-        # --h is the coarse step of the pair, capped at 1e-3; at 5e-5 the
-        # first pair already reaches the floor of twice the steps of a
-        # single run at min(h, 1e-4).  The coarse run of 200 steps and the
-        # fine run of 400 take one stacked pass of 200 and 200 steps alone.
-        for h, want in (
-            (1e-3, [(200, 2), (200, 1)]),
-            (0.05, [(200, 2), (200, 1)]),
-            (5e-5, [(4000, 2), (4000, 1)]),
-        ):
-            rk4_runs.clear()
-            code = run_cli(
-                ["factorize", "--n", 3, "--t", 0.2, "--h", h, "--seed", 2, "--out", tmp_path]
-            )
-            assert code == 0
-            assert rk4_runs == want
+    def test_h_does_not_steer_the_reference(self, tmp_path):
+        # Under the RK4 pair, --h 5e-5 took the reference to 4000 steps.
+        args = ["factorize", "--n", 8, "--t", 0.5, "--seed", 7]
+        outputs = []
+        for h in (1e-3, 0.05, 5e-5):
+            assert run_cli([*args, "--h", h, "--out", tmp_path / str(h)]) == 0
+            summary = json.loads((tmp_path / str(h) / "factorize.json").read_text())
+            outputs.append((summary["gates"], summary["diagnostics"]))
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_findim(self, tmp_path):
         assert run_cli(["findim", "--n", 3, "--seed", 2, "--out", tmp_path]) == 0
@@ -197,88 +193,76 @@ class TestOtherExperiments:
 
 
 class TestFactorizeReference:
-    # On the sample below, the largest Frobenius distance over the three
-    # checkpoints between one RK4 run at step 1e-4 and one at 1e-5.  The
-    # extrapolated reference must be no farther from the 1e-5 run.
-    SINGLE_RUN_GAP = 4.302e-14
-
     def test_one_run_matches_separate_runs(self):
+        # An independent reference: the RK4 Richardson pair at 2.5e-4 and
+        # 1.25e-4, whose own truncation estimate is 2.0e-15 here.  The gap
+        # of 2.6e-14 is rounding, summed over the pair's 6000 steps; the
+        # bound leaves room for it and is over 3000x under the budget.
         s0, nmat = cli.sample_state(8, 7)
         idx = IntegralIndex(2, 0)
-        got, info = cli._reference_states(s0, nmat, idx, 0.5, 1e-3)
+        got, info = cli._reference_states(s0, nmat, idx, 0.5)
         assert got.shape == (3, 8, 8)
-        assert info["steps"] == 1000 and info["met_budget"] is True
-        for t, state in zip((0.125, 0.25, 0.5), got):
-            coarse = integrate(s0, nmat, idx, t, 1e-3).states[-1]
-            fine = integrate(s0, nmat, idx, t, 5e-4).states[-1]
-            npt.assert_array_equal(state, (16 * fine - coarse) / 15)
-        tight = integrate(s0, nmat, idx, 0.5, 1e-5).states[[12500, 25000, 50000]]
-        assert np.linalg.norm(got - tight, axis=(1, 2)).max() <= self.SINGLE_RUN_GAP
-
-    @pytest.mark.parametrize(
-        "n, k, l, t, seed, steps", [(8, 4, 2, 0.2, 7, 400), (4, 2, 0, 4.0, 3, 8000)]
-    )
-    def test_stacked_pair_matches_separate_runs(self, n, k, l, t, seed, steps):
-        s0, nmat = cli.sample_state(n, seed)
-        idx = IntegralIndex(k, l)
-        got, info = cli._reference_states(s0, nmat, idx, t, 1e-3)
-        assert info["steps"] == steps and info["met_budget"] is True
-        q = steps // 4
-        coarse = integrate(s0, nmat, idx, t, t / (2 * q)).states[[q // 2, q, 2 * q]]
-        fine = integrate(s0, nmat, idx, t, t / steps).states[[q, 2 * q, steps]]
-        npt.assert_array_equal(got, (16 * fine - coarse) / 15)
+        assert info["steps"] == 16 and info["evals"] == 24 * 43 and info["met_budget"] is True
+        coarse = integrate(s0, nmat, idx, 0.5, 2.5e-4).states[[500, 1000, 2000]]
+        fine = integrate(s0, nmat, idx, 0.5, 1.25e-4).states[[1000, 2000, 4000]]
+        assert np.linalg.norm(got - (16 * fine - coarse) / 15, axis=(1, 2)).max() <= 1e-13
 
     @pytest.mark.parametrize(
         "n, k, l, t, seed", [(8, 2, 0, 0.5, 7), (6, 3, 0, 0.2, 7), (8, 4, 2, 0.2, 7)]
     )
-    def test_states_exactly_symmetric(self, monkeypatch, n, k, l, t, seed):
-        # No run projects, so every state of every pass, and the
-        # extrapolation, are symmetric through the field alone.
-        paths = []
-
-        def keep(rhs, y0, *args, **kwargs):
-            times, path = rk4_path(rhs, y0, *args, **kwargs)
-            paths.append(path)
-            return times, path
-
-        monkeypatch.setattr(cli, "rk4_path", keep)
+    def test_states_exactly_symmetric(self, gbs_runs, n, k, l, t, seed):
+        # No run projects, so every state of every run, and the result, are
+        # symmetric through the field alone.
         s0, nmat = cli.sample_state(n, seed)
-        got, _ = cli._reference_states(s0, nmat, IntegralIndex(k, l), t, 1e-3)
-        assert len(paths) >= 2
-        for path in [*paths, got]:
+        got, _ = cli._reference_states(s0, nmat, IntegralIndex(k, l), t)
+        assert len(gbs_runs) >= 2
+        for path in [*(path for _, path in gbs_runs), got]:
             assert np.array_equal(path, path.swapaxes(-1, -2))
 
-    def test_first_pair_costs_the_fine_run_steps(self, tmp_path, rk4_runs):
-        # The factorize-n8 op: a coarse run of 500 steps and a fine run of
-        # 1000 took 1500 loop steps as two runs, and take 1000 as one
-        # stacked pass of 500 and 500 steps of the fine run alone.
-        args = ["factorize", "--n", 8, "--k", 2, "--l", 0, "--t", 0.5, "--seed", 7]
-        assert run_cli([*args, "--out", tmp_path]) == 0
-        assert rk4_runs == [(500, 2), (500, 1)]
-        assert sum(steps for steps, _ in rk4_runs) == 1000
-
-    def test_halves_until_the_estimate_meets_the_budget(self, rk4_runs):
-        # The first estimate of the fine run's error, |fine - coarse| / 15 =
-        # 8.8e-10, is over the budget 1e-10 |S0|_F = 3.0e-10; the next is not.
+    def test_halves_until_the_estimate_meets_the_budget(self, gbs_runs):
+        # The gap of the 8- and 16-step runs is over the budget
+        # 1e-10 |S0|_F = 3.0e-10; that of the 16- and 32-step runs is not.
         s0, nmat = cli.sample_state(8, 7001)
-        idx = IntegralIndex(4, 0)
-        got, info = cli._reference_states(s0, nmat, idx, 0.5, 1e-3)
-        assert rk4_runs == [(500, 2), (500, 1), (2000, 1)]  # runs of 500, 1000 and 2000 steps
-        assert info["steps"] == 2000 and info["met_budget"] is True
-        assert info["estimate"] <= info["budget"] < 8.8e-10
-        coarse = integrate(s0, nmat, idx, 0.5, 0.5 / 1000).states[[250, 500, 1000]]
-        fine = integrate(s0, nmat, idx, 0.5, 0.5 / 2000).states[[500, 1000, 2000]]
-        npt.assert_array_equal(got, (16 * fine - coarse) / 15)
+        got, info = cli._reference_states(s0, nmat, IntegralIndex(4, 0), 0.5)
+        assert [macro for macro, _ in gbs_runs] == [8, 16, 32]
+        assert info["steps"] == 32 and info["met_budget"] is True
+        assert info["evals"] == 56 * 43
+        paths = [path[[m // 4, m // 2, m]] for m, path in gbs_runs]
+        assert np.linalg.norm(paths[1] - paths[0], axis=(1, 2)).max() > info["budget"]
+        assert info["estimate"] == np.linalg.norm(paths[2] - paths[1], axis=(1, 2)).max()
+        assert info["estimate"] <= info["budget"]
+        npt.assert_array_equal(got, paths[2])
 
-    def test_stops_at_the_step_floor(self, rk4_runs):
-        # The last estimate is still 28x the budget, but 3200 steps are past
-        # twice the 1000 of a single run at 1e-4; the diagnostics say so.
-        s0, nmat = cli.sample_state(8, 7)
-        _, info = cli._reference_states(s0, nmat, IntegralIndex(7, 0), 0.1, 1e-3)
-        # Runs of 100, 200, 400, 800, 1600 and 3200 steps; the first two share a pass.
-        assert rk4_runs == [(100, 2), (100, 1), (400, 1), (800, 1), (1600, 1), (3200, 1)]
-        assert info["steps"] == 3200 and info["met_budget"] is False
-        assert 20 * info["budget"] < info["estimate"] < 40 * info["budget"]
+    def test_stops_at_the_cap(self, tmp_path, monkeypatch):
+        # At t=4 the budget needs 32 macro steps; capped at 16 the run
+        # still ends, and the diagnostics say the budget was missed.
+        monkeypatch.setattr(cli, "REFERENCE_MACRO_CAP", 16)
+        assert run_cli(["factorize", "--t", 4, "--seed", 3, "--out", tmp_path]) == 1
+        reference = json.loads((tmp_path / "factorize.json").read_text())["diagnostics"]["reference"]
+        assert reference["steps"] == 16 and reference["met_budget"] is False
+        assert reference["estimate"] > reference["budget"]
+
+    def test_blowup_below_the_cap_doubles_macro(self, gbs_runs, monkeypatch):
+        # This stiff flow leaves the admissible region within one macro
+        # step of 8 or 16 per unit time; the runs of 32 and 64 converge.
+        s0, nmat = cli.sample_state(8, 10)
+        idx = IntegralIndex(6, 2)
+        monkeypatch.setattr(cli, "REFERENCE_MACRO_CAP", 64)
+        _, info = cli._reference_states(s0, nmat, idx, 0.1)
+        assert [(m, path is None) for m, path in gbs_runs] == [
+            (8, True), (16, True), (32, False), (64, False)
+        ]
+        assert info["steps"] == 64 and np.isfinite(info["estimate"])
+        monkeypatch.setattr(cli, "REFERENCE_MACRO_CAP", 16)
+        with pytest.raises(BlowupError):  # at the cap it ends the experiment
+            cli._reference_states(s0, nmat, idx, 0.1)
+
+    def test_stiff_flow_raises_no_runtime_warning(self):
+        s0, nmat = cli.sample_state(8, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, info = cli._reference_states(s0, nmat, IntegralIndex(6, 2), 0.1)
+        assert info["steps"] == cli.REFERENCE_MACRO_CAP and info["met_budget"] is False
 
 
 class TestNumericalFailure:
@@ -388,6 +372,22 @@ class TestNonFiniteTimeOrStep:
         out = tmp_path / "out"
         code = run_cli([exp, "--n", 4, "--seed", 1, "--out", out, "--config", cfg])
         assert_usage_error(code, capsys, out)
+
+
+class TestStepCap:
+    # The step count t / h overflowed int() in rk4_path, or asked np.empty
+    # for the whole path; now it is refused before any runner starts.
+    @pytest.mark.parametrize("command", ["flow", "pde", "all"])
+    @pytest.mark.parametrize(
+        "t, h", [(1e306, 1e-3), (1.0, 1e-320), (1e9, 1e-3)], ids=["t-overflow", "h-overflow", "t-huge"]
+    )
+    def test_usage_error(self, tmp_path, capsys, command, t, h):
+        out = tmp_path / "out"
+        code = run_cli([command, "--n", 4, "--t", t, "--h", h, "--seed", 1, "--out", out])
+        assert_usage_error(code, capsys, out)
+
+    def test_factorize_does_not_step_with_h(self, tmp_path):
+        assert run_cli(["factorize", "--n", 4, "--t", 0.2, "--h", 1e-9, "--seed", 2, "--out", tmp_path]) == 0
 
 
 class TestConfigFile:

@@ -11,8 +11,8 @@ from biflow.flows import (
     bi_rhs,
     drift_report,
     flow_commutation,
+    gbs_path,
     integrate,
-    integrate_matrix,
     invariant_series,
     m_rhs,
     rk4_path,
@@ -224,9 +224,7 @@ class TestIntegrate:
 
     def test_blowup_guard(self):
         with pytest.raises(BlowupError):
-            integrate_matrix(
-                np.array([[1.0]]), lambda y: y * y, t_final=30.0, h=0.5
-            )
+            rk4_path(lambda y: y * y, np.array([[1.0]]), t_final=30.0, h=0.5)
 
     # One step of length 1 from zero with a constant right-hand side lands
     # on that constant, so each case puts one chosen state before the guard.
@@ -278,6 +276,53 @@ class TestIntegrate:
             traj = integrate(s, n, idx, t_final=0.1, h=1e-3)
             assert traj.states.shape == (101, 4, 4)
             assert len(calls) <= 2
+
+
+class TestGBS:
+    def test_twelfth_order_on_halving_the_macro_step(self):
+        # A rotation y' = A y: with q = 6 stages the global error falls like
+        # H^12, so each halving of H divides it by about 4096.
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        c, s = np.cos(4.0), np.sin(4.0)
+        exact = np.array([[c, s], [-s, c]])
+        errs = [
+            np.linalg.norm(gbs_path(lambda y: a @ y, np.eye(2), 4.0, macro)[-1] - exact)
+            for macro in (1, 2, 4)
+        ]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 0.9 * 4096 <= coarse / fine <= 1.1 * 4096
+
+    def test_path_shape_and_field_evaluations(self):
+        calls = []
+
+        def rhs(y):
+            calls.append(1)
+            return -y
+
+        path = gbs_path(rhs, np.ones((2, 2)), 1.0, 3)
+        assert path.shape == (4, 2, 2)
+        npt.assert_array_equal(path[0], np.ones((2, 2)))
+        npt.assert_allclose(path[-1], np.full((2, 2), np.exp(-1.0)), rtol=1e-14)
+        assert len(calls) == 3 * (1 + flows.GBS_STAGES * (flows.GBS_STAGES + 1))
+
+    def test_field_never_sees_a_state_past_the_guard(self):
+        # y' = y^2 from 1 leaves every bound before t = 1.
+        seen = []
+
+        def rhs(y):
+            seen.append(np.abs(y).max())
+            return y * y
+
+        with pytest.raises(BlowupError):
+            gbs_path(rhs, np.array([[1.0]]), 30.0, 30)
+        assert seen and max(seen) <= BLOWUP_NORM
+
+    @pytest.mark.parametrize("start", [np.nan, 3.0 * BLOWUP_NORM])
+    def test_start_state_guarded(self, start):
+        seen = []
+        with pytest.raises(BlowupError):
+            gbs_path(seen.append, np.array([[start]]), 1.0, 1)
+        assert not seen
 
 
 class TestDrift:
@@ -380,7 +425,7 @@ class TestMEquation:
         s = random_sym(3, seed=30)
         n = random_skew_simple(3, seed=31)
         m0 = s.full() + n.full()
-        _, path = integrate_matrix(m0, m_rhs, t_final=1.0, h=1e-3)
+        _, path = rk4_path(m_rhs, m0, t_final=1.0, h=1e-3)
         skew0 = 0.5 * (path[0] - path[0].T)
         worst = max(np.linalg.norm(0.5 * (m - m.T) - skew0) for m in path)
         assert worst <= 1e-10
@@ -388,7 +433,7 @@ class TestMEquation:
     def test_sym_part_tracks_bi_flow(self):
         s = random_sym(3, seed=32)
         n = random_skew_simple(3, seed=33)
-        _, path = integrate_matrix(s.full() + n.full(), m_rhs, t_final=1.0, h=1e-3)
+        _, path = rk4_path(m_rhs, s.full() + n.full(), t_final=1.0, h=1e-3)
         traj = integrate(s, n, IntegralIndex(2, 0), t_final=1.0, h=1e-3)
         m_sym = 0.5 * (path[-1] + path[-1].T)
         assert np.linalg.norm(m_sym - traj.states[-1]) <= 1e-9
