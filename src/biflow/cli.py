@@ -11,12 +11,12 @@ error class, and the remaining experiments of ``all`` still run.
 Output formats are stable contracts: JSON summaries carry ``schema: 1``
 and a ``gates`` list of ``{name, value, tol, pass}``.  A runner returns
 its gates, or its gates and a ``diagnostics`` object for the summary:
-``factorize`` records there each solve's depth, tail, reality and
-aliasing estimate, and its reference's error estimate, macro steps and
-field evaluations (gates and diagnostics alike are deterministic).  CSV
-files start with a version header line (the only line allowed to differ
-between releases), a ``# schema: 1`` line, and a column-documentation
-comment.  All randomness flows through the explicit --seed; reruns with
+``factorize`` records there each solve's depth, tail, negative part,
+reality and aliasing estimate, and its reference's error estimate, macro
+steps and field evaluations (gates and diagnostics alike are
+deterministic).  CSV files start with a version header line (the only
+line allowed to differ between releases), a ``# schema: 1`` line, and a
+column-documentation comment.  All randomness flows through the explicit --seed; reruns with
 the same config are byte-identical after the version line.
 """
 
@@ -92,6 +92,10 @@ EXPERIMENTS = ("flow", "invariants", "commute", "factorize", "findim", "pde", "l
 # Largest --t / --h of flow and pde, which record every step: it bounds their
 # paths, such as flow's steps + 1 states of n x n floats (51 MB at n = 8).
 MAX_STEPS = 100_000
+# Largest --m: it bounds factorize's circle stacks, each M n x n complex
+# samples (4 MiB at n = 8 and 64 MiB at n = 32), of which expm and birkhoff
+# hold a few at once.
+MAX_SAMPLES = 4096
 # Macro steps of the finest factorize reference run; all runs take at most 504.
 REFERENCE_MACRO_CAP = 256
 
@@ -130,7 +134,7 @@ class ExperimentConfig:
     t_final: float = _param("--t", 1.0, "final time")
     h: float = _param("--h", 1e-3, "RK4 step")
     m_samples: int = _param("--m", 256, "circle samples")
-    depth: int = _param("--j", 40, "factor depth")
+    depth: int = _param("--j", 40, "cap on the start depth of the Birkhoff solve")
     out_dir: Path = field(default_factory=lambda: Path("."))
     tolerances: dict = field(default_factory=dict)
 
@@ -248,7 +252,8 @@ def run_factorize(cfg: ExperimentConfig) -> tuple[list[Gate], dict]:
         solved.append((fac, conjugated_states(fac, x0)[0]))
         aliasing = gamma.aliasing_estimate()
         checkpoints.append(
-            dict(t=t, depth=fac.g_minus.span - 1, tail=fac.tail, reality=fac.reality, aliasing=aliasing)
+            dict(t=t, depth=fac.g_minus.span - 1, tail=fac.tail, negative_part=fac.negative_part,
+                 reality=fac.reality, aliasing=aliasing)
         )
     refs, reference = _reference_states(s0, nmat, idx, times[-1])
     gates = []
@@ -421,8 +426,8 @@ def run(cfg: ExperimentConfig) -> int:
         raise ValueError(f"--h must be positive and finite, got {cfg.h!r}")
     if not np.isfinite(cfg.t_final):
         raise ValueError(f"--t must be finite, got {cfg.t_final!r}")
-    if cfg.m_samples < 4 or cfg.m_samples & (cfg.m_samples - 1):
-        raise ValueError(f"--m must be a power of two, at least 4, got {cfg.m_samples!r}")
+    if not 4 <= cfg.m_samples <= MAX_SAMPLES or cfg.m_samples & (cfg.m_samples - 1):
+        raise ValueError(f"--m must be a power of two from 4 to {MAX_SAMPLES}, got {cfg.m_samples!r}")
     if cfg.depth < 1:
         raise ValueError(f"--j must be at least 1, got {cfg.depth!r}")
     if {"flow", "pde"} & set(names) and cfg.t_final / cfg.h > MAX_STEPS:

@@ -7,6 +7,11 @@ one block-Toeplitz linear system in the Fourier coefficients, and read off
 
     S(t) = z^0 coefficient of g-(-z)^T X0(z) g-(z).
 
+The depth J starts one past the deepest negative coefficient of gamma
+above rounding level (``START_TOL``), at most the caller's depth, and
+doubles while the deepest c_J is above ``TAIL_TOL``.  g+ is the
+nonnegative part of gamma g-, taken by one FFT of its circle samples.
+
 Loops built this way satisfy gamma(z) gamma(-z)^T = I, which forces a
 trivial diagonal factor, a unique splitting, factors with the same
 symmetry, and zero winding of det gamma; those properties are checked
@@ -57,6 +62,7 @@ class AliasingError(FactorizationError):
 EXPM_TOL = 1e-13  # 1-norm of the last Taylor term summed by expm
 ALIASING_TOL = 1e-10  # largest top-frequency coefficient sample_exp accepts
 TAIL_TOL = 1e-10  # largest deepest g_minus coefficient birkhoff accepts
+START_TOL = 1e-15  # gamma coefficients above this set birkhoff's start depth
 RESIDUAL_TOL = 1e-6  # largest sample norm of gamma - g_plus g_minus^-1
 REALITY_TOL = 1e-10  # largest imaginary part of a factor coefficient
 MAX_DEPTH = 256  # deepest g_minus window birkhoff doubles up to
@@ -211,8 +217,10 @@ class BirkhoffFactors:
 
     ``g_minus`` has window [-J, 0] with unit constant term, ``g_plus``
     window [0, M/2 - J]; ``residual`` is the largest sample norm of
-    gamma - g_plus g_minus^-1, and ``tail`` the norm of the deepest kept
-    g_minus coefficient.
+    gamma - g_plus g_minus^-1, ``tail`` the norm of the deepest kept
+    g_minus coefficient, and ``negative_part`` the largest norm of the
+    coefficients of gamma g_minus at degrees -1 .. -J, which the Birkhoff
+    condition sets to zero.
     """
 
     g_minus: LaurentLoop
@@ -221,6 +229,7 @@ class BirkhoffFactors:
     tail: float
     winding: int
     reality: float
+    negative_part: float
 
 
 def _real_part(arr: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -236,19 +245,28 @@ def birkhoff(gamma: FourierLoop, depth: int = 40) -> BirkhoffFactors:
     Writing g- = I + sum_{j=1..J} c_j z^-j, the defining condition that
     gamma * g- has no negative Fourier coefficients down to depth J is the
     block-Toeplitz system  sum_j Gamma_{m+j} c_j = -Gamma_m, m = -1..-J,
-    solved densely by LU with partial pivoting.  If the deepest computed
+    solved densely by LU with partial pivoting.  J starts at one past the
+    deepest d <= M/2 - 1 with |Gamma_{-d}|_F above ``START_TOL``, capped at
+    ``depth``; the deepest such d, not the first d below it, so that a zero
+    Gamma_{-d} at small d does not stop the search.  If the deepest computed
     coefficient is above ``TAIL_TOL`` the depth is doubled (up to
     ``MAX_DEPTH``); a singular system means the loop left the factorizable
     cell, which the loop symmetry rules out for healthy inputs.
+
+    g_plus is degrees 0 .. M/2 - J of gamma g_minus, from one FFT of the
+    product of their circle samples; the same g_minus samples serve the
+    residual check.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     winding = det_winding(gamma)
     if winding != 0:
         raise FactorizationError(f"det winding {winding} != 0; diagonal factor nontrivial")
-    n = gamma.n
-    j_cap = gamma.m_samples // 2 - 1
-    j = min(depth, j_cap)
+    n, m_samples = gamma.n, gamma.m_samples
+    j_cap = m_samples // 2 - 1
+    norms = np.linalg.norm(gamma.coeff(-np.arange(1, j_cap + 1)), axis=(1, 2))  # |Gamma_{-d}|_F
+    above = np.flatnonzero(norms > START_TOL)  # index d - 1 of each Gamma_{-d} above
+    j = min(depth, j_cap, int(above[-1]) + 2 if above.size else 1)
     while True:
         # System block (r, c) is Gamma_{c-r}, r, c = 1..j; rhs block r is -Gamma_{-r}.
         # Block row r is window r of the degrees j-1 .. -(j-1), read backwards.
@@ -272,21 +290,19 @@ def birkhoff(gamma: FourierLoop, depth: int = 40) -> BirkhoffFactors:
     g_minus_arr = _real_part(cs[::-1], REALITY_TOL, "g_minus coefficient")
     g_minus = LaurentLoop(-j, np.concatenate([g_minus_arr, np.eye(n)[None]]))
 
-    width = gamma.m_samples // 2 - j + 1  # g_plus degrees 0 .. M/2 - j
-    gamma.coeff(width - 1 + j)  # the last slice below ends at M/2, inside the resolved band
-    acc = gamma.coeffs[:width]
-    for jj in range(1, j + 1):  # every m at once, each sum still in jj order
-        acc = acc + gamma.coeffs[jj : jj + width] @ cs[jj - 1]
+    gm = _circle_values(g_minus, m_samples)
+    product = np.fft.fft(gamma.samples @ gm, axis=0) / m_samples  # degree d in slot d mod M
+    negative_part = _max_norm(product[-j:])
     tol = max(REALITY_TOL, 10 * gamma.reality_residual())
-    g_plus = LaurentLoop(0, _real_part(acc, tol, "g_plus coefficient"))
+    g_plus = LaurentLoop(0, _real_part(product[: m_samples // 2 - j + 1], tol, "g_plus coefficient"))
 
-    gm_t = _circle_values(g_minus, gamma.m_samples).transpose(0, 2, 1)
-    gp_t = _circle_values(g_plus, gamma.m_samples).transpose(0, 2, 1)
+    gm_t = gm.transpose(0, 2, 1)
+    gp_t = _circle_values(g_plus, m_samples).transpose(0, 2, 1)
     approx = np.linalg.solve(gm_t, gp_t).transpose(0, 2, 1)  # g_plus @ inv(g_minus)
     residual = _max_norm(gamma.samples - approx)
     if residual > RESIDUAL_TOL:
         raise FactorizationError(f"factorization residual {residual:.3e} above {RESIDUAL_TOL:.1e}")
-    return BirkhoffFactors(g_minus, g_plus, residual, tail, winding, reality)
+    return BirkhoffFactors(g_minus, g_plus, residual, tail, winding, reality, negative_part)
 
 
 def _circle_values(loop: LaurentLoop, m_samples: int) -> np.ndarray:

@@ -118,6 +118,20 @@ class TestOtherExperiments:
         assert diagnostics["reference"]["met_budget"] is True
         assert diagnostics["reference"]["estimate"] <= diagnostics["reference"]["budget"]
 
+    def test_negative_part_recorded_and_deterministic(self, tmp_path):
+        # The negative-degree part of gamma g_minus, which the Birkhoff
+        # condition sets to zero, at every checkpoint of the factorize-n8 config.
+        args = ["factorize", "--n", 8, "--k", 2, "--l", 0, "--t", 0.5, "--seed", 7]
+        texts = []
+        for name in ("a", "b"):
+            assert run_cli([*args, "--out", tmp_path / name]) == 0
+            texts.append((tmp_path / name / "factorize.json").read_text())
+        assert texts[0] == texts[1]
+        checkpoints = json.loads(texts[0])["diagnostics"]["checkpoints"]
+        assert len(checkpoints) == 3
+        for c in checkpoints:
+            assert 0.0 <= c["negative_part"] <= factorization.TAIL_TOL
+
     def test_one_exponential_for_three_checkpoints(self, tmp_path, monkeypatch):
         # The samples at t/2 and t are the squares of those at t/4 and t/2.
         shapes = []
@@ -388,6 +402,29 @@ class TestStepCap:
 
     def test_factorize_does_not_step_with_h(self, tmp_path):
         assert run_cli(["factorize", "--n", 4, "--t", 0.2, "--h", 1e-9, "--seed", 2, "--out", tmp_path]) == 0
+
+
+class TestSampleCap:
+    # --m was checked only for being a power of two; a huge one went on to
+    # circle_points and expm with that many samples.  Now it is refused
+    # before any runner starts.
+    @pytest.mark.parametrize("command", ["factorize", "all"])
+    @pytest.mark.parametrize("m", [2 * cli.MAX_SAMPLES, 2**40])
+    def test_usage_error(self, tmp_path, capsys, command, m):
+        out = tmp_path / "out"
+        code = run_cli([command, "--n", 4, "--t", 0.2, "--m", m, "--seed", 1, "--out", out])
+        assert_usage_error(code, capsys, out)
+
+    def test_config_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m_samples": 2 * cli.MAX_SAMPLES}))
+        out = tmp_path / "out"
+        code = run_cli(["factorize", "--n", 4, "--t", 0.2, "--seed", 1, "--out", out, "--config", cfg])
+        assert_usage_error(code, capsys, out)
+
+    @pytest.mark.parametrize("m", [1024, cli.MAX_SAMPLES])
+    def test_largest_counts_run(self, tmp_path, m):
+        assert run_cli(["factorize", "--n", 4, "--t", 0.2, "--m", m, "--seed", 2, "--out", tmp_path]) == 0
 
 
 class TestConfigFile:

@@ -1,11 +1,16 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from biflow import cli
+from biflow import cli, factorization
 from biflow.factorization import (
+    START_TOL,
+    TAIL_TOL,
     AliasingError,
     FactorizationError,
+    FourierLoop,
     _circle_values,
     _conjugation_coeffs,
     birkhoff,
@@ -28,6 +33,21 @@ def bi_state(n, seed, scale=1.0):
     s = SymMatrix(n, scale * random_sym(n, seed).packed)
     k = SkewMatrix(n, scale * random_skew_simple(n, seed + 900).packed)
     return BILoop(s, k)
+
+
+@pytest.fixture
+def systems(monkeypatch):
+    """Every block-Toeplitz system birkhoff solves, in order (the 2-D solves)."""
+    kept = []
+    solve = np.linalg.solve
+
+    def keep(a, b):
+        if a.ndim == 2:
+            kept.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", keep)
+    return kept
 
 
 class TestGenerator:
@@ -225,13 +245,9 @@ class TestWinding:
     def test_constant_loop(self):
         samples = np.stack([np.eye(2, dtype=complex)] * 16)
         coeffs = np.fft.fft(samples, axis=0) / 16
-        from biflow.factorization import FourierLoop
-
         assert det_winding(FourierLoop(samples, coeffs)) == 0
 
     def test_z_times_identity_winds(self):
-        from biflow.factorization import FourierLoop
-
         zs = circle_points(16)
         samples = np.stack([z * np.eye(2, dtype=complex) for z in zs])
         coeffs = np.fft.fft(samples, axis=0) / 16
@@ -240,8 +256,6 @@ class TestWinding:
 
 class TestBirkhoff:
     def test_identity_loop(self):
-        from biflow.factorization import FourierLoop
-
         samples = np.stack([np.eye(3, dtype=complex)] * 64)
         coeffs = np.fft.fft(samples, axis=0) / 64
         fac = birkhoff(FourierLoop(samples, coeffs), depth=4)
@@ -252,8 +266,6 @@ class TestBirkhoff:
     def test_plus_loop_untouched(self):
         # exp of z * (skew) is already analytic inside with the symmetry,
         # so uniqueness forces g- = I and g+ = gamma.
-        from biflow.factorization import FourierLoop
-
         k = 0.4 * random_skew_simple(3, seed=15).full()
         zs = circle_points(64)
         samples = np.stack([expm(z * k) for z in zs])
@@ -265,19 +277,10 @@ class TestBirkhoff:
         for d in fac.g_plus.degrees():
             npt.assert_allclose(fac.g_plus.coeff(d), coeffs[d % 64].real, atol=1e-11)
 
-    def test_system_matches_fancy_index_build(self, monkeypatch):
+    def test_system_matches_fancy_index_build(self, systems):
         # The block-Toeplitz system is a copy of strided windows; the old
         # build gathered every block by index and transposed.
         gamma = sample_exp(generator(bi_state(4, seed=21), IntegralIndex(2, 0)), 0.5, 256)
-        systems = []
-        solve = np.linalg.solve
-
-        def keep(a, b):
-            if a.ndim == 2:
-                systems.append(a)
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", keep)
         for depth in (1, 2, 7, 40):
             systems.clear()
             birkhoff(gamma, depth=depth)
@@ -303,9 +306,15 @@ class TestBirkhoff:
         assert circle_symmetry_residual(fac.g_plus) <= 1e-8
 
     def test_matches_coefficient_by_coefficient_build(self):
-        # The system, its right side and the g_plus sums are gathered from
-        # whole coefficient stacks; the factors must keep every bit of the
-        # block-by-block construction.
+        # The system and its right side are gathered from whole coefficient
+        # stacks; g_minus must keep every bit of the block-by-block solve.
+        # g_plus is one FFT of the samples of gamma g_minus, which sums in
+        # another order than the loop over c_1 .. c_j below.  The FFT's
+        # error in a coefficient is O(log2(M) eps) times the largest sample
+        # entry, the loop's O((j + n) eps) times the same scale; with
+        # log2(M) = 8, j <= 40 and n <= 5, 64 eps covers both.  The gaps
+        # seen are at most 1 eps times that scale.
+        eps = np.finfo(float).eps
         for n, seed, k in ((3, 20, 2), (4, 21, 3), (5, 22, 2)):
             x = bi_state(n, seed=seed)
             gamma = sample_exp(generator(x, IntegralIndex(k, 0)), t=0.4, m_samples=256)
@@ -316,11 +325,13 @@ class TestBirkhoff:
             rhs = -np.concatenate([gamma.coeff(-r) for r in rows], axis=0)
             cs = np.linalg.solve(system, rhs).reshape(j, n, n)
             assert np.array_equal(fac.g_minus.coeffs[:j], cs[::-1].real)
+            scale = np.abs(gamma.samples @ fac.g_minus.evaluate(circle_points(256))).max()
+            assert fac.g_plus.degrees() == range(0, 128 - j + 1)
             for m in fac.g_plus.degrees():
                 acc = gamma.coeff(m).copy()
                 for jj in rows:
                     acc = acc + gamma.coeff(m + jj) @ cs[jj - 1]
-                assert np.array_equal(fac.g_plus.coeff(m), acc.real)
+                assert np.abs(fac.g_plus.coeff(m) - acc.real).max() <= 64 * eps * scale
 
     def test_coefficient_gather_keeps_the_band_check(self):
         x = bi_state(3, seed=23)
@@ -341,6 +352,81 @@ class TestBirkhoff:
             npt.assert_allclose(
                 f1.g_minus.coeff(-j), f2.g_minus.coeff(-j), atol=1e-9
             )
+
+
+class TestStartDepth:
+    """The solve starts one past the deepest Gamma_{-d} above START_TOL,
+    capped at the requested depth, and doubles from there."""
+
+    def test_start_is_one_past_the_deepest_coefficient_above_start_tol(self, systems):
+        gamma = sample_exp(generator(bi_state(4, seed=21), IntegralIndex(2, 0)), 0.5, 256)
+        deepest = max(d for d in range(1, 128) if np.linalg.norm(gamma.coeff(-d)) > START_TOL)
+        assert deepest + 1 < 40
+        for depth in (1, 4, deepest, deepest + 1, 40, 200):
+            systems.clear()
+            birkhoff(gamma, depth=depth)
+            assert systems[0].shape[0] // 4 == min(depth, deepest + 1)
+
+    def test_zero_shallow_coefficient_does_not_stop_the_search(self, systems):
+        # gamma = I - A z^-5 with A^2 = 0 splits as g+ = I, g- = I + A z^-5.
+        # Gamma_{-1} is exactly zero: a start at the first coefficient below
+        # START_TOL would solve at depth 1, find c_1 = 0 and stop there.
+        a = np.zeros((3, 3))
+        a[0, 2] = 0.5
+        coeffs = np.zeros((64, 3, 3), dtype=complex)
+        coeffs[0], coeffs[-5] = np.eye(3), -a
+        gamma = FourierLoop(np.fft.ifft(coeffs, axis=0, norm="forward"), coeffs)
+        fac = birkhoff(gamma, depth=40)
+        assert systems[0].shape[0] // 3 == 6
+        npt.assert_allclose(fac.g_minus.coeff(-5), a, atol=1e-15)
+        npt.assert_allclose(fac.g_plus.coeff(0), np.eye(3), atol=1e-15)
+        assert fac.residual <= 1e-14
+
+    @pytest.mark.parametrize("seed", [7, 16201])
+    def test_depth_40_start_gives_the_same_states(self, monkeypatch, systems, seed):
+        # The factorize-n8 config (n = 8, (2, 0), t = 0.5, M = 256, --j 40).
+        # With START_TOL = 0 every Gamma_{-d} is above it, so each solve
+        # starts at depth 40 as it did before the start depth was chosen.
+        x0 = BILoop(*cli.sample_state(8, seed))
+        gen = generator(x0, IntegralIndex(2, 0))
+
+        def states():
+            out, gamma = [], None
+            for t in (0.125, 0.25, 0.5):
+                gamma = sample_exp(gen, t, 256, half=gamma)
+                out += [s.full() for s in conjugated_states(birkhoff(gamma, 40), x0)]
+            return np.array(out)
+
+        new = states()
+        assert min(a.shape[0] // 8 for a in systems) < 40
+        systems.clear()
+        monkeypatch.setattr(factorization, "START_TOL", 0.0)
+        old = states()
+        assert [a.shape[0] // 8 for a in systems] == [40, 40, 40]
+        assert np.linalg.norm(new - old, axis=(1, 2)).max() <= 1e-13
+
+    @pytest.mark.parametrize("seed", [7, 16201])
+    def test_start_keeps_the_checks_at_rounding_level(self, seed):
+        # At the factorize-n8 config the residual and factor symmetry read at
+        # most 6.4e-13 from a depth-40 start and from this one.  A start where
+        # Gamma_{-d} first falls below TAIL_TOL reads up to 8.0e-10, about
+        # two decades of gate margin lost.
+        x0 = BILoop(*cli.sample_state(8, seed))
+        gamma = None
+        for t in (0.125, 0.25, 0.5):
+            gamma = sample_exp(generator(x0, IntegralIndex(2, 0)), t, 256, half=gamma)
+            fac = birkhoff(gamma, 40)
+            symmetry = max(circle_symmetry_residual(g) for g in (fac.g_minus, fac.g_plus))
+            assert max(fac.residual, symmetry) <= 1e-11
+
+    def test_j_4_starts_at_4_and_doubles_to_the_tail(self, tmp_path, systems):
+        args = ["factorize", "--n", 8, "--t", 0.5, "--seed", 7, "--j", 4, "--out", tmp_path]
+        assert cli.main([str(a) for a in args]) == 0
+        depths = [a.shape[0] // 8 for a in systems]
+        assert depths.count(4) == 3 and set(depths) <= {4, 8, 16, 32, 64, 127}
+        summary = json.loads((tmp_path / "factorize.json").read_text())
+        for c in summary["diagnostics"]["checkpoints"]:
+            assert c["depth"] >= 8 and c["tail"] <= TAIL_TOL
 
 
 class TestCirclePath:
