@@ -291,9 +291,9 @@ def _reference_states(
     budget = 1e-10 * max(1.0, float(np.linalg.norm(sf)))
     evals = 0
 
-    def field(y: np.ndarray) -> np.ndarray:
+    def field(y: np.ndarray) -> np.ndarray:  # y is a stack of states
         nonlocal evals
-        evals += 1
+        evals += len(y)
         return _field(y, nf, idx)
 
     macro, fine, estimate = 4, None, np.inf

@@ -7,7 +7,10 @@ moves S by
 
 the two forms agreeing through the symmetrizer commutator identity.  The
 index (2, 0) is the Bloch-Iserles equation S' = [NS + SN, S] = [N, S^2].
-Integration is fixed-step RK4, or Gragg-Bulirsch-Stoer for references.
+Integration is fixed-step RK4, or Gragg-Bulirsch-Stoer for references;
+the GBS field receives stacks (k, *y0.shape) of independent states, and a
+macro step of q = GBS_STAGES sequences makes 1 + q(q+1) evaluations in
+1 + 2q calls.
 The field is formed symmetric bit for bit, so every state is too, with no
 projection; drift reports evaluate every conserved quantity along a
 trajectory.  The companion full-matrix equation
@@ -134,6 +137,8 @@ def rk4_path(
     t_final exactly; every new state passes :func:`_guarded`.
     ``rhs`` checks nothing: callers vet the state where integration starts.
     """
+    if not (np.isfinite(t_final) and np.isfinite(h)):
+        raise ValueError("final time and step size must be finite")
     if h <= 0:
         raise ValueError("step size must be positive")
     if t_final < 0:
@@ -166,35 +171,57 @@ def gbs_path(
 
     Each macro step runs Gragg's smoothed midpoint rule at 2, 4, ..., 2q
     substeps (q = GBS_STAGES) and extrapolates in h^2 by Aitken-Neville
-    (Hairer, Norsett & Wanner, Solving ODEs I, II.9), at 1 + q(q+1) calls of
-    ``rhs``.  Every stage passes :func:`_guarded` before ``rhs`` sees it.
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.9).  The sequences are
+    independent, so ``rhs`` receives a stack (k, *y0.shape): the start state,
+    then at each substep index s = 1 .. 2q the sequences still running, the
+    one of 2j substeps taking its smoothing step at s = 2j and leaving.  A
+    macro step is 1 + q(q+1) evaluations in 1 + 2q calls.  Every state passes
+    :func:`_guarded` on its own before ``rhs`` sees it.
     """
-    path = np.empty((macro + 1, *np.shape(y0)))
-    y = path[0] = _guarded(np.asarray(y0, dtype=float))
+    if macro < 1:
+        raise ValueError("macro must be a positive step count")
+    y = _guarded(np.asarray(y0, dtype=float))
+    path = np.empty((macro + 1, *y.shape))
+    path[0] = y
+    col = (-1,) + (1,) * y.ndim  # per-sequence numbers against a stack of states
+    h = (t_final / (macro * _GBS_COUNTS)).reshape(col)
+    neville = [d.reshape(col) for d in _NEVILLE]
+    table = np.empty((GBS_STAGES, *y.shape))
     for i in range(1, macro + 1):
-        f0, table = rhs(y), []
-        for count in range(2, 2 * GBS_STAGES + 1, 2):
-            h = t_final / (macro * count)
-            prev, z = y, y + h * f0
-            for _ in range(count - 1):
-                prev, z = z, prev + 2.0 * h * rhs(_guarded(z))
-            table.append(0.5 * (prev + z + h * rhs(_guarded(z))))
-        for k in range(1, GBS_STAGES):  # column k in place; entry j took 2j + 2 substeps
-            for j in range(GBS_STAGES - 1, k - 1, -1):
-                table[j] = table[j] + (table[j] - table[j - 1]) / (((j + 1) / (j + 1 - k)) ** 2 - 1.0)
+        prev, z = y, y + h * rhs(y[None])
+        for s in range(1, 2 * GBS_STAGES + 1):
+            first = (s - 1) // 2  # the sequences first, ..., q-1 are running
+            f = rhs(_guarded(z, stacked=True))
+            if s % 2 == 0:  # sequence `first` took s substeps: smooth it and drop it
+                table[first] = 0.5 * (prev[0] + z[0] + h[first] * f[0])
+                prev, z, f = prev[1:], z[1:], f[1:]
+                first += 1
+            prev, z = z, prev + 2.0 * h[first:] * f
+        for k, d in enumerate(neville, 1):  # column k from column k-1; entry j took 2j + 2 substeps
+            table[k:] = table[k:] + (table[k:] - table[k - 1 : -1]) / d
         y = path[i] = _guarded(table[-1])
     return path
 
 
-def _guarded(y: np.ndarray) -> np.ndarray:
+_GBS_COUNTS = np.arange(2, 2 * GBS_STAGES + 1, 2)  # substeps of each midpoint sequence
+# Aitken-Neville divisors (n_j / n_{j-k})^2 - 1 of the entries j >= k of columns k = 1 .. q-1
+_NEVILLE = [
+    np.array([((j + 1) / (j + 1 - k)) ** 2 - 1.0 for j in range(k, GBS_STAGES)]) for k in range(1, GBS_STAGES)
+]
+
+
+def _guarded(y: np.ndarray, stacked: bool = False) -> np.ndarray:
     """``y`` if it is finite with norm at most BLOWUP_NORM, else :class:`BlowupError`.
 
-    The norm, which overflows for huge finite entries, is taken only when
-    the largest entry does not already bound it; a stack is bounded jointly.
+    With ``stacked``, each ``y[i]`` is a state bounded on its own.  The norms,
+    which overflow for huge finite entries, are taken only when the largest
+    entry does not already bound them.
     """
     big = np.maximum.reduce(np.abs(y), axis=None)
-    quiet = 0.5 * BLOWUP_NORM / y.size**0.5  # entries <= quiet: norm <= half the bound
-    if not big <= BLOWUP_NORM or (big > quiet and np.linalg.norm(y) > BLOWUP_NORM):
+    size = y.size // len(y) if stacked else y.size
+    if big <= 0.5 * BLOWUP_NORM / size**0.5:  # then every norm is at most half the bound
+        return y
+    if not big <= BLOWUP_NORM or any(np.linalg.norm(x) > BLOWUP_NORM for x in (y if stacked else [y])):
         raise BlowupError("state left the admissible region")
     return y
 

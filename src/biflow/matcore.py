@@ -73,10 +73,17 @@ def _tril(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def as_stack(x) -> np.ndarray:
-    """Coerce a SymMatrix/SkewMatrix/array-like to finite float matrices (..., n, n)."""
+    """Coerce a SymMatrix/SkewMatrix/array-like to finite float matrices (..., n, n).
+
+    Complex input is refused, not cast: the cast would drop its imaginary part.
+    """
     if isinstance(x, (SymMatrix, SkewMatrix)):
         return x.full()
-    a = np.asarray(x, dtype=float)
+    a = np.asarray(x)
+    if a.dtype != float:
+        if a.dtype.kind == "c":
+            raise ValueError("expected real matrices, got complex entries")
+        a = a.astype(float)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     if not np.isfinite(a).all():

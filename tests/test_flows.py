@@ -226,6 +226,15 @@ class TestIntegrate:
         with pytest.raises(BlowupError):
             rk4_path(lambda y: y * y, np.array([[1.0]]), t_final=30.0, h=0.5)
 
+    @pytest.mark.parametrize(
+        "t_final, h",
+        [(np.inf, 0.1), (np.nan, 0.1), (1.0, np.inf), (1.0, np.nan), (-np.inf, 0.1)],
+        ids=["t-inf", "t-nan", "h-inf", "h-nan", "t-minus-inf"],
+    )
+    def test_refuses_non_finite_time_or_step(self, t_final, h):
+        with pytest.raises(ValueError, match="must be finite"):
+            rk4_path(lambda y: -y, np.ones((2, 2)), t_final=t_final, h=h)
+
     # One step of length 1 from zero with a constant right-hand side lands
     # on that constant, so each case puts one chosen state before the guard.
     @pytest.mark.parametrize(
@@ -278,6 +287,27 @@ class TestIntegrate:
             assert len(calls) <= 2
 
 
+def sequential_gbs_path(rhs, y0, t_final, macro):
+    """Oracle: the GBS macro steps with the six midpoint sequences run one after
+    another, one state per ``rhs`` call, and Aitken-Neville by descending j."""
+    q = flows.GBS_STAGES
+    path = np.empty((macro + 1, *np.shape(y0)))
+    y = path[0] = flows._guarded(np.asarray(y0, dtype=float))
+    for i in range(1, macro + 1):
+        f0, table = rhs(y), []
+        for count in range(2, 2 * q + 1, 2):
+            h = t_final / (macro * count)
+            prev, z = y, y + h * f0
+            for _ in range(count - 1):
+                prev, z = z, prev + 2.0 * h * rhs(flows._guarded(z))
+            table.append(0.5 * (prev + z + h * rhs(flows._guarded(z))))
+        for k in range(1, q):
+            for j in range(q - 1, k - 1, -1):
+                table[j] = table[j] + (table[j] - table[j - 1]) / (((j + 1) / (j + 1 - k)) ** 2 - 1.0)
+        y = path[i] = flows._guarded(table[-1])
+    return path
+
+
 class TestGBS:
     def test_twelfth_order_on_halving_the_macro_step(self):
         # A rotation y' = A y: with q = 6 stages the global error falls like
@@ -293,17 +323,102 @@ class TestGBS:
             assert 0.9 * 4096 <= coarse / fine <= 1.1 * 4096
 
     def test_path_shape_and_field_evaluations(self):
-        calls = []
+        # One call on the start state, then one per substep index s = 1 .. 2q,
+        # on a stack of 6, 6, 5, 5, ..., 1, 1 states: 1 + q(q+1) = 43 states
+        # in 1 + 2q = 13 calls per macro step.
+        stacks = []
 
         def rhs(y):
-            calls.append(1)
+            stacks.append(y.shape)
             return -y
 
         path = gbs_path(rhs, np.ones((2, 2)), 1.0, 3)
         assert path.shape == (4, 2, 2)
         npt.assert_array_equal(path[0], np.ones((2, 2)))
         npt.assert_allclose(path[-1], np.full((2, 2), np.exp(-1.0)), rtol=1e-14)
-        assert len(calls) == 3 * (1 + flows.GBS_STAGES * (flows.GBS_STAGES + 1))
+        q = flows.GBS_STAGES
+        assert all(shape[1:] == (2, 2) for shape in stacks)
+        assert sum(shape[0] for shape in stacks) == 3 * (1 + q * (q + 1))
+        assert len(stacks) == 3 * (1 + 2 * q)
+        sizes = [1] + [q - (s - 1) // 2 for s in range(1, 2 * q + 1)]
+        assert [shape[0] for shape in stacks] == 3 * sizes
+
+    @pytest.mark.parametrize("macro", [0, -1])
+    def test_refuses_no_macro_step(self, macro):
+        with pytest.raises(ValueError, match="macro"):
+            gbs_path(lambda y: -y, np.ones((2, 2)), 1.0, macro)
+
+    def test_rotation_matches_sequential_oracle(self):
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        for macro in (1, 2, 4):
+            want = sequential_gbs_path(lambda y: a @ y, np.eye(2), 4.0, macro)
+            assert np.array_equal(gbs_path(lambda y: a @ y, np.eye(2), 4.0, macro), want)
+
+    @pytest.mark.parametrize(
+        "n, k, l, seed, t, macros",
+        [
+            (8, 2, 0, 18003, 0.5, (8, 16)),
+            (8, 4, 2, 13, 0.2, (8,)),
+            (6, 3, 0, 7, 0.2, (8,)),
+            (16, 2, 0, 7, 0.2, (8,)),
+        ],
+    )
+    def test_field_matches_sequential_oracle(self, n, k, l, seed, t, macros):
+        s0, nmat = cli.sample_state(n, seed)
+        nf, idx = nmat.full(), IntegralIndex(k, l)
+
+        def field(y):
+            return flows._field(y, nf, idx)
+
+        for macro in macros:
+            want = sequential_gbs_path(field, s0.full(), t, macro)
+            assert np.array_equal(gbs_path(field, s0.full(), t, macro), want)
+
+    def test_blowup_matches_sequential_oracle(self):
+        # The stiff (6, 2) flow leaves the admissible region at 8 and 16
+        # macro steps on both forms; at 64 both run through, to the same bits.
+        s0, nmat = cli.sample_state(8, 10)
+        nf, idx = nmat.full(), IntegralIndex(6, 2)
+
+        def field(y):
+            return flows._field(y, nf, idx)
+
+        for macro in (8, 16):
+            for path in (sequential_gbs_path, gbs_path):
+                with pytest.raises(BlowupError):
+                    path(field, s0.full(), 0.1, macro)
+        want = sequential_gbs_path(field, s0.full(), 0.1, 64)
+        assert np.array_equal(gbs_path(field, s0.full(), 0.1, 64), want)
+
+    def test_stack_guard_bounds_each_state(self):
+        # Each of six states has norm 0.6 BLOWUP_NORM, the stack sqrt(6) times that.
+        stack = np.full((6, 2, 2), 0.3 * BLOWUP_NORM)
+        assert flows._guarded(stack, stacked=True) is stack
+        with pytest.raises(BlowupError):
+            flows._guarded(stack)  # as one state, the norm is past the bound
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [np.nan, 0.0, 0.0, 0.0],
+            [3.0 * BLOWUP_NORM, 0.0, 0.0, 0.0],
+            [0.6 * BLOWUP_NORM] * 4,
+            [1e300, 1e300, 0.0, 0.0],
+        ],
+        ids=["nan", "entry", "norm", "huge"],
+    )
+    def test_stack_guard_refuses_one_state_past_the_bound(self, entries):
+        stack = np.zeros((6, 2, 2))
+        stack[3] = np.reshape(entries, (2, 2))
+        with pytest.raises(BlowupError):
+            flows._guarded(stack, stacked=True)
+
+    def test_stacks_under_the_bound_state_by_state_pass(self):
+        # With a zero field all six sequences hold the start state, whose norm
+        # is 0.6 BLOWUP_NORM; the stacks' joint norms are above the bound.
+        y0 = np.full((2, 2), 0.3 * BLOWUP_NORM)
+        path = gbs_path(np.zeros_like, y0, 1.0, 2)
+        assert np.array_equal(path, np.stack([y0] * 3))
 
     def test_field_never_sees_a_state_past_the_guard(self):
         # y' = y^2 from 1 leaves every bound before t = 1.

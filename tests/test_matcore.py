@@ -7,6 +7,7 @@ from biflow.matcore import (
     SkewMatrix,
     SplitMix64,
     SymMatrix,
+    as_stack,
     cartan_split,
     char_poly,
     commutator,
@@ -42,6 +43,22 @@ class TestStorage:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             SymMatrix.from_full(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_rejects_complex(self):
+        # The cast to float would drop the imaginary part: char_poly of
+        # diag(i, 1) read [-0, -1, 1] in place of [i, -1 - i, 1].
+        for x in ([[1j, 0], [0, 1]], np.eye(2, dtype=complex), np.zeros((3, 2, 2), dtype=np.complex64)):
+            with pytest.raises(ValueError, match="complex"):
+                as_stack(x)
+        with pytest.raises(ValueError, match="complex"):
+            char_poly([[1j, 0], [0, 1]])
+
+    def test_real_input_cast_as_before(self):
+        ints = [[1, 2], [2, 3]]
+        got = as_stack(ints)
+        assert got.dtype == float and np.array_equal(got, np.array(ints, dtype=float))
+        x = np.ones((2, 2))
+        assert as_stack(x) is x
 
 
 class TestCommutator:
