@@ -60,6 +60,7 @@ class AliasingError(FactorizationError):
 
 
 EXPM_TOL = 1e-13  # 1-norm of the last Taylor term summed by expm
+EXPM_MAX_TERMS = 60  # Taylor terms expm sums before it gives up
 ALIASING_TOL = 1e-10  # largest top-frequency coefficient sample_exp accepts
 TAIL_TOL = 1e-10  # largest deepest g_minus coefficient birkhoff accepts
 START_TOL = 1e-15  # gamma coefficients above this set birkhoff's start depth
@@ -82,14 +83,15 @@ def generator(x0: BILoop, idx: IntegralIndex) -> LaurentLoop:
     return gradient_loop(x0, idx)  # which rejects an index not admissible for n
 
 
-def expm(a: np.ndarray, max_terms: int = 60) -> np.ndarray:
+def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a Taylor core.
 
     ``a`` is one (n, n) matrix or a stack (..., n, n).  Each matrix is
     scaled by its own 2^-s until its 1-norm is at most 1/2, its series is
-    summed until its own term norm falls below ``EXPM_TOL``, and the result
-    is squared s times.  A stack does per matrix exactly the arithmetic of a
-    single call, so each slice equals the exponential of that slice alone.
+    summed until its own term norm falls below ``EXPM_TOL`` (in at most
+    ``EXPM_MAX_TERMS`` terms), and the result is squared s times.  A stack
+    does per matrix exactly the arithmetic of a single call, so each slice
+    equals the exponential of that slice alone.
     """
     a = np.asarray(a)
     n = a.shape[-1]
@@ -102,7 +104,7 @@ def expm(a: np.ndarray, max_terms: int = 60) -> np.ndarray:
     out = np.broadcast_to(np.eye(n, dtype=b.dtype), b.shape).copy()
     term = out.copy()
     live, b_live = slice(None), b  # the series not yet converged: all, ungathered, at first
-    for m in range(1, max_terms + 1):
+    for m in range(1, EXPM_MAX_TERMS + 1):
         term = term @ b_live / m
         out[live] += term
         going = ~(np.linalg.norm(term, 1, axis=(1, 2)) < EXPM_TOL)
@@ -218,9 +220,10 @@ class BirkhoffFactors:
     ``g_minus`` has window [-J, 0] with unit constant term, ``g_plus``
     window [0, M/2 - J]; ``residual`` is the largest sample norm of
     gamma - g_plus g_minus^-1, ``tail`` the norm of the deepest kept
-    g_minus coefficient, and ``negative_part`` the largest norm of the
+    g_minus coefficient, ``negative_part`` the largest norm of the
     coefficients of gamma g_minus at degrees -1 .. -J, which the Birkhoff
-    condition sets to zero.
+    condition sets to zero, and ``symmetry`` the larger
+    :func:`circle_symmetry_residual` of the two factors on gamma's circle.
     """
 
     g_minus: LaurentLoop
@@ -230,6 +233,7 @@ class BirkhoffFactors:
     winding: int
     reality: float
     negative_part: float
+    symmetry: float
 
 
 def _real_part(arr: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -254,8 +258,8 @@ def birkhoff(gamma: FourierLoop, depth: int = 40) -> BirkhoffFactors:
     cell, which the loop symmetry rules out for healthy inputs.
 
     g_plus is degrees 0 .. M/2 - J of gamma g_minus, from one FFT of the
-    product of their circle samples; the same g_minus samples serve the
-    residual check.
+    product of their circle samples; the circle samples of both factors
+    serve the residual and symmetry checks.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -296,13 +300,13 @@ def birkhoff(gamma: FourierLoop, depth: int = 40) -> BirkhoffFactors:
     tol = max(REALITY_TOL, 10 * gamma.reality_residual())
     g_plus = LaurentLoop(0, _real_part(product[: m_samples // 2 - j + 1], tol, "g_plus coefficient"))
 
-    gm_t = gm.transpose(0, 2, 1)
-    gp_t = _circle_values(g_plus, m_samples).transpose(0, 2, 1)
-    approx = np.linalg.solve(gm_t, gp_t).transpose(0, 2, 1)  # g_plus @ inv(g_minus)
-    residual = _max_norm(gamma.samples - approx)
+    gp = _circle_values(g_plus, m_samples)
+    approx = np.linalg.solve(gm.transpose(0, 2, 1), gp.transpose(0, 2, 1)).transpose(0, 2, 1)
+    residual = _max_norm(gamma.samples - approx)  # approx = g_plus @ inv(g_minus)
     if residual > RESIDUAL_TOL:
         raise FactorizationError(f"factorization residual {residual:.3e} above {RESIDUAL_TOL:.1e}")
-    return BirkhoffFactors(g_minus, g_plus, residual, tail, winding, reality, negative_part)
+    symmetry = max(_symmetry_residual(gm), _symmetry_residual(gp))
+    return BirkhoffFactors(g_minus, g_plus, residual, tail, winding, reality, negative_part, symmetry)
 
 
 def _circle_values(loop: LaurentLoop, m_samples: int) -> np.ndarray:
@@ -327,9 +331,13 @@ def circle_symmetry_residual(loop: LaurentLoop, m_samples: int = 256) -> float:
     """
     if m_samples % 2:
         raise ValueError(f"sample count must be even, got {m_samples}")
-    vals = _circle_values(loop, m_samples)
-    flipped = np.roll(vals, -(m_samples // 2), axis=0)
-    return _max_norm(vals @ flipped.transpose(0, 2, 1) - np.eye(loop.n))
+    return _symmetry_residual(_circle_values(loop, m_samples))
+
+
+def _symmetry_residual(vals: np.ndarray) -> float:
+    """Max ||g(z) g(-z)^T - I|| over an even count of circle samples of g."""
+    flipped = np.roll(vals, -(len(vals) // 2), axis=0)
+    return _max_norm(vals @ flipped.transpose(0, 2, 1) - np.eye(vals.shape[1]))
 
 
 def _max_norm(stack: np.ndarray) -> float:
@@ -351,7 +359,7 @@ def _conjugation_coeffs(g: LaurentLoop, x0: BILoop) -> np.ndarray:
     i, as :func:`~biflow.laurent.mul` sums them, so it equals the
     coefficient of the full product bit for bit.
     """
-    p = mul(g.transpose_flip(), x0.loop(), 2 * g.span + 4)
+    p = mul(g.transpose_flip(), x0.loop())
     c = np.zeros((2, x0.n, x0.n))
     for d in (0, 1):
         lo, hi = max(p.lo, d - g.hi), min(p.hi, d - g.lo)  # degrees i of P that reach c_d

@@ -196,7 +196,7 @@ def induced_flow_rhs(a: DualElem) -> DualElem:
     return DualElem(SymMatrix.symmetric_part(vel), SkewMatrix.zero(a.n))
 
 
-def orbit_dimension_f(n: SkewMatrix, tol: float = 1e-8) -> int:
+def orbit_dimension_f(n: SkewMatrix) -> int:
     """Rank of T -> [N, T] on symmetric T: the coadjoint orbit dimension.
 
     Equals 2*floor(n^2/4) whenever N has simple spectrum.
@@ -209,4 +209,4 @@ def orbit_dimension_f(n: SkewMatrix, tol: float = 1e-8) -> int:
             e = np.zeros((dim, dim))
             e[i, j] = e[j, i] = 1.0
             images.append(commutator(nf, e))
-    return numerical_rank(images, tol)
+    return numerical_rank(images)

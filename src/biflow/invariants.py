@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 
+COND_CAP = 1e12  # largest condition number of the z-node system spectral_coeffs accepts
+
+
 class InterpolationError(NumericalError):
     """Spectral-curve interpolation is too ill-conditioned to trust."""
 
@@ -169,7 +172,7 @@ class SpectralTable:
         return sorted(self.table)
 
 
-def spectral_coeffs(s, n: SkewMatrix, cond_cap: float = 1e12) -> SpectralTable:
+def spectral_coeffs(s, n: SkewMatrix) -> SpectralTable:
     """Spectral-curve coefficient table from Chebyshev-node interpolation.
 
     det(S + zN - wI) has degree <= n in both z and w; n+1 real Chebyshev
@@ -181,7 +184,7 @@ def spectral_coeffs(s, n: SkewMatrix, cond_cap: float = 1e12) -> SpectralTable:
     dim = n.n
     nodes = np.cos(np.pi * (2 * np.arange(dim + 1) + 1) / (2 * (dim + 1)))
     vand = np.vander(nodes, dim + 1, increasing=True)
-    if np.linalg.cond(vand) > cond_cap:
+    if np.linalg.cond(vand) > COND_CAP:
         raise InterpolationError("z-node system too ill-conditioned")
     wcoeffs = char_poly(sf[..., None, :, :] + nodes[:, None, None] * n.full())  # (..., node, w)
     batch = wcoeffs.shape[:-2]
@@ -232,9 +235,9 @@ def orbit_membership(s: SymMatrix, s0: SymMatrix, n0: SkewMatrix, tol: float) ->
     return bool(np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want))))
 
 
-def integral_independence_rank(s: SymMatrix, n: SkewMatrix, tol: float = 1e-8) -> int:
+def integral_independence_rank(s: SymMatrix, n: SkewMatrix) -> int:
     """Rank of the admissible family of Hamiltonian vector fields at (s, n).
 
     Each field is -[sym_{k-l,l}(S, N), N]; generic points give floor(n^2/4).
     """
-    return numerical_rank(_hamiltonian_fields(s, n)[2], tol)
+    return numerical_rank(_hamiltonian_fields(s, n)[2])

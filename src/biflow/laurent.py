@@ -9,9 +9,8 @@ exponentials for generating group elements near the identity, inversion
 through the loop-group symmetry g(z) g(-z)^T = I, and the coadjoint action
 built from those pieces.
 
-All arithmetic is exact on finite windows.  A global cap on the degree span
-guards products against runaway windows; exceeding it raises instead of
-silently truncating.  Loops are immutable after construction.
+All arithmetic is exact on finite windows, and loops are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -21,10 +20,8 @@ import numpy as np
 from .matcore import NumericalError, SkewMatrix, SplitMix64, SymMatrix, as_matrix
 
 __all__ = [
-    "DEFAULT_MAX_SPAN",
     "LaurentLoop",
     "BILoop",
-    "WindowOverflowError",
     "LoopSymmetryError",
     "LoopConvergenceError",
     "mul",
@@ -46,11 +43,9 @@ __all__ = [
     "random_dual_loop",
 ]
 
-DEFAULT_MAX_SPAN = 64
-
-
-class WindowOverflowError(NumericalError):
-    """Product window would exceed the configured degree-span cap."""
+EXP_TOL = 1e-14  # largest norm of the last term exp_truncated sums
+EXP_MAX_TERMS = 500  # terms exp_truncated sums before it gives up
+SYMMETRY_TOL = 1e-10  # largest defect of g(z) g(-z)^T = I an inverse accepts
 
 
 class LoopSymmetryError(ValueError):
@@ -234,23 +229,18 @@ class BILoop:
         return f"BILoop(n={self.n})"
 
 
-def mul(x: LaurentLoop, y: LaurentLoop, max_span: int | None = None) -> LaurentLoop:
+def mul(x: LaurentLoop, y: LaurentLoop) -> LaurentLoop:
     """Cauchy product of two loops.
 
-    The result window is the sum of the factor windows; a span above
-    ``max_span`` (default :data:`DEFAULT_MAX_SPAN`) raises
-    :class:`WindowOverflowError` rather than truncating.  One stacked
+    The result window is the sum of the factor windows.  One stacked
     product per coefficient of the shorter factor: x_i times all of y in
     order of i, or all of x times y_j from the last j to the first.  Either
     way each coefficient is the sum of x_i y_{m-i} in increasing order of
     i, so both give the same bits.
     """
     x._check_dim(y)
-    cap = DEFAULT_MAX_SPAN if max_span is None else max_span
     lo = x.lo + y.lo
     hi = x.hi + y.hi
-    if hi - lo + 1 > cap:
-        raise WindowOverflowError(f"product span {hi - lo + 1} exceeds cap {cap}")
     arr = np.zeros((hi - lo + 1, x.n, x.n))
     lx, ly = len(x.coeffs), len(y.coeffs)
     if lx <= ly:
@@ -262,16 +252,16 @@ def mul(x: LaurentLoop, y: LaurentLoop, max_span: int | None = None) -> LaurentL
     return LaurentLoop(lo, arr)
 
 
-def loop_commutator(x: LaurentLoop, y: LaurentLoop, max_span: int | None = None) -> LaurentLoop:
-    return mul(x, y, max_span) - mul(y, x, max_span)
+def loop_commutator(x: LaurentLoop, y: LaurentLoop) -> LaurentLoop:
+    return mul(x, y) - mul(y, x)
 
 
-def loop_power(x: LaurentLoop, k: int, max_span: int | None = None) -> LaurentLoop:
+def loop_power(x: LaurentLoop, k: int) -> LaurentLoop:
     if k < 0:
         raise ValueError("power must be nonnegative")
     out = LaurentLoop.identity(x.n)
     for _ in range(k):
-        out = mul(out, x, max_span)
+        out = mul(out, x)
     return out
 
 
@@ -323,31 +313,28 @@ def pairing(x: LaurentLoop, y: LaurentLoop) -> float:
     return total
 
 
-def rbracket(x: LaurentLoop, y: LaurentLoop, max_span: int | None = None) -> LaurentLoop:
+def rbracket(x: LaurentLoop, y: LaurentLoop) -> LaurentLoop:
     """Factorization bracket [P+X, P+Y] - [P-X, P-Y]."""
-    plus = loop_commutator(proj_plus(x), proj_plus(y), max_span)
-    minus = loop_commutator(proj_minus(x), proj_minus(y), max_span)
+    plus = loop_commutator(proj_plus(x), proj_plus(y))
+    minus = loop_commutator(proj_minus(x), proj_minus(y))
     return plus - minus
 
 
-def rbracket_via_r(x: LaurentLoop, y: LaurentLoop, max_span: int | None = None) -> LaurentLoop:
+def rbracket_via_r(x: LaurentLoop, y: LaurentLoop) -> LaurentLoop:
     """Same bracket as ([RX, Y] + [X, RY]) / 2 with R = P+ - P-."""
     rx = proj_plus(x) - proj_minus(x)
     ry = proj_plus(y) - proj_minus(y)
-    return 0.5 * (loop_commutator(rx, y, max_span) + loop_commutator(x, ry, max_span))
+    return 0.5 * (loop_commutator(rx, y) + loop_commutator(x, ry))
 
 
-def exp_truncated(
-    x: LaurentLoop,
-    window: tuple[int, int],
-    tol: float = 1e-14,
-    max_terms: int = 500,
-) -> LaurentLoop:
+def exp_truncated(x: LaurentLoop, window: tuple[int, int]) -> LaurentLoop:
     """Partial sum of exp(X) restricted to a degree window.
 
     X must be one-sided (all degrees negative, or all nonnegative) so that
     coefficients dropped outside the window can never flow back in; the sum
-    stops once the window-restricted norm of the next term drops below tol.
+    stops once the window-restricted norm of the next term drops below
+    ``EXP_TOL``, and raises :class:`LoopConvergenceError` after
+    ``EXP_MAX_TERMS`` terms.
     """
     lo_w, hi_w = window
     if lo_w > hi_w:
@@ -358,16 +345,15 @@ def exp_truncated(
         raise ValueError("exponent must be one-sided in degree")
     out = LaurentLoop.identity(x.n)
     term = LaurentLoop.identity(x.n)
-    span_cap = (hi_w - lo_w + 1) + x.span + 2
-    for m in range(1, max_terms + 1):
-        term = (1.0 / m) * mul(term, x, max_span=max(span_cap, DEFAULT_MAX_SPAN))
+    for m in range(1, EXP_MAX_TERMS + 1):
+        term = (1.0 / m) * mul(term, x)
         term = term.restrict(lo_w, hi_w)
-        if term.is_zero() or term.norm() < tol:
+        if term.is_zero() or term.norm() < EXP_TOL:
             if not term.is_zero():
                 out = out + term
             return out
         out = out + term
-    raise LoopConvergenceError(f"exponential did not converge in {max_terms} terms")
+    raise LoopConvergenceError(f"exponential did not converge in {EXP_MAX_TERMS} terms")
 
 
 def symmetry_defect(g: LaurentLoop, window: tuple[int, int] | None = None) -> float:
@@ -378,48 +364,40 @@ def symmetry_defect(g: LaurentLoop, window: tuple[int, int] | None = None) -> fl
     are meaningful.
     """
     lo, hi = window if window is not None else g.window
-    cap = max(2 * g.span + 1, DEFAULT_MAX_SPAN)
-    prod = mul(g, g.transpose_flip(), max_span=cap) - LaurentLoop.identity(g.n)
+    prod = mul(g, g.transpose_flip()) - LaurentLoop.identity(g.n)
     prod = prod.restrict(min(lo, 0), max(hi, 0))
     return 0.0 if prod.is_zero() else prod.norm()
 
 
-def loop_inverse_by_symmetry(g: LaurentLoop, tol: float = 1e-10) -> LaurentLoop:
+def loop_inverse_by_symmetry(g: LaurentLoop) -> LaurentLoop:
     """Inverse z -> g(-z)^T of a loop satisfying g(z) g(-z)^T = I.
 
-    Raises :class:`LoopSymmetryError` when the symmetry fails beyond tol on
-    the loop's own window.
+    Raises :class:`LoopSymmetryError` when the symmetry fails beyond
+    ``SYMMETRY_TOL`` on the loop's own window.
     """
     defect = symmetry_defect(g)
-    if defect > tol:
+    if defect > SYMMETRY_TOL:
         raise LoopSymmetryError(f"loop symmetry violated (defect {defect:.3e})")
     return g.transpose_flip()
 
 
-def coadjoint(
-    g_plus: LaurentLoop,
-    g_minus: LaurentLoop,
-    x: LaurentLoop,
-    tol: float = 1e-10,
-    max_span: int | None = None,
-) -> LaurentLoop:
+def coadjoint(g_plus: LaurentLoop, g_minus: LaurentLoop, x: LaurentLoop) -> LaurentLoop:
     """Coadjoint action P-(g+^-1 X g+) + P+(g-^-1 X g-).
 
-    Inverses are taken through the loop symmetry.  Because g+ carries only
-    nonnegative degrees and g- only nonpositive ones with unit constant
-    term, the output window is contained in that of X by construction.
+    Inverses are taken through the loop symmetry.  Both factors must hold
+    it, and g- its unit constant term, to ``SYMMETRY_TOL``.  Because g+
+    carries only nonnegative degrees and g- only nonpositive ones with unit
+    constant term, the output window is contained in that of X by
+    construction.
     """
     if g_plus.lo < 0:
         raise ValueError("g_plus must have nonnegative degrees")
-    if g_minus.hi > 0 or np.linalg.norm(g_minus.coeff(0) - np.eye(g_minus.n)) > tol:
+    if g_minus.hi > 0 or np.linalg.norm(g_minus.coeff(0) - np.eye(g_minus.n)) > SYMMETRY_TOL:
         raise ValueError("g_minus must have nonpositive degrees and unit constant term")
-    cap = max_span if max_span is not None else max(
-        DEFAULT_MAX_SPAN, 2 * g_plus.span + x.span + 2, 2 * g_minus.span + x.span + 2
-    )
-    gp_inv = loop_inverse_by_symmetry(g_plus, tol)
-    gm_inv = loop_inverse_by_symmetry(g_minus, tol)
-    part_minus = proj_minus(mul(mul(gp_inv, x, cap), g_plus, cap))
-    part_plus = proj_plus(mul(mul(gm_inv, x, cap), g_minus, cap))
+    gp_inv = loop_inverse_by_symmetry(g_plus)
+    gm_inv = loop_inverse_by_symmetry(g_minus)
+    part_minus = proj_minus(mul(mul(gp_inv, x), g_plus))
+    part_plus = proj_plus(mul(mul(gm_inv, x), g_minus))
     return part_minus + part_plus
 
 

@@ -40,6 +40,11 @@ __all__ = [
 
 _U64 = (1 << 64) - 1
 
+STRUCTURE_TOL = 1e-12  # relative asymmetry (or skew defect) from_full accepts
+RANK_TOL = 1e-8  # singular values counted by numerical_rank, relative to the largest
+SIMPLE_GAP = 1e-6  # least separation of the skew spectrum values read as simple
+MAX_RESAMPLES = 100  # draws random_skew_simple makes before it gives up
+
 
 class NumericalError(RuntimeError):
     """A computation left the region where its result can be trusted.
@@ -119,11 +124,11 @@ class SymMatrix:
         object.__setattr__(self, "packed", packed)
 
     @classmethod
-    def from_full(cls, a, tol: float = 1e-12) -> "SymMatrix":
-        """Build from a full matrix that is already symmetric within tol."""
+    def from_full(cls, a) -> "SymMatrix":
+        """Build from a full matrix that is already symmetric within ``STRUCTURE_TOL``."""
         a = as_matrix(a)
         dev = np.linalg.norm(a - a.T)
-        if dev > tol * max(1.0, np.linalg.norm(a)):
+        if dev > STRUCTURE_TOL * max(1.0, np.linalg.norm(a)):
             raise ValueError(f"matrix is not symmetric (deviation {dev:.3e})")
         return cls(a.shape[0], a[_tril(a.shape[0])])
 
@@ -169,11 +174,11 @@ class SkewMatrix:
         object.__setattr__(self, "packed", packed)
 
     @classmethod
-    def from_full(cls, a, tol: float = 1e-12) -> "SkewMatrix":
-        """Build from a full matrix that is already skew within tol."""
+    def from_full(cls, a) -> "SkewMatrix":
+        """Build from a full matrix that is already skew within ``STRUCTURE_TOL``."""
         a = as_matrix(a)
         dev = np.linalg.norm(a + a.T)
-        if dev > tol * max(1.0, np.linalg.norm(a)):
+        if dev > STRUCTURE_TOL * max(1.0, np.linalg.norm(a)):
             raise ValueError(f"matrix is not skew-symmetric (deviation {dev:.3e})")
         return cls(a.shape[0], a[_tril(a.shape[0], -1)])
 
@@ -289,16 +294,14 @@ def eigenvalues_sym(s, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
     raise JacobiConvergenceError(f"off-diagonal norm {off_norm(a):.3e} after {max_sweeps} sweeps")
 
 
-def numerical_rank(mats, tol: float = 1e-8) -> int:
+def numerical_rank(mats) -> int:
     """Rank of a family of matrices under the trace inner product.
 
     Forms the Gram matrix G_ij = tr(A_i^T A_j) of the vectorized inputs and
-    counts its singular values above ``tol`` times the largest one.  The
-    family is a (P, n, n) stack or a sequence of n x n arrays, checked as
-    one stack.
+    counts its singular values above ``RANK_TOL`` times the largest one.
+    The family is a (P, n, n) stack or a sequence of n x n arrays, checked
+    as one stack.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if len(mats) == 0:
         return 0
     if len({np.shape(m) for m in mats}) != 1:
@@ -311,7 +314,7 @@ def numerical_rank(mats, tol: float = 1e-8) -> int:
     svals = np.linalg.svd(gram, compute_uv=False)
     if svals[0] <= 0.0:
         return 0
-    return int(np.sum(svals > tol * svals[0]))
+    return int(np.sum(svals > RANK_TOL * svals[0]))
 
 
 class SplitMix64:
@@ -376,28 +379,27 @@ def random_sym(n: int, seed: int) -> SymMatrix:
     return SymMatrix.symmetric_part(random_matrix(n, seed))
 
 
-def random_skew_simple(
-    n: int, seed: int, gap: float = 1e-6, max_resamples: int = 100
-) -> SkewMatrix:
+def random_skew_simple(n: int, seed: int) -> SkewMatrix:
     """Antisymmetrized uniform random matrix with simple spectrum.
 
     A real skew matrix has eigenvalues in pairs +-i*lambda_j; its singular
-    values are those lambda_j, each doubled.  Samples are rejected until the
-    distinct pair values are separated by more than ``gap`` and the smallest
-    exceeds ``gap``, the numerical proxy for a simple spectrum.
+    values are those lambda_j, each doubled.  Up to ``MAX_RESAMPLES`` samples
+    are drawn until the distinct pair values are separated by more than
+    ``SIMPLE_GAP`` and the smallest exceeds it, the numerical proxy for a
+    simple spectrum.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
     rng = SplitMix64(seed)
-    for _ in range(max_resamples):
+    for _ in range(MAX_RESAMPLES):
         k = SkewMatrix.skew_part(rng.matrix(n))
-        if skew_spectrum_is_simple(k, gap):
+        if skew_spectrum_is_simple(k):
             return k
-    raise ResampleCapError(f"no simple-spectrum sample in {max_resamples} draws")
+    raise ResampleCapError(f"no simple-spectrum sample in {MAX_RESAMPLES} draws")
 
 
-def skew_spectrum_is_simple(k: SkewMatrix | np.ndarray, gap: float = 1e-6) -> bool:
-    """True when the +-i*lambda pairs of a skew matrix are separated by gap."""
+def skew_spectrum_is_simple(k: SkewMatrix | np.ndarray) -> bool:
+    """True when the +-i*lambda pairs of a skew matrix are separated by ``SIMPLE_GAP``."""
     svals = np.linalg.svd(as_matrix(k), compute_uv=False)
     lams = svals[::2][: svals.size // 2]
-    return bool(lams.size and lams[-1] > gap and np.all(-np.diff(lams) > gap))
+    return bool(lams.size and lams[-1] > SIMPLE_GAP and np.all(-np.diff(lams) > SIMPLE_GAP))

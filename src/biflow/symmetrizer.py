@@ -38,6 +38,8 @@ __all__ = [
     "generic_independence",
 ]
 
+PARITY_TOL = 1e-13  # relative asymmetry (or skew defect) parity_check accepts
+
 
 class SymmetrizerTable:
     """Every sym_{ij}(A, B) with i + j up to a degree cap, from one row sweep."""
@@ -139,13 +141,13 @@ def lemma_a_residual(a, b, i: int, j: int) -> float:
     return float(np.linalg.norm(resid))
 
 
-def parity_check(s: SymMatrix, n: SkewMatrix, i: int, j: int, tol: float = 1e-13) -> bool:
-    """True iff sym_{ij}(S, N) is symmetric for even j and skew for odd j."""
+def parity_check(s: SymMatrix, n: SkewMatrix, i: int, j: int) -> bool:
+    """True iff sym_{ij}(S, N) is symmetric for even j and skew for odd j, to ``PARITY_TOL``."""
     m = sym(s.full(), n.full(), i, j)
     scale = max(1.0, np.linalg.norm(m))
     if j % 2 == 0:
-        return bool(np.linalg.norm(m - m.T) <= tol * scale)
-    return bool(np.linalg.norm(m + m.T) <= tol * scale)
+        return bool(np.linalg.norm(m - m.T) <= PARITY_TOL * scale)
+    return bool(np.linalg.norm(m + m.T) <= PARITY_TOL * scale)
 
 
 def cayley_hamilton_dependence(a, b) -> float:
@@ -194,7 +196,7 @@ def degree_below(n: int) -> list[tuple[int, int]]:
     return [(r, d - r) for d in range(n) for r in range(d + 1)]
 
 
-def generic_independence(s: SymMatrix, n: SkewMatrix, tol: float = 1e-8) -> int:
+def generic_independence(s: SymMatrix, n: SkewMatrix) -> int:
     """Rank of the family of all symmetrizers of degree below n.
 
     Equals n(n+1)/2 for generic (S, N); collapses on degenerate pairs such
@@ -203,4 +205,4 @@ def generic_independence(s: SymMatrix, n: SkewMatrix, tol: float = 1e-8) -> int:
     dim = s.n
     table = SymmetrizerTable(s.full(), n.full(), dim - 1)
     family = [table.get(i, j) for i, j in degree_below(dim)]
-    return numerical_rank(family, tol)
+    return numerical_rank(family)

@@ -36,12 +36,11 @@ def runner_gates(name, tmp_path, configs):
     """Every gate of the command line's ``name`` runner, run once per config.
 
     Each config is a dict of :class:`ExperimentConfig` fields.  A runner
-    that also returns diagnostics (``factorize``) gives its gates first.
+    returns its gates and its diagnostics; only the gates are kept.
     """
     gates = []
     for fields in configs:
-        result = RUNNERS[name](ExperimentConfig(name, out_dir=tmp_path, **fields))
-        gates += result[0] if isinstance(result, tuple) else result
+        gates += RUNNERS[name](ExperimentConfig(name, out_dir=tmp_path, **fields))[0]
     return gates
 
 

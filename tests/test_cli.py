@@ -188,7 +188,7 @@ class TestOtherExperiments:
         # norm overflowed before each matrix was scaled by its largest entry.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            gates = cli.run_lemma41(cli.ExperimentConfig("lemma41", n=24, seed=7, out_dir=tmp_path))
+            gates, _ = cli.run_lemma41(cli.ExperimentConfig("lemma41", n=24, seed=7, out_dir=tmp_path))
         assert all(np.isfinite(g.value) for g in gates)
 
     def test_out_is_a_file_usage_error(self, tmp_path, capsys):
@@ -304,7 +304,7 @@ class TestNumericalFailure:
         def blows_up(cfg):
             raise BlowupError("state left the admissible region")
 
-        runners = {name: (lambda cfg: [Gate.leq("ok", 0.0, 1.0)]) for name in cli.RUNNERS}
+        runners = {name: (lambda cfg: ([Gate.leq("ok", 0.0, 1.0)], None)) for name in cli.RUNNERS}
         runners["flow"] = blows_up
         monkeypatch.setattr(cli, "RUNNERS", runners)
         assert run_cli(["all", "--seed", 1, "--out", tmp_path]) == 1
@@ -427,6 +427,29 @@ class TestSampleCap:
         assert run_cli(["factorize", "--n", 4, "--t", 0.2, "--m", m, "--seed", 2, "--out", tmp_path]) == 0
 
 
+class TestDimensionCap:
+    # Nothing bounded --n: factorize at n = 65, k = 64 ended in a failing
+    # WindowOverflowError gate, and the symmetrizer tables grow as n^4.  Now
+    # a larger n is refused before any runner starts.
+    @pytest.mark.parametrize("command", ["factorize", "all"])
+    def test_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        code = run_cli([command, "--n", cli.MAX_N + 1, "--k", 64, "--t", 0.1, "--seed", 1, "--out", out])
+        assert_usage_error(code, capsys, out)
+
+    def test_config_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": cli.MAX_N + 1}))
+        out = tmp_path / "out"
+        code = run_cli(["commute", "--seed", 1, "--out", out, "--config", cfg])
+        assert_usage_error(code, capsys, out)
+
+    @pytest.mark.parametrize("command", ["findim", "commute"])
+    def test_largest_n_runs(self, tmp_path, command):
+        assert cli.MAX_N == 64
+        assert run_cli([command, "--n", cli.MAX_N, "--seed", 1, "--out", tmp_path]) == 0
+
+
 class TestConfigFile:
     def test_config_overrides_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -502,6 +525,27 @@ class TestReport:
     def test_corrupt_file(self, tmp_path):
         (tmp_path / "junk.json").write_text("{not json")
         assert run_cli(["report", tmp_path]) == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        ["[]", '{"experiment": "flow", "gates": [1]}', '{"experiment": "flow", "gates": {}}',
+         '{"experiment": "flow", "gates": [{"value": 1}]}', "3"],
+    )
+    def test_file_that_is_not_a_summary(self, tmp_path, capsys, content):
+        # A list or a gate that is not an object ended in an AttributeError
+        # or TypeError traceback with exit 1, the code of a failed gate.
+        (tmp_path / "x.json").write_text(content)
+        assert run_cli(["report", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert "report error:" in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+
+def test_every_runner_returns_gates_and_diagnostics(tmp_path):
+    for name, runner in cli.RUNNERS.items():
+        gates, diagnostics = runner(cli.ExperimentConfig(name, n=3, seed=9, t_final=0.1, out_dir=tmp_path))
+        assert gates and all(isinstance(g, Gate) for g in gates)
+        assert (diagnostics is not None) == (name == "factorize")
 
 
 def test_tracer_finds_every_runner(monkeypatch):

@@ -152,11 +152,12 @@ class TestExpm:
         npt.assert_array_equal(expm(stack[3:]), gathering(stack[3:]))
         assert expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
-    def test_stack_raises_when_one_slice_diverges(self):
+    def test_stack_raises_when_one_slice_diverges(self, monkeypatch):
         stack = np.stack([np.zeros((3, 3)), random_matrix(3, seed=9)])
-        npt.assert_array_equal(expm(stack[:1], max_terms=2)[0], np.eye(3))
+        monkeypatch.setattr(factorization, "EXPM_MAX_TERMS", 2)
+        npt.assert_array_equal(expm(stack[:1])[0], np.eye(3))
         with pytest.raises(FactorizationError):
-            expm(stack, max_terms=2)
+            expm(stack)
 
 
 class TestSampleExp:
@@ -460,6 +461,14 @@ class TestCirclePath:
             want = max(np.linalg.norm(p) for p in prods)
             assert abs(circle_symmetry_residual(loop, m) - want) <= 1e-14 * max(1.0, want)
 
+    @pytest.mark.parametrize("n, seed, k, t, m", [(4, 31, 2, 0.5, 256), (8, 7, 2, 0.5, 256), (3, 5, 2, 0.2, 64)])
+    def test_birkhoff_records_the_symmetry_residual(self, n, seed, k, t, m):
+        # birkhoff reads it from the circle samples it already holds; the
+        # public wrapper samples each factor again, and both give the same bits.
+        fac = birkhoff(sample_exp(generator(bi_state(n, seed=seed), IntegralIndex(k, 0)), t, m), 40)
+        want = max(circle_symmetry_residual(fac.g_minus, m), circle_symmetry_residual(fac.g_plus, m))
+        assert fac.symmetry == want
+
     def test_symmetry_residual_needs_an_even_count(self):
         with pytest.raises(ValueError, match="even"):
             circle_symmetry_residual(LaurentLoop.identity(2), 15)
@@ -470,8 +479,7 @@ class TestCirclePath:
         gamma = sample_exp(generator(x, IntegralIndex(k, 0)), t=0.5, m_samples=256)
         fac = birkhoff(gamma, depth=40)
         for g in (fac.g_minus, fac.g_plus):
-            cap = 2 * g.span + 4
-            full = mul(mul(g.transpose_flip(), x.loop(), cap), g, cap)
+            full = mul(mul(g.transpose_flip(), x.loop()), g)
             c0, c1 = _conjugation_coeffs(g, x)
             assert np.array_equal(c0, full.coeff(0))
             assert np.array_equal(c1, full.coeff(1))

@@ -565,5 +565,5 @@ class TestDriftSweep:
             "flow", n=n, seed=seed, k=2, l=0, t_final=0.1, h=1e-3,
             out_dir=tmp_path_factory.getbasetemp() / "sweep",
         )
-        gates = cli.run_flow(cfg)
+        gates, _ = cli.run_flow(cfg)
         assert gates and [g.name for g in gates if not g.passed] == []

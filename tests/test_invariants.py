@@ -175,7 +175,7 @@ class TestPoissonBracket:
 
 
 def commute_gate(tmp_path, n, seed):
-    (gate,) = run_commute(ExperimentConfig("commute", n=n, seed=seed, out_dir=tmp_path))
+    (gate,), _ = run_commute(ExperimentConfig("commute", n=n, seed=seed, out_dir=tmp_path))
     return gate
 
 
@@ -325,13 +325,14 @@ class TestCasimirs:
             val = np.trace(s.full() @ np.linalg.matrix_power(n.full(), l))
             assert abs(val) <= 1e-14 * max(1.0, s.norm() * n.norm() ** l)
 
-    def test_interpolation_guard(self):
+    def test_interpolation_guard(self, monkeypatch):
         from biflow.invariants import InterpolationError
 
         s = random_sym(4, seed=82)
         n = random_skew_simple(4, seed=83)
+        monkeypatch.setattr(invariants, "COND_CAP", 1.0)
         with pytest.raises(InterpolationError):
-            spectral_coeffs(s, n, cond_cap=1.0)
+            spectral_coeffs(s, n)
 
     def test_membership(self):
         s = random_sym(4, seed=14)

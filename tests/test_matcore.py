@@ -268,11 +268,13 @@ class TestRandomGeneration:
         q = random_orthogonal(5, seed=3)
         npt.assert_allclose(q.T @ q, np.eye(5), atol=1e-13)
 
-    def test_resample_cap(self):
+    def test_resample_cap(self, monkeypatch):
+        from biflow import matcore
         from biflow.matcore import ResampleCapError
 
+        monkeypatch.setattr(matcore, "MAX_RESAMPLES", 0)
         with pytest.raises(ResampleCapError):
-            random_skew_simple(4, seed=1, max_resamples=0)
+            random_skew_simple(4, seed=1)
 
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError):

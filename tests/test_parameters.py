@@ -1,0 +1,68 @@
+"""The settable parameters of the public functions, pinned.
+
+Thresholds and iteration caps are module constants (``RANK_TOL``,
+``EXP_MAX_TERMS``, ...); only the command line's gate tolerances are
+settable per run.  A public function that takes a new defaulted parameter
+fails here until the list below names it, so each new knob is added on
+purpose.
+"""
+
+import importlib
+import inspect
+import pkgutil
+from types import FunctionType
+
+import biflow
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(biflow.__path__))
+
+# Every defaulted parameter of a function or method named in a module's __all__.
+DEFAULTED = {
+    "blockpde.PDEState.__init__": ("parity",),
+    "blockpde.PDEState.from_fields": ("parity",),
+    "blockpde.integrate_pde": ("printed_variant",),
+    "blockpde.pde_rhs": ("printed_variant",),
+    "blockpde.rhs_reduced": ("printed_variant",),
+    "factorization.birkhoff": ("depth",),
+    "factorization.circle_symmetry_residual": ("m_samples",),
+    "factorization.sample_exp": ("m_samples", "half"),
+    "factorization.solve_by_factorization": ("m_samples", "depth"),
+    "flows.rk4_path": ("project",),
+    "laurent.LaurentLoop.from_terms": ("n",),
+    "laurent.is_sigma_fixed": ("tol",),
+    "laurent.is_sigma_star": ("tol",),
+    "laurent.random_dual_loop": ("scale",),
+    "laurent.random_sigma_fixed_loop": ("scale",),
+    "laurent.symmetry_defect": ("window",),
+    "matcore.SplitMix64.matrix": ("m",),
+    "matcore.SplitMix64.uniform": ("lo", "hi"),
+    "matcore.eigenvalues_sym": ("tol", "max_sweeps"),
+    "symmetrizer.witness_pair": ("c",),
+}
+
+
+def public_functions(name):
+    """(qualified name, function) for each function and method a module's __all__ names."""
+    module = importlib.import_module(f"biflow.{name}")
+    for attr in getattr(module, "__all__", ()):
+        obj = getattr(module, attr)
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if isinstance(obj, FunctionType):
+            yield f"{name}.{attr}", obj
+        elif isinstance(obj, type) and not issubclass(obj, BaseException):
+            for key, val in vars(obj).items():
+                func = getattr(val, "__func__", val)
+                if isinstance(func, FunctionType):
+                    yield f"{name}.{attr}.{key}", func
+
+
+def test_defaulted_parameters_are_pinned():
+    found = {}
+    for name in MODULES:
+        for qualname, func in public_functions(name):
+            params = inspect.signature(func).parameters.values()
+            defaulted = tuple(p.name for p in params if p.default is not inspect.Parameter.empty)
+            if defaulted:
+                found[qualname] = defaulted
+    assert found == DEFAULTED
