@@ -528,13 +528,14 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "content",
-        ["[]", '{"experiment": "flow", "gates": [1]}', '{"experiment": "flow", "gates": {}}',
-         '{"experiment": "flow", "gates": [{"value": 1}]}', "3"],
+        [b"[]", b'{"experiment": "flow", "gates": [1]}', b'{"experiment": "flow", "gates": {}}',
+         b'{"experiment": "flow", "gates": [{"value": 1}]}', b"3", b"\xff\xfe{"],
     )
     def test_file_that_is_not_a_summary(self, tmp_path, capsys, content):
-        # A list or a gate that is not an object ended in an AttributeError
-        # or TypeError traceback with exit 1, the code of a failed gate.
-        (tmp_path / "x.json").write_text(content)
+        # A summary is an object with a list of named gate objects.  Anything
+        # else, or bytes that are not UTF-8, is a report error, not a
+        # traceback with exit 1, the code of a failed gate.
+        (tmp_path / "x.json").write_bytes(content)
         assert run_cli(["report", tmp_path]) == 2
         err = capsys.readouterr().err
         assert "report error:" in err and "Traceback" not in err
