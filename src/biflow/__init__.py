@@ -13,10 +13,9 @@ reductions.
 from .blockpde import BlockState, PDEState
 from .factorization import BirkhoffFactors, FourierLoop, birkhoff, solve_by_factorization
 from .findim import AlgElem, DualElem, GroupElem
-from .flows import Trajectory, bi_rhs, drift_report, integrate, invariant_series, m_rhs, vector_field
+from .flows import bi_rhs, drift_report, integrate, invariant_series, m_rhs, vector_field
 from .invariants import (
     IntegralIndex,
-    SpectralTable,
     casimirs,
     enumerate_indices,
     hamiltonian,
@@ -36,14 +35,12 @@ __all__ = [
     "LaurentLoop",
     "BILoop",
     "IntegralIndex",
-    "SpectralTable",
     "enumerate_indices",
     "hamiltonian",
     "poisson_bracket",
     "poisson_matrix",
     "casimirs",
     "spectral_coeffs",
-    "Trajectory",
     "vector_field",
     "bi_rhs",
     "m_rhs",

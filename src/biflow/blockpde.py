@@ -19,8 +19,8 @@ whose inner products are plain L^2 scalars, so the nonlinearity is a
 scalar multiple of the field: coefficients couple only through those
 scalars, mode support never grows, and <u,u> + <v,v> is conserved.  The
 sign of the <u,u> u term is the one forced by the cubic block flow (it is
-what conserves the L^2 pair); the opposite printed variant is available
-behind a flag for comparison.
+what conserves the L^2 pair); the opposite sign, as printed in the paper,
+breaks that conservation.
 
 The integrators step on packed arrays, and the public right-hand sides
 call the same kernels, so the two forms agree bit for bit.  A block state
@@ -174,20 +174,16 @@ def rhs_cubic(bs: BlockState) -> BlockState:
     return _unpack(_cubic(_pack(bs), bs.B.full()), SymMatrix.zero(bs.B.n))
 
 
-def rhs_reduced(
-    u: np.ndarray, v: np.ndarray, b: SymMatrix, printed_variant: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def rhs_reduced(u: np.ndarray, v: np.ndarray, b: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Closed (u, v) system at a = b = c = 0.
 
-    The default sign -<u,u> u in v' is the one inherited from the cubic
-    block flow and conserves <u,u> + <v,v>; ``printed_variant`` flips that
-    one term for side-by-side comparison.
+    The sign -<u,u> u in v' is the one inherited from the cubic block flow
+    and conserves <u,u> + <v,v>.
     """
     bf = b.full()
     uu, vv, uv = float(u @ u), float(v @ v), float(u @ v)
     du = uv * u + vv * v + bf @ (bf @ v)
-    sign = 1.0 if printed_variant else -1.0
-    dv = sign * uu * u - uv * v - bf @ (bf @ u)
+    dv = -uu * u - uv * v - bf @ (bf @ u)
     return du, dv
 
 
@@ -252,14 +248,14 @@ def l2_pair(st: PDEState) -> float | np.ndarray:
     return _inner(st.u_hat, st.u_hat) + _inner(st.v_hat, st.v_hat)
 
 
-def pde_rhs(st: PDEState, printed_variant: bool = False) -> PDEState:
+def pde_rhs(st: PDEState) -> PDEState:
     """Spectral right-hand side; scalar inner products via Parseval.
 
     The nonlinearity is scalar * field, so the evaluation is alias-free:
     no padding is needed and the mode support of (u, v) never grows.
     """
     y = np.stack([st.u_hat, st.v_hat]).view(float)
-    d = _pde(y, _signed_ksq(st.modes), printed_variant).view(complex)
+    d = _pde(y, _signed_ksq(st.modes)).view(complex)
     return PDEState(d[0], d[1], st.parity)
 
 
@@ -272,18 +268,15 @@ def _signed_ksq(k: int) -> np.ndarray:
     return np.stack([ksq, -ksq])
 
 
-def _pde(y: np.ndarray, signed_ksq: np.ndarray, printed_variant: bool) -> np.ndarray:
+def _pde(y: np.ndarray, signed_ksq: np.ndarray) -> np.ndarray:
     """:func:`pde_rhs` on Y, the (2, 2k) float view of the stacked (u_hat, v_hat).
 
     Each row of Y interleaves the real and imaginary parts of its field, so
     G = 2 pi Y Y^T holds every L^2 product (Parseval) and the derivative is
     J (G Y + k^2 Y) with J = [[0, 1], [-1, 0]]:
     u' = <u,v> u + <v,v> v - v_xx and v' = -<u,u> u - <u,v> v + u_xx.
-    The printed variant flips the sign of G[0, 0].
     """
     g = np.dot(y, y.T)  # G / (2 pi)
-    if printed_variant:
-        g[0, 0] = -g[0, 0]
     # J M is M with its rows swapped and the new second row negated
     return np.dot(g[::-1] * _TWO_PI_ROW_SIGNS, y) + signed_ksq * y[::-1]
 
@@ -301,9 +294,7 @@ def integrate_block(
     return times, _unpack(path, bs0.B)
 
 
-def integrate_pde(
-    st0: PDEState, t_final: float, h: float, printed_variant: bool = False
-) -> tuple[np.ndarray, PDEState]:
+def integrate_pde(st0: PDEState, t_final: float, h: float) -> tuple[np.ndarray, PDEState]:
     """RK4 on the (2, 2k) float view of (u_hat, v_hat), projected to real fields each step;
     a (T, k) path."""
     k = st0.modes
@@ -312,7 +303,7 @@ def integrate_pde(
     flip = (2 * _mirror(k)[:, None] + [0, 1]).ravel()
     imag_sign = np.tile([1.0, -1.0], k)
     times, path = rk4_path(
-        lambda y: _pde(y, signed_ksq, printed_variant),
+        lambda y: _pde(y, signed_ksq),
         np.stack([st0.u_hat, st0.v_hat]).view(float),
         t_final,
         h,

@@ -207,9 +207,9 @@ def _write_csv(cfg: ExperimentConfig, columns: list[str], rows) -> None:
 def run_flow(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
     s0, nmat = sample_state(cfg.n, cfg.seed)
     idx = IntegralIndex(cfg.k, cfg.l)
-    traj = integrate(s0, nmat, idx, cfg.t_final, cfg.h)
-    series = invariant_series(traj)
-    _write_csv(cfg, ["t", *series], np.column_stack([traj.times, *series.values()]))
+    times, states = integrate(s0, nmat, idx, cfg.t_final, cfg.h)
+    series = invariant_series(states, nmat)
+    _write_csv(cfg, ["t", *series], np.column_stack([times, *series.values()]))
     tol = cfg.tol("drift")
     return [Gate.leq(f"drift_{name}", d, tol) for name, d in drift_report(series).items()], None
 
@@ -218,11 +218,11 @@ def run_invariants(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
     s, nmat = sample_state(cfg.n, cfg.seed)
     count = len(enumerate_indices(cfg.n))
     rank = integral_independence_rank(s, nmat)
-    table = spectral_coeffs(s, nmat)
+    odd_z_residual = spectral_coeffs(s, nmat)[1]
     return [
         Gate.exact("integral_count", count, cfg.n * cfg.n // 4),
         Gate.exact("independence_rank", rank, cfg.n * cfg.n // 4),
-        Gate.leq("spectral_evenness", table.odd_z_residual, cfg.tol("spectral_evenness")),
+        Gate.leq("spectral_evenness", odd_z_residual, cfg.tol("spectral_evenness")),
     ], None
 
 
@@ -379,8 +379,11 @@ def run_lemma41(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
         cayley_hamilton_dependence(SplitMix64(cfg.seed + n).matrix(n), SplitMix64(cfg.seed + 50 + n).matrix(n))
         for n in range(2, 6)
     )
-    table = SymmetrizerTable(*witness_pair(cfg.n, c=2.0), cfg.n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # from n = 33 the table overflows
+        table = SymmetrizerTable(*witness_pair(cfg.n, c=2.0), cfg.n - 1)
     fams = [table.get(i, j) for i, j in degree_below(cfg.n)]
+    if not all(np.isfinite(f).all() for f in fams):
+        raise NumericalError(f"witness symmetrizers overflow at n={cfg.n}")
     fams = [f / np.abs(f).max() for f in fams]  # from n = 24 the squares in the norm overflow
     fams = [f / np.linalg.norm(f) for f in fams]
     witness_ok = numerical_rank(fams) == cfg.n * (cfg.n + 1) // 2

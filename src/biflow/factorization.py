@@ -395,15 +395,13 @@ def conjugated_states(factors: BirkhoffFactors, x0: BILoop) -> tuple[SymMatrix, 
     return s_minus, s_plus
 
 
-def solve_by_factorization(
-    x0: BILoop,
-    idx: IntegralIndex,
-    t: float,
-    m_samples: int = 256,
-    depth: int = 40,
-) -> SymMatrix:
-    """State of the (k, l) flow at time t by Birkhoff factorization."""
+def solve_by_factorization(x0: BILoop, idx: IntegralIndex, t: float) -> SymMatrix:
+    """State of the (k, l) flow at time t by Birkhoff factorization.
+
+    The circle sampling and the start depth are the defaults of
+    :func:`sample_exp` and :func:`birkhoff`.
+    """
     if t == 0.0:
         return x0.S
-    factors = birkhoff(sample_exp(generator(x0, idx), t, m_samples), depth)
+    factors = birkhoff(sample_exp(generator(x0, idx), t))
     return conjugated_states(factors, x0)[0]

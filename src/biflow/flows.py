@@ -23,7 +23,6 @@ coincides with bi_rhs(S, N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,7 +39,6 @@ from .matcore import NumericalError, SkewMatrix, SymMatrix, as_matrix, commutato
 from .symmetrizer import _sweep, sym
 
 __all__ = [
-    "Trajectory",
     "BlowupError",
     "vector_field",
     "vector_field_s_form",
@@ -60,19 +58,6 @@ GBS_STAGES = 6  # q: each GBS macro step runs 2, 4, ..., 2q midpoint substeps
 
 class BlowupError(NumericalError):
     """State norm exceeded the global guard during integration."""
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """RK4 sample path: a (T, n, n) array of exactly symmetric states, N frozen."""
-
-    times: np.ndarray
-    states: np.ndarray
-    N: SkewMatrix
-
-    @property
-    def n(self) -> int:
-        return self.N.n
 
 
 def vector_field(s: SymMatrix, n: SkewMatrix, idx: IntegralIndex) -> SymMatrix:
@@ -228,36 +213,36 @@ def _guarded(y: np.ndarray, stacked: bool = False) -> np.ndarray:
 
 def integrate(
     s0: SymMatrix, n: SkewMatrix, idx: IntegralIndex, t_final: float, h: float
-) -> Trajectory:
-    """Integrate the (k, l) flow from s0; returns the whole sample path."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 for the (k, l) flow from s0: the times and the (T, n, n) states, N frozen."""
     _check_flow(s0, n, idx)
     nf = n.full()
-    times, path = rk4_path(lambda y: _field(y, nf, idx), s0.full(), t_final, h)
-    return Trajectory(times, path, n)
+    return rk4_path(lambda y: _field(y, nf, idx), s0.full(), t_final, h)
 
 
-def invariant_series(traj: Trajectory) -> dict[str, np.ndarray]:
-    """Every monitored conserved quantity evaluated along the trajectory.
+def invariant_series(states: np.ndarray, n: SkewMatrix) -> dict[str, np.ndarray]:
+    """Every monitored conserved quantity along a (T, n, n) stack of states, N = ``n``.
 
     Keys: H_k_l for each admissible integral, casimir_l for each even l,
-    I_r_k for the spectral-curve table, and eig_i for the sorted spectrum,
-    each computed over the whole stack of states at once.  The H_k_l are
-    tr sym_{k+1-l,l}(S, N) / (k+1) from one row sweep to degree n, l <= n-2.
+    I_r_k for the spectral-curve table in sorted (r, k) order, and eig_i
+    for the sorted spectrum, each computed over the whole stack of states at
+    once.  The H_k_l are tr sym_{k+1-l,l}(S, N) / (k+1) from one row sweep
+    to degree n, l <= n-2.
     """
-    states, nf, n = traj.states, traj.N.full(), traj.n
-    out = dict.fromkeys(map(str, enumerate_indices(n)))
+    nf, dim = n.full(), n.n
+    out = dict.fromkeys(map(str, enumerate_indices(dim)))
 
     def keep(r, row):  # the even l of row r >= 2 are exactly the admissible H_{r+l-1,l}
         for l in range(0, len(row) if r > 1 else 0, 2):
             out[str(IntegralIndex(r + l - 1, l))] = np.trace(row[l], axis1=1, axis2=2) / (r + l)
 
-    _sweep(states, nf, n, n - 2, keep)
-    cas = casimirs(states, traj.N)
-    out.update((f"casimir_{l}", cas[:, j]) for j, l in enumerate(casimir_exponents(n)))
-    table = spectral_coeffs(states, traj.N)
-    out.update((f"I_{r}_{k}", table.value(r, k)) for r, k in table.keys())
+    _sweep(states, nf, dim, dim - 2, keep)
+    cas = casimirs(states, n)
+    out.update((f"casimir_{l}", cas[:, j]) for j, l in enumerate(casimir_exponents(dim)))
+    coeffs = spectral_coeffs(states, n)[0]
+    out.update((f"I_{r}_{k}", coeffs[r, k]) for r, k in sorted(coeffs))
     eig = np.linalg.eigvalsh(states)
-    out.update((f"eig_{i}", eig[:, i]) for i in range(n))
+    out.update((f"eig_{i}", eig[:, i]) for i in range(dim))
     return out
 
 
@@ -285,8 +270,8 @@ def flow_commutation(
     """Norm of the commutator defect of the two flow maps at times (s, t)."""
     if s == 0.0 or t == 0.0:
         return 0.0
-    mid = integrate(s0, n, idx2, t, h).states[-1]
-    a = integrate(SymMatrix.symmetric_part(mid), n, idx1, s, h).states[-1]
-    mid = integrate(s0, n, idx1, s, h).states[-1]
-    b = integrate(SymMatrix.symmetric_part(mid), n, idx2, t, h).states[-1]
+    mid = integrate(s0, n, idx2, t, h)[1][-1]
+    a = integrate(SymMatrix.symmetric_part(mid), n, idx1, s, h)[1][-1]
+    mid = integrate(s0, n, idx1, s, h)[1][-1]
+    b = integrate(SymMatrix.symmetric_part(mid), n, idx2, t, h)[1][-1]
     return float(np.linalg.norm(a - b))

@@ -23,7 +23,6 @@ from .symmetrizer import SymmetrizerTable, sym
 
 __all__ = [
     "IntegralIndex",
-    "SpectralTable",
     "InterpolationError",
     "enumerate_indices",
     "is_admissible",
@@ -138,7 +137,9 @@ def poisson_matrix(s: SymMatrix, n: SkewMatrix) -> tuple[np.ndarray, np.ndarray]
     sym_{k-j,j}(S, N), j = 0..k.  Rows follow :func:`enumerate_indices`.
     """
     table, m, fields = _hamiltonian_fields(s, n)
-    brackets = -np.einsum("aij,bji->ab", fields, m)
+    # tr(F_a M_b) is the dot product of the flattened F_a and M_b^T: one BLAS product
+    p = len(m)
+    brackets = -(fields.reshape(p, -1) @ m.transpose(0, 2, 1).reshape(p, -1).T)
     brackets = 0.5 * (brackets - brackets.T)
     power_norm = [
         max(np.linalg.norm(table.get(k - j, j)) for j in range(k + 1)) for k in range(s.n)
@@ -148,37 +149,16 @@ def poisson_matrix(s: SymMatrix, n: SkewMatrix) -> tuple[np.ndarray, np.ndarray]
     return brackets, np.maximum(1.0, np.outer(grad, grad) * xnorm)
 
 
-@dataclass(frozen=True)
-class SpectralTable:
-    """Coefficients I_rk of det(S + zN - wI) = sum I_rk z^(2k) w^(n-r).
-
-    ``odd_z_residual`` is the largest interpolated coefficient of an odd
-    power of z, relative to the table scale; the determinant is an even
-    function of z so this measures numerical noise only.  For a stack of
-    states every coefficient and the residual are arrays over the stack.
-    """
-
-    n: int
-    table: dict[tuple[int, int], float | np.ndarray]
-    odd_z_residual: float | np.ndarray
-
-    def value(self, r: int, k: int) -> float | np.ndarray:
-        return self.table[(r, k)]
-
-    def values(self) -> np.ndarray:
-        return np.array([self.table[key] for key in sorted(self.table)])
-
-    def keys(self) -> list[tuple[int, int]]:
-        return sorted(self.table)
-
-
-def spectral_coeffs(s, n: SkewMatrix) -> SpectralTable:
-    """Spectral-curve coefficient table from Chebyshev-node interpolation.
+def spectral_coeffs(s, n: SkewMatrix) -> tuple[dict, float | np.ndarray]:
+    """Coefficients I_rk of det(S + zN - wI) = sum I_rk z^(2k) w^(n-r), and the odd-z residual.
 
     det(S + zN - wI) has degree <= n in both z and w; n+1 real Chebyshev
     nodes and a characteristic polynomial per node determine every
-    coefficient exactly up to rounding.  ``s`` is one symmetric state or a
-    (..., n, n) stack of them.
+    coefficient exactly up to rounding.  The coefficients are a dict keyed
+    (r, k).  The residual is the largest interpolated coefficient of an odd
+    power of z, relative to the table scale; the determinant is even in z,
+    so it measures numerical noise only.  ``s`` is one symmetric state or a
+    (..., n, n) stack of them, and then every value is an array over it.
     """
     sf = as_stack(s)
     dim = n.n
@@ -200,7 +180,7 @@ def spectral_coeffs(s, n: SkewMatrix) -> SpectralTable:
             table[(r, k)] = zpoly[2 * k]
         odd = np.maximum(odd, np.max(np.abs(zpoly[1::2]), axis=0, initial=0.0))
     scale = np.maximum(1.0, np.max(np.abs(np.stack(list(table.values()))), axis=0))
-    return SpectralTable(dim, table, odd / scale)
+    return table, odd / scale
 
 
 def casimir_exponents(n: int) -> list[int]:

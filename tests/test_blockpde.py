@@ -21,7 +21,7 @@ from biflow.blockpde import (
     rhs_quadratic,
     rhs_reduced,
 )
-from biflow.flows import integrate
+from biflow.flows import integrate, rk4_path
 from biflow.invariants import IntegralIndex, casimirs
 from biflow.matcore import SplitMix64, SymMatrix, commutator, random_sym
 
@@ -175,9 +175,15 @@ class TestReduced:
         assert abs(ddt) <= 1e-12 * max(1.0, bs.u @ bs.u + bs.v @ bs.v)
 
     def test_printed_variant_breaks_l2(self):
-        bs = random_block(7, seed=10, zero_corner=True)
-        du, dv = rhs_reduced(bs.u, bs.v, bs.B, printed_variant=True)
-        ddt = 2.0 * (bs.u @ du + bs.v @ dv)
+        # The paper's printed sign of <u,u> u, on the spectral system: per
+        # evaluation d/dt (<u,u> + <v,v>) = 4 <u,u> <u,v>, where the sign the
+        # cubic block flow forces gives 0.
+        st = PDEState.from_fields(*SplitMix64(10).matrix(2, 16), "odd")
+        u, v = st.u_hat, st.v_hat
+        du, dv = plain_pde_rhs(u, v, True)
+        ddt = 4.0 * np.pi * (np.vdot(u, du) + np.vdot(v, dv)).real
+        uu, uv = 2.0 * np.pi * np.vdot(u, u).real, 2.0 * np.pi * np.vdot(u, v).real
+        npt.assert_allclose(ddt, 4.0 * uu * uv, rtol=1e-12)
         assert abs(ddt) > 1e-6
 
 
@@ -231,18 +237,18 @@ class TestPackedRHS:
     def test_pde_step_equals_public_step(self):
         rng = SplitMix64(7)
         for k in (5, 8, 16):
-            for parity, variant in ((None, False), ("odd", True)):
+            for parity in (None, "odd"):
                 u = np.array([rng.uniform() for _ in range(k)])
                 v = np.array([rng.uniform() for _ in range(k)])
                 st = PDEState.from_fields(u, v, parity)
 
                 def f(y):
-                    d = pde_rhs(PDEState(y[:k], y[k:], parity), variant)
+                    d = pde_rhs(PDEState(y[:k], y[k:], parity))
                     return np.concatenate([d.u_hat, d.v_hat])
 
                 y = rk4_step(f, np.concatenate([st.u_hat, st.v_hat]), 1e-3)
                 halves = [0.5 * (p + np.conj(np.roll(p[::-1], 1))) for p in (y[:k], y[k:])]
-                _, path = integrate_pde(st, t_final=1e-3, h=1e-3, printed_variant=variant)
+                _, path = integrate_pde(st, t_final=1e-3, h=1e-3)
                 assert np.array_equal(path.u_hat[1], halves[0])
                 assert np.array_equal(path.v_hat[1], halves[1])
                 assert path.parity == parity
@@ -277,8 +283,8 @@ class TestBlockIntegration:
         # S' = [N, S^3] integrated with the same scheme.
         bs = random_block(6, seed=14)
         _, path = integrate_block(bs, 3, t_final=1.0, h=1e-3)
-        traj = integrate(embed(bs), n0(6), IntegralIndex(3, 0), t_final=1.0, h=1e-3)
-        gap = np.linalg.norm(embed(block_at(path, -1)).full() - traj.states[-1])
+        _, states = integrate(embed(bs), n0(6), IntegralIndex(3, 0), t_final=1.0, h=1e-3)
+        gap = np.linalg.norm(embed(block_at(path, -1)).full() - states[-1])
         assert gap <= 1e-9
 
     @pytest.mark.parametrize("power", [1, 4])
@@ -289,8 +295,8 @@ class TestBlockIntegration:
     def test_block_quadratic_matches_matrix_flow(self):
         bs = random_block(5, seed=15)
         _, path = integrate_block(bs, 2, t_final=1.0, h=1e-3)
-        traj = integrate(embed(bs), n0(5), IntegralIndex(2, 0), t_final=1.0, h=1e-3)
-        gap = np.linalg.norm(embed(block_at(path, -1)).full() - traj.states[-1])
+        _, states = integrate(embed(bs), n0(5), IntegralIndex(2, 0), t_final=1.0, h=1e-3)
+        gap = np.linalg.norm(embed(block_at(path, -1)).full() - states[-1])
         assert gap <= 1e-9
 
 
@@ -351,15 +357,23 @@ class TestPDE:
             assert dead.max() <= 1e-13
 
     def test_printed_variant_drifts(self):
+        # Over t = 1 of the same RK4, the L2 pair stays put under the sign the
+        # cubic block flow forces and leaves it (here it blows up) under the
+        # paper's printed sign.
         from biflow.flows import BlowupError
 
         st = mode_state(32, {1: 0.6}, {1: 0.3, 2: 0.4}, "even")
-        try:
-            _, path = integrate_pde(st, t_final=1.0, h=1e-3, printed_variant=True)
-            drift = abs(l2_pair(path)[-1] - l2_pair(st))
-        except BlowupError:
-            drift = np.inf
-        assert drift > 1e-4
+
+        def drift(printed):
+            field = lambda y: np.concatenate(plain_pde_rhs(y[:32], y[32:], printed))
+            try:
+                _, path = rk4_path(field, np.concatenate([st.u_hat, st.v_hat]), t_final=1.0, h=1e-3)
+            except BlowupError:
+                return np.inf
+            return abs(l2_pair(PDEState(path[-1, :32], path[-1, 32:])) - l2_pair(st))
+
+        assert drift(False) <= 1e-6
+        assert drift(True) > 1e-4
 
 
 def plain_pde_rhs(u, v, printed_variant):
@@ -380,8 +394,10 @@ class TestPDERHS:
         real_fields = PDEState.from_fields(*rng.matrix(2, k), "odd")
         complex_modes = PDEState(*(rng.matrix(2, k) + 1j * rng.matrix(2, k)))
         for st in (real_fields, complex_modes):
-            d = pde_rhs(st, variant)
+            d = pde_rhs(st)
             du, dv = plain_pde_rhs(st.u_hat, st.v_hat, variant)
+            if variant:  # the printed sign differs in the one term 2 <u,u> u of v'
+                dv = dv - 4.0 * np.pi * np.vdot(st.u_hat, st.u_hat).real * st.u_hat
             scale = np.abs(np.concatenate([du, dv])).max()
             npt.assert_allclose(d.u_hat, du, rtol=0, atol=1e-14 * scale)
             npt.assert_allclose(d.v_hat, dv, rtol=0, atol=1e-14 * scale)

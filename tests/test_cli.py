@@ -66,6 +66,30 @@ class TestFlowExperiment:
         assert any(c.startswith("I_") for c in header)
         assert any(c.startswith("eig_") for c in header)
 
+    @pytest.mark.parametrize(
+        "n, header",
+        [
+            (
+                4,
+                "t,H_1_0,H_2_0,H_3_0,H_3_2,casimir_0,casimir_2,"
+                "I_0_0,I_1_0,I_2_0,I_2_1,I_3_0,I_3_1,I_4_0,I_4_1,I_4_2,"
+                "eig_0,eig_1,eig_2,eig_3",
+            ),
+            (
+                5,
+                "t,H_1_0,H_2_0,H_3_0,H_3_2,H_4_0,H_4_2,casimir_0,casimir_2,casimir_4,"
+                "I_0_0,I_1_0,I_2_0,I_2_1,I_3_0,I_3_1,I_4_0,I_4_1,I_4_2,I_5_0,I_5_1,I_5_2,"
+                "eig_0,eig_1,eig_2,eig_3,eig_4",
+            ),
+        ],
+        ids=["n4", "n5"],
+    )
+    def test_csv_column_order(self, tmp_path, n, header):
+        # The columns are a stable contract: H_k_l in enumerate_indices
+        # order, the Casimirs, I_r_k in sorted (r, k) order, the eigenvalues.
+        assert run_cli(["flow", "--n", n, "--t", 0.01, "--seed", 1, "--out", tmp_path]) == 0
+        assert (tmp_path / "flow.csv").read_text().splitlines()[3] == header
+
     def test_zero_time_single_row(self, tmp_path):
         code = run_cli(["flow", "--n", 3, "--t", 0, "--seed", 3, "--out", tmp_path])
         assert code == 0
@@ -191,6 +215,20 @@ class TestOtherExperiments:
             gates, _ = cli.run_lemma41(cli.ExperimentConfig("lemma41", n=24, seed=7, out_dir=tmp_path))
         assert all(np.isfinite(g.value) for g in gates)
 
+    def test_lemma41_witness_overflow_is_a_named_gate(self, tmp_path, capsys):
+        # From n = 33 the witness table overflows to inf.  The scaling turned
+        # that into NaN, which numerical_rank refused as a usage error (exit 2,
+        # no summary); it is a numerical failure, one failing gate.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(["lemma41", "--n", 33, "--seed", 7, "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "NumericalError: witness symmetrizers overflow at n=33" in err
+        assert "usage error" not in err
+        summary = json.loads((tmp_path / "lemma41.json").read_text())
+        assert [(g["name"], g["pass"]) for g in summary["gates"]] == [("NumericalError", False)]
+
     def test_out_is_a_file_usage_error(self, tmp_path, capsys):
         out = tmp_path / "file"
         out.write_text("")
@@ -217,8 +255,8 @@ class TestFactorizeReference:
         got, info = cli._reference_states(s0, nmat, idx, 0.5)
         assert got.shape == (3, 8, 8)
         assert info["steps"] == 16 and info["evals"] == 24 * 43 and info["met_budget"] is True
-        coarse = integrate(s0, nmat, idx, 0.5, 2.5e-4).states[[500, 1000, 2000]]
-        fine = integrate(s0, nmat, idx, 0.5, 1.25e-4).states[[1000, 2000, 4000]]
+        coarse = integrate(s0, nmat, idx, 0.5, 2.5e-4)[1][[500, 1000, 2000]]
+        fine = integrate(s0, nmat, idx, 0.5, 1.25e-4)[1][[1000, 2000, 4000]]
         assert np.linalg.norm(got - (16 * fine - coarse) / 15, axis=(1, 2)).max() <= 1e-13
 
     @pytest.mark.parametrize(

@@ -505,15 +505,15 @@ class TestSolution:
         x = bi_state(3, seed=21)
         idx = IntegralIndex(2, 0)
         for t in (0.25, 0.5, 1.0):
-            s_fact = solve_by_factorization(x, idx, t=t, m_samples=256, depth=40)
-            s_ode = integrate(x.S, x.N, idx, t_final=t, h=1e-4).states[-1]
+            s_fact = solve_by_factorization(x, idx, t=t)
+            s_ode = integrate(x.S, x.N, idx, t_final=t, h=1e-4)[1][-1]
             assert np.linalg.norm(s_fact.full() - s_ode) <= 1e-6
 
     def test_higher_flow_matches_rk4(self):
         x = bi_state(4, seed=22, scale=0.8)
         idx = IntegralIndex(3, 2)
-        s_fact = solve_by_factorization(x, idx, t=0.5, m_samples=256, depth=40)
-        s_ode = integrate(x.S, x.N, idx, t_final=0.5, h=1e-4).states[-1]
+        s_fact = solve_by_factorization(x, idx, t=0.5)
+        s_ode = integrate(x.S, x.N, idx, t_final=0.5, h=1e-4)[1][-1]
         assert np.linalg.norm(s_fact.full() - s_ode) <= 1e-6
 
     def test_stays_on_orbit(self):

@@ -257,37 +257,35 @@ class TestCommuteSizes:
 class TestSpectralCoeffs:
     def test_zero_n_reduces_to_char_poly(self):
         s = random_sym(4, seed=8)
-        table = spectral_coeffs(s, SkewMatrix.zero(4))
+        table = spectral_coeffs(s, SkewMatrix.zero(4))[0]
         coeffs = char_poly(s.full())
         for r in range(5):
-            npt.assert_allclose(table.value(r, 0), coeffs[4 - r], atol=1e-10)
+            npt.assert_allclose(table[r, 0], coeffs[4 - r], atol=1e-10)
             for k in range(1, r // 2 + 1):
-                assert abs(table.value(r, k)) <= 1e-10
+                assert abs(table[r, k]) <= 1e-10
 
     def test_pure_n_coefficients_ignore_s(self):
         n = random_skew_simple(5, seed=9)
-        t1 = spectral_coeffs(random_sym(5, seed=10), n)
-        t2 = spectral_coeffs(random_sym(5, seed=11), n)
-        scale = max(1.0, np.max(np.abs(t1.values())))
+        t1 = spectral_coeffs(random_sym(5, seed=10), n)[0]
+        t2 = spectral_coeffs(random_sym(5, seed=11), n)[0]
+        scale = max(1.0, np.max(np.abs(list(t1.values()))))
         for k in range(1, 3):
-            assert abs(t1.value(2 * k, k) - t2.value(2 * k, k)) <= 1e-10 * scale
+            assert abs(t1[2 * k, k] - t2[2 * k, k]) <= 1e-10 * scale
 
     def test_even_in_z(self):
         for seed in range(5):
             s = random_sym(5, seed=30 + seed)
             n = random_skew_simple(5, seed=40 + seed)
-            assert spectral_coeffs(s, n).odd_z_residual <= 1e-10
+            assert spectral_coeffs(s, n)[1] <= 1e-10
 
     def test_evaluates_determinant(self):
         # Oracle: direct determinant evaluation at an arbitrary (z, w) point.
         s = random_sym(4, seed=12)
         n = random_skew_simple(4, seed=13)
-        table = spectral_coeffs(s, n)
+        table = spectral_coeffs(s, n)[0]
         z, w = 0.7, -0.3
         want = np.linalg.det(s.full() + z * n.full() - w * np.eye(4))
-        got = sum(
-            table.value(r, k) * z ** (2 * k) * w ** (4 - r) for r, k in table.keys()
-        )
+        got = sum(table[r, k] * z ** (2 * k) * w ** (4 - r) for r, k in table)
         npt.assert_allclose(got, want, atol=1e-10 * max(1.0, abs(want)))
 
 

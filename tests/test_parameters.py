@@ -20,13 +20,9 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(biflow.__path__))
 DEFAULTED = {
     "blockpde.PDEState.__init__": ("parity",),
     "blockpde.PDEState.from_fields": ("parity",),
-    "blockpde.integrate_pde": ("printed_variant",),
-    "blockpde.pde_rhs": ("printed_variant",),
-    "blockpde.rhs_reduced": ("printed_variant",),
     "factorization.birkhoff": ("depth",),
     "factorization.circle_symmetry_residual": ("m_samples",),
     "factorization.sample_exp": ("m_samples", "half"),
-    "factorization.solve_by_factorization": ("m_samples", "depth"),
     "flows.rk4_path": ("project",),
     "laurent.LaurentLoop.from_terms": ("n",),
     "laurent.is_sigma_fixed": ("tol",),
