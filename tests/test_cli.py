@@ -216,9 +216,8 @@ class TestOtherExperiments:
         assert all(np.isfinite(g.value) for g in gates)
 
     def test_lemma41_witness_overflow_is_a_named_gate(self, tmp_path, capsys):
-        # From n = 33 the witness table overflows to inf.  The scaling turned
-        # that into NaN, which numerical_rank refused as a usage error (exit 2,
-        # no summary); it is a numerical failure, one failing gate.
+        # From n = 33 the witness table overflows to inf: a numerical failure,
+        # so one failing gate with a summary, not a usage error, and no warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = run_cli(["lemma41", "--n", 33, "--seed", 7, "--out", tmp_path])

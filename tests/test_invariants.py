@@ -206,6 +206,18 @@ class TestPoissonMatrix:
             assert abs(want) > 1e-2
             npt.assert_allclose(-np.trace(k @ (a1 @ b1 - b1 @ a1)), want, rtol=1e-12)
 
+    def test_contraction_is_the_trace_pairing(self, monkeypatch):
+        # Oracle: -tr(F_a M_b) pair by pair, on stacks far from commuting and
+        # with M not symmetric, so a lost sign or transpose shows.
+        s, k = sample_state(5, 11)
+        table = invariants._hamiltonian_fields(s, k)[0]
+        m = np.stack([random_matrix(5, seed=300 + a) for a in range(6)])
+        f = np.stack([random_matrix(5, seed=400 + a) for a in range(6)])
+        monkeypatch.setattr(invariants, "_hamiltonian_fields", lambda s, n: (table, m, f))
+        brackets, _ = poisson_matrix(s, k)
+        raw = np.array([[-np.trace(f[a] @ m[b]) for b in range(6)] for a in range(6)])
+        npt.assert_allclose(brackets, 0.5 * (raw - raw.T), rtol=0, atol=1e-14 * np.abs(raw).max())
+
     def test_scale_matches_gradient_norms(self):
         # The scaled states put the largest loop coefficient on N, and every
         # product under the floor of 1.
