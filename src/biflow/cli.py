@@ -1,9 +1,10 @@
 """Batch experiment driver.
 
-Each subcommand configures one experiment, runs it against its tolerance
-gates, and writes a JSON summary (plus a CSV time series where the
-experiment produces one).  Exit status: 0 when every gate passes, 1 on a
-gate failure (the failing gate is named on stderr), 2 on a usage error.
+Each subcommand runs one experiment, configured by its flags alone,
+against fixed tolerance gates (:data:`TOLERANCES`), and writes a JSON
+summary (plus a CSV time series where the experiment produces one).  Exit
+status: 0 when every gate passes, 1 on a gate failure (the failing gate is
+named on stderr), 2 on a usage error.
 A numerical failure (:class:`~biflow.matcore.NumericalError`) ends only its
 own experiment: the summary records it as one failing gate named after the
 error class, and the remaining experiments of ``all`` still run.
@@ -16,8 +17,9 @@ reality and aliasing estimate, and its reference's error estimate, macro
 steps and field evaluations (gates and diagnostics alike are
 deterministic).  CSV files start with a version header line (the only
 line allowed to differ between releases), a ``# schema: 1`` line, and a
-column-documentation comment.  All randomness flows through the explicit --seed; reruns with
-the same config are byte-identical after the version line.
+column-documentation comment.  All randomness flows through the explicit
+--seed; reruns with the same flags are byte-identical after the version
+line.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .invariants import (
     integral_independence_rank,
     poisson_matrix,
     spectral_coeffs,
+    spectral_nodes,
 )
 from .laurent import BILoop
 from .matcore import (
@@ -96,7 +99,8 @@ MAX_SAMPLES = 4096
 # Macro steps of the finest factorize reference run; all runs take at most 504.
 REFERENCE_MACRO_CAP = 256
 
-DEFAULT_TOLERANCES = {
+# The gate tolerances, recorded in every summary under config.tolerances.
+TOLERANCES = {
     "drift": 1e-8,
     "poisson": 1e-10,
     "birkhoff_residual": 1e-8,
@@ -117,7 +121,7 @@ DEFAULT_TOLERANCES = {
 
 
 def _param(flag: str, default, help: str, required: bool = False):
-    """A run parameter, set by its flag or by a config-file key of its name."""
+    """A run parameter, set by its flag."""
     return field(default=default, metadata={"flag": flag, "help": help, "required": required})
 
 
@@ -133,15 +137,11 @@ class ExperimentConfig:
     m_samples: int = _param("--m", 256, "circle samples")
     depth: int = _param("--j", 40, "cap on the start depth of the Birkhoff solve")
     out_dir: Path = field(default_factory=lambda: Path("."))
-    tolerances: dict = field(default_factory=dict)
-
-    def tol(self, name: str) -> float:
-        return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
     def as_dict(self) -> dict:
         out = asdict(self)
         del out["out_dir"]
-        out["tolerances"] = {k: self.tol(k) for k in DEFAULT_TOLERANCES}
+        out["tolerances"] = dict(TOLERANCES)
         return out
 
 
@@ -207,10 +207,11 @@ def _write_csv(cfg: ExperimentConfig, columns: list[str], rows) -> None:
 def run_flow(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
     s0, nmat = sample_state(cfg.n, cfg.seed)
     idx = IntegralIndex(cfg.k, cfg.l)
+    spectral_nodes(cfg.n)  # refuse an ill-conditioned spectral table before paying for the path
     times, states = integrate(s0, nmat, idx, cfg.t_final, cfg.h)
     series = invariant_series(states, nmat)
     _write_csv(cfg, ["t", *series], np.column_stack([times, *series.values()]))
-    tol = cfg.tol("drift")
+    tol = TOLERANCES["drift"]
     return [Gate.leq(f"drift_{name}", d, tol) for name, d in drift_report(series).items()], None
 
 
@@ -222,14 +223,14 @@ def run_invariants(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
     return [
         Gate.exact("integral_count", count, cfg.n * cfg.n // 4),
         Gate.exact("independence_rank", rank, cfg.n * cfg.n // 4),
-        Gate.leq("spectral_evenness", odd_z_residual, cfg.tol("spectral_evenness")),
+        Gate.leq("spectral_evenness", odd_z_residual, TOLERANCES["spectral_evenness"]),
     ], None
 
 
 def run_commute(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
     brackets, scale = poisson_matrix(*sample_state(cfg.n, cfg.seed))
     worst = np.max(np.abs(brackets) / scale)  # antisymmetric: the upper triangle's max
-    return [Gate.leq("poisson_max_rel", worst, cfg.tol("poisson"))], None
+    return [Gate.leq("poisson_max_rel", worst, TOLERANCES["poisson"])], None
 
 
 def run_factorize(cfg: ExperimentConfig) -> tuple[list[Gate], dict]:
@@ -258,10 +259,10 @@ def run_factorize(cfg: ExperimentConfig) -> tuple[list[Gate], dict]:
         gap = float(np.linalg.norm(s_fact.full() - s_ode))
         tag = repr(float(t))
         gates += [
-            Gate.leq(f"birkhoff_residual_t={tag}", fac.residual, cfg.tol("birkhoff_residual")),
-            Gate.leq(f"factor_symmetry_t={tag}", fac.symmetry, cfg.tol("factor_symmetry")),
+            Gate.leq(f"birkhoff_residual_t={tag}", fac.residual, TOLERANCES["birkhoff_residual"]),
+            Gate.leq(f"factor_symmetry_t={tag}", fac.symmetry, TOLERANCES["factor_symmetry"]),
             Gate.exact(f"det_winding_t={tag}", fac.winding, 0),
-            Gate.leq(f"ode_gap_t={tag}", gap, cfg.tol("ode_gap")),
+            Gate.leq(f"ode_gap_t={tag}", gap, TOLERANCES["ode_gap"]),
         ]
     return gates, {"checkpoints": checkpoints, "reference": reference}
 
@@ -322,9 +323,9 @@ def run_findim(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
         for n in range(2, 7)
     )
     return [
-        Gate.leq("group_law", law, cfg.tol("group_law")),
-        Gate.leq("homomorphism", homo, cfg.tol("homomorphism")),
-        Gate.leq("induced_flow", induced, cfg.tol("induced_flow")),
+        Gate.leq("group_law", law, TOLERANCES["group_law"]),
+        Gate.leq("homomorphism", homo, TOLERANCES["homomorphism"]),
+        Gate.leq("induced_flow", induced, TOLERANCES["induced_flow"]),
         Gate.exact("orbit_dimensions", 1.0 if dims_ok else 0.0, 1.0),
     ], None
 
@@ -352,11 +353,11 @@ def run_pde(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
     l2_drift = np.abs(l2 - l2_pair(st0)).max()
     _write_csv(cfg, ["t", "l2_pair", "parity_leakage"], np.column_stack([times, l2, leaks]))
     return [
-        Gate.leq("block_oracle_quadratic", quad_gap, cfg.tol("block_oracle_quadratic")),
-        Gate.leq("block_oracle_cubic", cubic_gap, cfg.tol("block_oracle_cubic")),
-        Gate.leq("trace_pair", trace_gap, cfg.tol("trace_pair")),
-        Gate.leq("l2_drift", l2_drift, cfg.tol("l2_drift")),
-        Gate.leq("parity", leaks.max(), cfg.tol("parity")),
+        Gate.leq("block_oracle_quadratic", quad_gap, TOLERANCES["block_oracle_quadratic"]),
+        Gate.leq("block_oracle_cubic", cubic_gap, TOLERANCES["block_oracle_cubic"]),
+        Gate.leq("trace_pair", trace_gap, TOLERANCES["trace_pair"]),
+        Gate.leq("l2_drift", l2_drift, TOLERANCES["l2_drift"]),
+        Gate.leq("parity", leaks.max(), TOLERANCES["parity"]),
     ], None
 
 
@@ -393,9 +394,9 @@ def run_lemma41(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
         for t in range(20)
     )
     return [
-        Gate.leq("cancellation_identity", worst_a, cfg.tol("cancellation")),
+        Gate.leq("cancellation_identity", worst_a, TOLERANCES["cancellation"]),
         Gate.exact("symmetrizer_parity", 1.0 if parity_ok else 0.0, 1.0),
-        Gate.leq("degree_reduction", worst_c, cfg.tol("degree_reduction")),
+        Gate.leq("degree_reduction", worst_c, TOLERANCES["degree_reduction"]),
         Gate.exact("witness_rank", 1.0 if witness_ok else 0.0, 1.0),
         Gate.exact("generic_rank_hits", 1.0 if hits >= 19 else 0.0, 1.0),
     ], None
@@ -504,74 +505,18 @@ def _build_parser() -> argparse.ArgumentParser:
                 help=f.metadata["help"],
             )
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument(
-            "--tol",
-            action="append",
-            default=[],
-            metavar="NAME=VALUE",
-            help="override one tolerance gate",
-        )
-        p.add_argument("--config", type=Path, default=None, help="JSON config overriding flags")
     rep = sub.add_parser("report", help="consolidate a directory of run summaries")
     rep.add_argument("results_dir", type=Path)
     return parser
 
 
-def _tolerance(name: str, raw) -> float:
-    """One tolerance override: a ``--tol name=value`` string or a config-file number."""
-    if name not in DEFAULT_TOLERANCES:
-        raise ValueError(f"unknown tolerance {name!r}")
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        value = np.nan  # fails the range check below
-    if not 0.0 <= value < np.inf:
-        raise ValueError(f"tolerance {name} needs a finite number >= 0, got {raw!r}")
-    return value
-
-
-def _config_number(key: str, kind: type, val) -> int | float:
-    """A config-file value for a numeric parameter: a JSON number, whole for int."""
-    whole = not isinstance(val, float) or val.is_integer()
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or (kind is int and not whole):
-        raise ValueError(f"config key {key!r} needs {kind.__name__}, got {val!r}")
-    return kind(val)
-
-
 def _config_from_args(args) -> ExperimentConfig:
-    """The run configuration: flags first, then the config file over them.
-
-    Config-file keys are the field names of :class:`ExperimentConfig` other
-    than ``experiment``; every value is checked here, before anything runs.
-    """
-    values = {f.name: getattr(args, f.name) for f in PARAMS}
-    tolerances = {}
-    for item in args.tol:
-        name, _, raw = item.partition("=")
-        tolerances[name] = _tolerance(name, raw)
+    """The run configuration from the flags; --out defaults to $BIFLOW_OUT, else ./biflow-results."""
     out_dir = args.out
-    if args.config is not None:
-        overrides = json.loads(args.config.read_text())
-        if not isinstance(overrides, dict):
-            raise ValueError("config file must hold a JSON object")
-        for key, val in overrides.items():
-            if key in values:
-                values[key] = _config_number(key, type(values[key]), val)
-            elif key == "tolerances" and isinstance(val, dict):
-                tolerances.update(
-                    {
-                        name: _tolerance(name, _config_number(f"tolerances.{name}", float, raw))
-                        for name, raw in val.items()
-                    }
-                )
-            elif key == "out_dir" and isinstance(val, str):
-                out_dir = Path(val)
-            else:
-                keys = ", ".join([*values, "out_dir", "tolerances"])
-                raise ValueError(f"bad config entry {key!r}: {val!r} (keys: {keys})")
     if out_dir is None:
         out_dir = Path(os.environ.get("BIFLOW_OUT", "biflow-results"))
-    return ExperimentConfig(args.command, out_dir=out_dir, tolerances=tolerances, **values)
+    values = {f.name: getattr(args, f.name) for f in PARAMS}
+    return ExperimentConfig(args.command, out_dir=out_dir, **values)
 
 
 def main(argv=None) -> int:
@@ -590,7 +535,7 @@ def main(argv=None) -> int:
         return code
     try:
         return run(_config_from_args(args))
-    except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
+    except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,6 +31,7 @@ __all__ = [
     "poisson_bracket",
     "poisson_matrix",
     "spectral_coeffs",
+    "spectral_nodes",
     "casimirs",
     "casimir_exponents",
     "orbit_membership",
@@ -38,7 +39,7 @@ __all__ = [
 ]
 
 
-COND_CAP = 1e12  # largest condition number of the z-node system spectral_coeffs accepts
+COND_CAP = 1e12  # largest condition number of the z-node system spectral_nodes accepts
 
 
 class InterpolationError(NumericalError):
@@ -162,10 +163,7 @@ def spectral_coeffs(s, n: SkewMatrix) -> tuple[dict, float | np.ndarray]:
     """
     sf = as_stack(s)
     dim = n.n
-    nodes = np.cos(np.pi * (2 * np.arange(dim + 1) + 1) / (2 * (dim + 1)))
-    vand = np.vander(nodes, dim + 1, increasing=True)
-    if np.linalg.cond(vand) > COND_CAP:
-        raise InterpolationError("z-node system too ill-conditioned")
+    nodes = spectral_nodes(dim)
     wcoeffs = char_poly(sf[..., None, :, :] + nodes[:, None, None] * n.full())  # (..., node, w)
     batch = wcoeffs.shape[:-2]
     table = {}
@@ -181,6 +179,19 @@ def spectral_coeffs(s, n: SkewMatrix) -> tuple[dict, float | np.ndarray]:
         odd = np.maximum(odd, np.max(np.abs(zpoly[1::2]), axis=0, initial=0.0))
     scale = np.maximum(1.0, np.max(np.abs(np.stack(list(table.values()))), axis=0))
     return table, odd / scale
+
+
+def spectral_nodes(dim: int) -> np.ndarray:
+    """The dim+1 Chebyshev nodes in z of :func:`spectral_coeffs` for dim x dim states.
+
+    Raises InterpolationError when their Vandermonde system is conditioned
+    past ``COND_CAP`` (from dim = 33).  That depends on dim alone, so a
+    caller can refuse a dimension before it computes any state.
+    """
+    nodes = np.cos(np.pi * (2 * np.arange(dim + 1) + 1) / (2 * (dim + 1)))
+    if np.linalg.cond(np.vander(nodes, dim + 1, increasing=True)) > COND_CAP:
+        raise InterpolationError("z-node system too ill-conditioned")
+    return nodes
 
 
 def casimir_exponents(n: int) -> list[int]:

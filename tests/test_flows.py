@@ -559,8 +559,8 @@ class TestDriftSweep:
     @given(n=st.integers(3, 8), seed=st.integers(0, 10**6))
     def test_bi_flow_passes_every_drift_gate(self, tmp_path_factory, n, seed):
         # Scope: the Bloch-Iserles equation (k=2, l=0), admissible from n=3.
-        # Higher flows at this step fail their drift gates from n=7 on
-        # (ROADMAP item 3).
+        # Flows with k >= 4 at this step fail drift gates from n=6 on; k = 3
+        # passes up to n=8 (ROADMAP item 5).
         cfg = cli.ExperimentConfig(
             "flow", n=n, seed=seed, k=2, l=0, t_final=0.1, h=1e-3,
             out_dir=tmp_path_factory.getbasetemp() / "sweep",

@@ -344,6 +344,13 @@ class TestCasimirs:
         with pytest.raises(InterpolationError):
             spectral_coeffs(s, n)
 
+    def test_node_system_refused_from_n_33(self):
+        from biflow.invariants import InterpolationError, spectral_nodes
+
+        assert len(spectral_nodes(32)) == 33
+        with pytest.raises(InterpolationError):
+            spectral_nodes(33)
+
     def test_membership(self):
         s = random_sym(4, seed=14)
         n = random_skew_simple(4, seed=15)

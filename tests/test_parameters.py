@@ -1,10 +1,10 @@
-"""The settable parameters of the public functions, pinned.
+"""The settable parameters of the public functions and of the command line, pinned.
 
-Thresholds and iteration caps are module constants (``RANK_TOL``,
-``EXP_MAX_TERMS``, ...); only the command line's gate tolerances are
-settable per run.  A public function that takes a new defaulted parameter
-fails here until the list below names it, so each new knob is added on
-purpose.
+Thresholds, iteration caps and the gate tolerances are module constants
+(``RANK_TOL``, ``EXP_MAX_TERMS``, ``cli.TOLERANCES``, ...); a run is set by
+its flags alone.  A public function that takes a new defaulted parameter,
+or a subcommand that takes a new flag, fails here until the lists below name
+it, so each new knob is added on purpose.
 """
 
 import importlib
@@ -13,6 +13,7 @@ import pkgutil
 from types import FunctionType
 
 import biflow
+from biflow import cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(biflow.__path__))
 
@@ -35,6 +36,9 @@ DEFAULTED = {
     "matcore.eigenvalues_sym": ("tol", "max_sweeps"),
     "symmetrizer.witness_pair": ("c",),
 }
+
+# The options of every experiment subcommand; report takes only -h/--help.
+FLAGS = {"-h", "--help", "--n", "--seed", "--k", "--l", "--t", "--h", "--m", "--j", "--out"}
 
 
 def public_functions(name):
@@ -62,3 +66,11 @@ def test_defaulted_parameters_are_pinned():
             if defaulted:
                 found[qualname] = defaulted
     assert found == DEFAULTED
+
+
+def test_flags_are_pinned():
+    subcommands = next(a for a in cli._build_parser()._actions if a.dest == "command").choices
+    assert set(subcommands) == {*cli.EXPERIMENTS, "all", "report"}
+    for name, parser in subcommands.items():
+        found = sorted(opt for action in parser._actions for opt in action.option_strings)
+        assert found == sorted({"-h", "--help"} if name == "report" else FLAGS), name

@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Run a named list of biflow command lines and digest what each produced.
+
+    python3 tools/sweep.py run equivalence digest.json
+    python3 tools/sweep.py diff before.json after.json
+
+``run`` calls ``biflow.cli.main`` in-process for every case of the list,
+each with a fresh output directory and with stderr captured, and writes a
+JSON digest.  Per case the digest holds the exit code, stderr, the sha256 of
+every output file (for a CSV, of everything after its version line), every
+gate's value and verdict, and the wall time.  ``diff`` prints every case
+whose entries differ in anything but wall time, and exits 1 if there is one.
+
+Run the same list in two checkouts (say a commit and its parent) and diff
+the two digests: a claim that a change keeps every result cites that diff.
+The package is imported from the ``src`` directory of the checkout this file
+sits in.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+import time
+import warnings
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from biflow import cli  # noqa: E402
+
+# Each case is a command line without --out.
+CASES = {
+    # The cases a change that claims identical results must keep identical:
+    # the battery over sizes and seeds, the per-op configs of the flow-n4 and
+    # factorize-n8 benchmark workloads, and the cases at the top of the size
+    # range that end in a named error or take the most time.
+    "equivalence": [
+        *(f"all --n {n} --t 0.2 --seed {seed}" for n in (3, 4, 8, 12, 16) for seed in (1, 7)),
+        "flow --n 4 --k 2 --l 0 --t 0.25 --h 1e-3 --seed 7",
+        "factorize --n 8 --k 2 --l 0 --t 0.5 --seed 7",
+        "lemma41 --n 33 --seed 7",
+        "flow --n 48 --t 0.2 --seed 7",
+        "commute --n 32 --seed 7",
+        "commute --n 64 --seed 7",
+    ],
+}
+
+
+def run_case(case: str) -> dict:
+    """The digest entry of one command line."""
+    err = io.StringIO()
+    # A fresh warnings registry per case, so that a case warns as it would
+    # in a process of its own, whatever ran before it.
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        out = Path(tmp) / "out"
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([*case.split(), "--out", str(out)])
+        wall = time.perf_counter() - start
+        files, gates = {}, {}
+        for path in sorted(out.glob("*")):
+            data = path.read_bytes()
+            if path.suffix == ".csv":
+                data = data.partition(b"\n")[2]  # the version line may differ
+            files[path.name] = hashlib.sha256(data).hexdigest()
+            if path.suffix == ".json":
+                summary = json.loads(data)
+                for gate in summary["gates"]:
+                    gates[f"{summary['experiment']}:{gate['name']}"] = [gate["value"], gate["pass"]]
+    return {
+        "exit": code, "stderr": err.getvalue(), "files": files, "gates": gates, "wall_s": round(wall, 3)
+    }
+
+
+def run_cases(cases: list[str], progress=None) -> dict:
+    """The digest of a list of command lines: one entry per case, in order."""
+    digest = {}
+    for case in cases:
+        digest[case] = entry = run_case(case)
+        if progress:
+            print(f"{entry['exit']}  {entry['wall_s']:8.3f} s  {case}", file=progress, flush=True)
+    return digest
+
+
+def _text(value) -> str:
+    return json.dumps(value, sort_keys=True)  # NaN compares equal to itself as text
+
+
+def diff(a: dict, b: dict) -> list[str]:
+    """One line per difference between two digests, wall times aside."""
+    lines = []
+    for case in [*a, *(c for c in b if c not in a)]:
+        if case not in a or case not in b:
+            lines.append(f"{case}: only in {'the second' if case in b else 'the first'} digest")
+            continue
+        old, new = a[case], b[case]
+        for key in ("exit", "stderr", "files"):
+            if _text(old[key]) != _text(new[key]):
+                lines.append(f"{case}: {key} {old[key]!r} -> {new[key]!r}")
+        for name in [*old["gates"], *(g for g in new["gates"] if g not in old["gates"])]:
+            before, after = old["gates"].get(name), new["gates"].get(name)
+            if _text(before) != _text(after):
+                lines.append(f"{case}: gate {name} {before} -> {after}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    run = sub.add_parser("run", help="run a case list and write its digest")
+    run.add_argument("cases", choices=sorted(CASES))
+    run.add_argument("digest", type=Path)
+    cmp = sub.add_parser("diff", help="list the cases that differ between two digests")
+    cmp.add_argument("first", type=Path)
+    cmp.add_argument("second", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        digest = run_cases(CASES[args.cases], progress=sys.stdout)
+        args.digest.write_text(json.dumps({"cases": digest}, indent=1) + "\n")
+        return 0
+    lines = diff(*(json.loads(p.read_text())["cases"] for p in (args.first, args.second)))
+    print("\n".join(lines) if lines else "no difference")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
