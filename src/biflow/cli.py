@@ -1,8 +1,10 @@
 """Batch experiment driver.
 
-Each subcommand runs one experiment, configured by its flags alone,
-against fixed tolerance gates (:data:`TOLERANCES`), and writes a JSON
-summary (plus a CSV time series where the experiment produces one).  Exit
+Each subcommand runs one experiment against fixed tolerance gates
+(:data:`TOLERANCES`), and writes a JSON summary (plus a CSV time series
+where the experiment produces one).  A run is configured by its flags
+alone, and each subcommand takes only the flags its experiment reads
+(:data:`READS`) plus ``--out``; ``all`` takes their union.  Exit
 status: 0 when every gate passes, 1 on a gate failure (the failing gate is
 named on stderr), 2 on a usage error.
 A numerical failure (:class:`~biflow.matcore.NumericalError`) ends only its
@@ -10,8 +12,10 @@ own experiment: the summary records it as one failing gate named after the
 error class, and the remaining experiments of ``all`` still run.
 
 Output formats are stable contracts: JSON summaries carry ``schema: 1``
-and a ``gates`` list of ``{name, value, tol, pass}``.  A runner returns
-its gates and a ``diagnostics`` object for the summary (None for none):
+and a ``gates`` list of ``{name, value, tol, pass}``.  A summary's
+``config`` records the experiment's own fields and the tolerance table.
+A runner returns its gates and a ``diagnostics`` object for the summary
+(None for none):
 ``factorize`` records there each solve's depth, tail, negative part,
 reality and aliasing estimate, and its reference's error estimate, macro
 steps and field evaluations (gates and diagnostics alike are
@@ -29,7 +33,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -139,13 +143,30 @@ class ExperimentConfig:
     out_dir: Path = field(default_factory=lambda: Path("."))
 
     def as_dict(self) -> dict:
-        out = asdict(self)
-        del out["out_dir"]
-        out["tolerances"] = dict(TOLERANCES)
-        return out
+        """The summary's config: the experiment, the fields it reads and the tolerances."""
+        out = {f.name: getattr(self, f.name) for f in params_of(self.experiment)}
+        return {"experiment": self.experiment, **out, "tolerances": dict(TOLERANCES)}
 
 
 PARAMS = [f for f in fields(ExperimentConfig) if "flag" in f.metadata]
+
+# The ExperimentConfig fields each runner reads: its subcommand's flags,
+# besides --out.  A field an experiment does not read keeps its default.
+READS = {
+    "flow": ("n", "seed", "k", "l", "t_final", "h"),
+    "invariants": ("n", "seed"),
+    "commute": ("n", "seed"),
+    "factorize": ("n", "seed", "k", "l", "t_final", "m_samples", "depth"),
+    "findim": ("n", "seed"),
+    "pde": ("n", "seed", "t_final", "h"),
+    "lemma41": ("n", "seed"),
+}
+
+
+def params_of(command: str) -> list:
+    """The run parameters an experiment reads; for 'all', those of any experiment."""
+    names = EXPERIMENTS if command == "all" else (command,)
+    return [f for f in PARAMS if any(f.name in READS[name] for name in names)]
 
 
 @dataclass
@@ -433,6 +454,8 @@ def run(cfg: ExperimentConfig) -> int:
     failures = []
     for name in names:
         sub = replace(cfg, experiment=name)
+        for suffix in ("csv", "json"):  # in --out, an experiment's outputs are its last run's or none
+            (cfg.out_dir / f"{name}.{suffix}").unlink(missing_ok=True)
         try:
             gates, diagnostics = RUNNERS[name](sub)
         except NumericalError as exc:
@@ -489,13 +512,15 @@ def report(results_dir: Path) -> tuple[dict, int]:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process: ``parse_args`` keeps no state."""
+    # Without allow_abbrev=False a prefix is a second spelling of a flag:
+    # --se would read as --seed, and factorize --h as --help.
     parser = argparse.ArgumentParser(
-        prog="biflow", description="isospectral-flow experiment driver"
+        prog="biflow", description="isospectral-flow experiment driver", allow_abbrev=False
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in EXPERIMENTS + ("all",):
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        for f in PARAMS:
+        p = sub.add_parser(name, help=f"run the {name} experiment", allow_abbrev=False)
+        for f in params_of(name):
             p.add_argument(
                 f.metadata["flag"],
                 dest=f.name,
@@ -505,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 help=f.metadata["help"],
             )
         p.add_argument("--out", type=Path, default=None, help="output directory")
-    rep = sub.add_parser("report", help="consolidate a directory of run summaries")
+    rep = sub.add_parser("report", help="consolidate a directory of run summaries", allow_abbrev=False)
     rep.add_argument("results_dir", type=Path)
     return parser
 
@@ -515,7 +540,7 @@ def _config_from_args(args) -> ExperimentConfig:
     out_dir = args.out
     if out_dir is None:
         out_dir = Path(os.environ.get("BIFLOW_OUT", "biflow-results"))
-    values = {f.name: getattr(args, f.name) for f in PARAMS}
+    values = {f.name: getattr(args, f.name) for f in params_of(args.command)}
     return ExperimentConfig(args.command, out_dir=out_dir, **values)
 
 

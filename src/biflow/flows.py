@@ -137,15 +137,18 @@ def rk4_path(
     path = np.empty((steps + 1, *y.shape), dtype=y.dtype)
     path[0] = y
     half, sixth = 0.5 * dt, dt / 6.0
-    for i in range(1, steps + 1):
-        k1 = rhs(y)
-        k2 = rhs(y + half * k1)
-        k3 = rhs(y + half * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if project is not None:
-            y = project(y)
-        path[i] = _guarded(y)
+    # A stage may overflow before the step's state reaches the guard, which
+    # turns the inf or NaN it leaves into BlowupError; numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            k1 = rhs(y)
+            k2 = rhs(y + half * k1)
+            k3 = rhs(y + half * k2)
+            k4 = rhs(y + dt * k3)
+            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if project is not None:
+                y = project(y)
+            path[i] = _guarded(y)
     return times, path
 
 

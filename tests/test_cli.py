@@ -188,7 +188,7 @@ class TestOtherExperiments:
         "args",
         [
             ["all", "--n", 3, "--t", 0, "--seed", 1],
-            ["factorize", "--h", 0, "--seed", 1],
+            ["pde", "--h", 0, "--seed", 1],
             ["all", "--n", 4, "--t", 0.2, "--m", 100, "--seed", 3],
             ["all", "--n", 4, "--t", 0.2, "--j", 0, "--seed", 3],
         ],
@@ -198,12 +198,15 @@ class TestOtherExperiments:
         assert_usage_error(run_cli([*args, "--out", out]), capsys, out)
 
     def test_h_does_not_steer_the_reference(self, tmp_path):
-        # Under the RK4 pair, --h 5e-5 took the reference to 4000 steps.
-        args = ["factorize", "--n", 8, "--t", 0.5, "--seed", 7]
+        # Under the RK4 pair, h = 5e-5 took the reference to 4000 steps.  The
+        # factorize subcommand takes no --h, so the config is set directly.
         outputs = []
         for h in (1e-3, 0.05, 5e-5):
-            assert run_cli([*args, "--h", h, "--out", tmp_path / str(h)]) == 0
-            summary = json.loads((tmp_path / str(h) / "factorize.json").read_text())
+            out = tmp_path / str(h)
+            cfg = cli.ExperimentConfig("factorize", n=8, t_final=0.5, h=h, seed=7, out_dir=out)
+            assert cli.run(cfg) == 0
+            summary = json.loads((out / "factorize.json").read_text())
+            assert "h" not in summary["config"]
             outputs.append((summary["gates"], summary["diagnostics"]))
         assert outputs[0] == outputs[1] == outputs[2]
 
@@ -326,6 +329,37 @@ class TestFactorizeReference:
 
 
 class TestNumericalFailure:
+    def test_named_error_leaves_no_stale_csv(self, tmp_path, monkeypatch):
+        # An earlier run's CSV stayed beside the summary of a run that wrote none.
+        (tmp_path / "flow.csv").write_text("# an earlier run\n")
+
+        def blowup(*args):
+            raise BlowupError("state left the admissible region")
+
+        monkeypatch.setattr(cli, "integrate", blowup)
+        assert run_cli(["flow", "--n", 3, "--t", 0.1, "--seed", 1, "--out", tmp_path]) == 1
+        assert not (tmp_path / "flow.csv").exists()
+        summary = json.loads((tmp_path / "flow.json").read_text())
+        assert [(g["name"], g["pass"]) for g in summary["gates"]] == [("BlowupError", False)]
+
+    def test_usage_error_in_a_runner_leaves_no_stale_outputs(self, tmp_path, capsys):
+        assert run_cli(["flow", "--n", 3, "--t", 0.1, "--seed", 1, "--out", tmp_path]) == 0
+        assert run_cli(["flow", "--n", 3, "--k", 5, "--seed", 1, "--out", tmp_path]) == 2
+        assert "usage error: index (5,0) not admissible" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_flow_warns_nothing(self, tmp_path, capsys):
+        # A stage of this (7, 0) flow overflows in the symmetrizer sweep before
+        # the step's state reaches the guard; numpy used to warn twice first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(["flow", "--n", 8, "--k", 7, "--l", 0, "--t", 0.1, "--seed", 10, "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "BlowupError" in err and "Warning" not in err and "Traceback" not in err
+        summary = json.loads((tmp_path / "flow.json").read_text())
+        assert [(g["name"], g["pass"]) for g in summary["gates"]] == [("BlowupError", False)]
+
     def test_aliasing_becomes_failing_gate(self, tmp_path, capsys):
         code = run_cli(
             ["factorize", "--n", 6, "--k", 5, "--l", 4, "--seed", 7, "--out", tmp_path]
@@ -371,8 +405,13 @@ class TestAllMode:
             "flow.json", "invariants.json", "commute.json", "factorize.json",
             "findim.json", "pde.json", "lemma41.json",
         }
-        for path in tmp_path.glob("*.json"):  # perfbench scores gate margins from this record
-            assert json.loads(path.read_text())["config"]["tolerances"] == cli.TOLERANCES
+        # Each summary records the fields its experiment reads, and the
+        # tolerances, from which perfbench scores gate margins.
+        values = {"n": 3, "seed": 9, "k": 2, "l": 0, "t_final": 0.4, "h": 1e-3, "m_samples": 256, "depth": 40}
+        for path in tmp_path.glob("*.json"):
+            config = json.loads(path.read_text())["config"]
+            reads = {name: values[name] for name in cli.READS[path.stem]}
+            assert config == {"experiment": path.stem, **reads, "tolerances": cli.TOLERANCES}
         assert run_cli(["report", tmp_path]) == 0
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["pass"] is True and len(payload["experiments"]) == 7
@@ -395,7 +434,7 @@ class TestNonFiniteTimeOrStep:
             ["flow", "--n", 4, "--h", "inf", "--seed", 1],
             ["flow", "--n", 4, "--h", "nan", "--seed", 1],
             ["all", "--n", 3, "--t", "nan", "--seed", 1],
-            ["factorize", "--n", 4, "--h", "nan", "--seed", 1],
+            ["pde", "--n", 4, "--h", "nan", "--seed", 1],
         ],
     )
     def test_flag_usage_error(self, tmp_path, capsys, args):
@@ -416,7 +455,9 @@ class TestStepCap:
         assert_usage_error(code, capsys, out)
 
     def test_factorize_does_not_step_with_h(self, tmp_path):
-        assert run_cli(["factorize", "--n", 4, "--t", 0.2, "--h", 1e-9, "--seed", 2, "--out", tmp_path]) == 0
+        # The step cap is for the runners that step with h; factorize never reads it.
+        cfg = cli.ExperimentConfig("factorize", n=4, t_final=0.2, h=1e-9, seed=2, out_dir=tmp_path)
+        assert cli.run(cfg) == 0
 
 
 class TestSampleCap:

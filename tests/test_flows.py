@@ -260,10 +260,11 @@ class TestIntegrate:
 
     def test_overflow_inside_a_stage_is_a_blowup(self):
         # No stage checks its state, so an overflow within a step reaches the
-        # guard and ends the run as a numerical error, not as bad input.
+        # guard and ends the run as a numerical error, not as bad input, and
+        # without a RuntimeWarning (an error under this suite's settings).
         s = SymMatrix(4, 1e200 * random_sym(4, seed=20).packed)
         n = random_skew_simple(4, seed=21)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowupError):
+        with pytest.raises(BlowupError):
             integrate(s, n, IntegralIndex(2, 0), t_final=1.0, h=0.1)
 
     def test_no_state_check_per_step(self, monkeypatch):

@@ -2,15 +2,18 @@
 
 Thresholds, iteration caps and the gate tolerances are module constants
 (``RANK_TOL``, ``EXP_MAX_TERMS``, ``cli.TOLERANCES``, ...); a run is set by
-its flags alone.  A public function that takes a new defaulted parameter,
-or a subcommand that takes a new flag, fails here until the lists below name
-it, so each new knob is added on purpose.
+its flags alone, and each experiment takes only the flags it reads.  A
+public function that takes a new defaulted parameter, or a subcommand that
+takes a new flag, fails here until the tables below name it, so each new
+knob is added on purpose.
 """
 
 import importlib
 import inspect
 import pkgutil
 from types import FunctionType
+
+import pytest
 
 import biflow
 from biflow import cli
@@ -37,8 +40,17 @@ DEFAULTED = {
     "symmetrizer.witness_pair": ("c",),
 }
 
-# The options of every experiment subcommand; report takes only -h/--help.
-FLAGS = {"-h", "--help", "--n", "--seed", "--k", "--l", "--t", "--h", "--m", "--j", "--out"}
+# The options of every experiment subcommand besides -h/--help: the flags its
+# experiment reads, and --out.  all takes their union, report only -h/--help.
+FLAGS = {
+    "flow": {"--n", "--seed", "--k", "--l", "--t", "--h", "--out"},
+    "invariants": {"--n", "--seed", "--out"},
+    "commute": {"--n", "--seed", "--out"},
+    "factorize": {"--n", "--seed", "--k", "--l", "--t", "--m", "--j", "--out"},
+    "findim": {"--n", "--seed", "--out"},
+    "pde": {"--n", "--seed", "--t", "--h", "--out"},
+    "lemma41": {"--n", "--seed", "--out"},
+}
 
 
 def public_functions(name):
@@ -69,8 +81,30 @@ def test_defaulted_parameters_are_pinned():
 
 
 def test_flags_are_pinned():
+    want = {**FLAGS, "all": set().union(*FLAGS.values()), "report": set()}
     subcommands = next(a for a in cli._build_parser()._actions if a.dest == "command").choices
-    assert set(subcommands) == {*cli.EXPERIMENTS, "all", "report"}
+    assert set(subcommands) == set(want)
     for name, parser in subcommands.items():
         found = sorted(opt for action in parser._actions for opt in action.option_strings)
-        assert found == sorted({"-h", "--help"} if name == "report" else FLAGS), name
+        assert found == sorted({"-h", "--help", *want[name]}), name
+
+
+# A flag the experiment does not read, and a prefix of one it does.  Without
+# allow_abbrev=False, --se read as --seed, and factorize --h as --help (exit 0).
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["factorize", "--h", "0.5"],
+        ["commute", "--t", "1"],
+        ["pde", "--k", "3"],
+        ["lemma41", "--m", "64"],
+        ["flow", "--se", "1"],
+    ],
+    ids=["factorize-h", "commute-t", "pde-k", "lemma41-m", "flow-se"],
+)
+def test_unread_flag_refused(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert cli.main([*args, "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(args[1:])}" in err and "Traceback" not in err
+    assert not out.exists()

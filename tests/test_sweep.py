@@ -51,3 +51,20 @@ def test_named_lists_parse(sweep):
     for case in sweep.CASES["equivalence"]:
         args = cli._build_parser().parse_args([*case.split(), "--out", "x"])
         assert args.command in (*cli.EXPERIMENTS, "all")
+
+
+def test_diff_gives_the_largest_move_per_gate(sweep):
+    def entry(**values):
+        gates = {name: [value, True] for name, value in values.items()}
+        return {"exit": 0, "stderr": "", "files": {}, "gates": gates, "wall_s": 0.1}
+
+    first = {"a": entry(g=1e-9, z=0.0, same=1.0), "b": entry(g=1e-9, z=1.0)}
+    second = {"a": entry(g=1e-8, z=2e-12, same=1.0), "b": entry(g=1e-6, z=0.0)}
+    lines = sweep.diff(first, second)
+    assert len(lines) == 4 + 3
+    assert lines[4:] == [
+        "largest move per gate, in decades |log10(after/before)|:",
+        "  g  3",
+        "  z  0.0 -> 2e-12",
+    ]
+    assert sweep.diff(first, first) == []

@@ -9,7 +9,10 @@ each with a fresh output directory and with stderr captured, and writes a
 JSON digest.  Per case the digest holds the exit code, stderr, the sha256 of
 every output file (for a CSV, of everything after its version line), every
 gate's value and verdict, and the wall time.  ``diff`` prints every case
-whose entries differ in anything but wall time, and exits 1 if there is one.
+whose entries differ in anything but wall time, then for each gate name whose
+value moved the largest move over the cases in decades, |log10(after/before)|
+(a move to or from 0, or from or to a value that is not finite, is printed as
+the two values), and exits 1 if anything differs.
 
 Run the same list in two checkouts (say a commit and its parent) and diff
 the two digests: a claim that a change keeps every result cites that diff.
@@ -24,6 +27,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 import time
@@ -92,9 +96,22 @@ def _text(value) -> str:
     return json.dumps(value, sort_keys=True)  # NaN compares equal to itself as text
 
 
+def _move(before: float, after: float) -> tuple[float, str]:
+    """A gate value's move in decades, and how to print it."""
+    ratio = abs(after) / abs(before) if before else math.inf
+    if not 0 < ratio < math.inf:  # to or from 0, or a value that is not finite
+        return math.inf, f"{before!r} -> {after!r}"
+    move = abs(math.log10(ratio))
+    return move, f"{move:.3g}"
+
+
 def diff(a: dict, b: dict) -> list[str]:
-    """One line per difference between two digests, wall times aside."""
-    lines = []
+    """One line per difference between two digests, wall times aside.
+
+    After the cases, one line per gate name whose value moved: its largest
+    move over the cases, in decades.
+    """
+    lines, moves = [], {}
     for case in [*a, *(c for c in b if c not in a)]:
         if case not in a or case not in b:
             lines.append(f"{case}: only in {'the second' if case in b else 'the first'} digest")
@@ -107,6 +124,12 @@ def diff(a: dict, b: dict) -> list[str]:
             before, after = old["gates"].get(name), new["gates"].get(name)
             if _text(before) != _text(after):
                 lines.append(f"{case}: gate {name} {before} -> {after}")
+            if before and after and _text(before[0]) != _text(after[0]):
+                move = _move(before[0], after[0])
+                moves[name] = max(moves.get(name, move), move, key=lambda m: m[0])
+    if moves:
+        lines.append("largest move per gate, in decades |log10(after/before)|:")
+        lines += [f"  {name}  {text}" for name, (_, text) in moves.items()]
     return lines
 
 
