@@ -137,11 +137,11 @@ def _quadratic(y: np.ndarray, bf: np.ndarray) -> np.ndarray:
     """[N, S^2] on the packed (a, b, c, u, v), packed as (a', b', c', u', v')."""
     a, b, c = y[:3].tolist()
     w = y[3:].reshape(2, -1)  # rows u, v
-    (uu, uv), (_, vv) = np.dot(w, w.T).tolist()
+    (uu, uv), (_, vv) = w.dot(w.T).tolist()
     da = 2.0 * (b * (a + c) + uv)
     db = c ** 2 - a ** 2 + vv - uu
     # u' = b u + c v + B v,  v' = -(a u + b v + B u);  w B has rows B u, B v (B is symmetric)
-    dw = np.dot(np.array([[b, c, 0.0, 1.0], [-a, -b, -1.0, 0.0]]), np.concatenate([w, np.dot(w, bf)]))
+    dw = np.array([[b, c, 0.0, 1.0], [-a, -b, -1.0, 0.0]]).dot(np.concatenate([w, w.dot(bf)]))
     return np.concatenate([[da, db, -da], dw.ravel()])
 
 
@@ -149,9 +149,9 @@ def _cubic(y: np.ndarray, bf: np.ndarray) -> np.ndarray:
     """[N, S^3] on the packed (a, b, c, u, v), packed as (a', b', c', u', v')."""
     a, b, c = y[:3].tolist()
     w = y[3:].reshape(2, -1)  # rows u, v
-    wb = np.dot(w, bf)  # rows B u, B v
-    x = np.concatenate([w, wb, np.dot(wb, bf)])  # rows u, v, B u, B v, B^2 u, B^2 v
-    (uu, uv, ubu, ubv), (_, vv, _, vbv) = np.dot(w, x[:4].T).tolist()
+    wb = w.dot(bf)  # rows B u, B v
+    x = np.concatenate([w, wb, wb.dot(bf)])  # rows u, v, B u, B v, B^2 u, B^2 v
+    (uu, uv, ubu, ubv), (_, vv, _, vbv) = w.dot(x[:4].T).tolist()
     t11 = a ** 2 + b ** 2 + uu
     t12 = b * (a + c) + uv
     t22 = b ** 2 + c ** 2 + vv
@@ -161,7 +161,7 @@ def _cubic(y: np.ndarray, bf: np.ndarray) -> np.ndarray:
     db = s3_22 - s3_11
     # u' = t12 u + t22 v + b B u + c B v + B^2 v,  v' = -(t11 u + t12 v + a B u + b B v + B^2 u)
     coef = np.array([[t12, t22, b, c, 0.0, 1.0], [-t11, -t12, -a, -b, -1.0, 0.0]])
-    return np.concatenate([[da, db, -da], np.dot(coef, x).ravel()])
+    return np.concatenate([[da, db, -da], coef.dot(x).ravel()])
 
 
 def rhs_quadratic(bs: BlockState) -> BlockState:
@@ -276,9 +276,9 @@ def _pde(y: np.ndarray, signed_ksq: np.ndarray) -> np.ndarray:
     J (G Y + k^2 Y) with J = [[0, 1], [-1, 0]]:
     u' = <u,v> u + <v,v> v - v_xx and v' = -<u,u> u - <u,v> v + u_xx.
     """
-    g = np.dot(y, y.T)  # G / (2 pi)
+    g = y.dot(y.T)  # G / (2 pi)
     # J M is M with its rows swapped and the new second row negated
-    return np.dot(g[::-1] * _TWO_PI_ROW_SIGNS, y) + signed_ksq * y[::-1]
+    return (g[::-1] * _TWO_PI_ROW_SIGNS).dot(y) + signed_ksq * y[::-1]
 
 
 def integrate_block(

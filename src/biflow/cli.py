@@ -84,8 +84,6 @@ from .symmetrizer import (
     cayley_hamilton_dependence,
     degree_below,
     generic_independence,
-    lemma_a_residual,
-    parity_check,
     witness_pair,
 )
 
@@ -325,14 +323,15 @@ def _reference_states(
 
 def run_findim(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
     rng_seeds = range(cfg.seed, cfg.seed + 10)
+    sample = functools.cache(lambda sd: sample_state(cfg.n, sd))  # each seed serves up to three draws
     law = homo = induced = 0.0
     for sd in rng_seeds:
-        g1 = GroupElem(*sample_state(cfg.n, sd + 1))
-        g2 = GroupElem(*sample_state(cfg.n, sd + 2))
-        a = DualElem(*sample_state(cfg.n, sd + 3))
-        want = g1.full() @ g2.full()
-        law = max(law, float(np.linalg.norm(group_mul(g1, g2).full() - want)))
-        lhs = coadjoint_f(group_mul(g1, g2), a)
+        g1 = GroupElem(*sample(sd + 1))
+        g2 = GroupElem(*sample(sd + 2))
+        a = DualElem(*sample(sd + 3))
+        want, g12 = g1.full() @ g2.full(), group_mul(g1, g2)
+        law = max(law, float(np.linalg.norm(g12.full() - want)))
+        lhs = coadjoint_f(g12, a)
         rhs = coadjoint_f(g1, coadjoint_f(g2, a))
         homo = max(homo, float(np.linalg.norm(lhs.S.full() - rhs.S.full())))
         induced = max(
@@ -385,15 +384,14 @@ def run_pde(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
 def run_lemma41(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
     rng = SplitMix64(cfg.seed)
     worst_a = 0.0
-    for n in range(2, 6):
-        a = rng.matrix(n)
-        b = rng.matrix(n)
+    for n in range(2, 6):  # one table per pair serves every i + j <= 4
+        table = SymmetrizerTable(rng.matrix(n), rng.matrix(n), 5)
         for i in range(5):
             for j in range(5 - i):
-                worst_a = max(worst_a, lemma_a_residual(a, b, i, j))
+                worst_a = max(worst_a, table.cancellation(i, j))
     parity_ok = all(
-        parity_check(*sample_state(cfg.n, cfg.seed + t), i, j)
-        for t in range(3)
+        table.has_parity(i, j)
+        for table in (SymmetrizerTable(*sample_state(cfg.n, cfg.seed + t), 4) for t in range(3))
         for i in range(3)
         for j in range(3)
     )
@@ -409,11 +407,9 @@ def run_lemma41(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
     fams = [f / np.abs(f).max() for f in fams]  # from n = 24 the squares in the norm overflow
     fams = [f / np.linalg.norm(f) for f in fams]
     witness_ok = numerical_rank(fams) == cfg.n * (cfg.n + 1) // 2
-    hits = sum(
-        generic_independence(*sample_state(cfg.n, cfg.seed + 100 + t))
-        == cfg.n * (cfg.n + 1) // 2
-        for t in range(20)
-    )
+    states = [sample_state(cfg.n, cfg.seed + 100 + t) for t in range(20)]
+    s, nmat = (np.stack([state[k].full() for state in states]) for k in (0, 1))
+    hits = int(np.sum(generic_independence(s, nmat) == cfg.n * (cfg.n + 1) // 2))
     return [
         Gate.leq("cancellation_identity", worst_a, TOLERANCES["cancellation"]),
         Gate.exact("symmetrizer_parity", 1.0 if parity_ok else 0.0, 1.0),

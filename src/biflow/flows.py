@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 BLOWUP_NORM = 1e8
+GUARD_BLOCK = 64  # rk4_path checks its recorded states against the guard this many steps at a time
 GBS_STAGES = 6  # q: each GBS macro step runs 2, 4, ..., 2q midpoint substeps
 
 
@@ -79,7 +80,8 @@ def _field(sf: np.ndarray, nf: np.ndarray, idx: IntegralIndex) -> np.ndarray:
     skew (N M)^T = -M N.  The field N M - M N is therefore P + P^T for
     P = N M: one product, and a result symmetric bit for bit.
     """
-    p = nf @ _sweep(sf, nf, idx.k - idx.l, idx.l)
+    dot = np.ndarray.dot if sf.ndim == 2 else np.matmul  # the same bits; dot skips dispatch
+    p = dot(nf, _sweep(sf, nf, idx.k - idx.l, idx.l, dot=dot))
     return p + p.swapaxes(-1, -2)
 
 
@@ -119,7 +121,10 @@ def rk4_path(
 
     Returns the times and a (steps+1, *y0.shape) array of the states.  The
     step count is round(t_final / h) with the step adjusted to land on
-    t_final exactly; every new state passes :func:`_guarded`.
+    t_final exactly.  Every new state passes :func:`_guarded`, checked in blocks
+    of GUARD_BLOCK = 64 recorded steps.  A blown-up run is reported at its first
+    bad state after at most 63 more steps, and an error that ``rhs`` or ``project``
+    raises in those steps is reported as that state's :class:`BlowupError`.
     ``rhs`` checks nothing: callers vet the state where integration starts.
     """
     if not (np.isfinite(t_final) and np.isfinite(h)):
@@ -136,19 +141,29 @@ def rk4_path(
     times = np.linspace(0.0, t_final, steps + 1)
     path = np.empty((steps + 1, *y.shape), dtype=y.dtype)
     path[0] = y
-    half, sixth = 0.5 * dt, dt / 6.0
+    # 0-d arrays: numpy multiplies by them faster than by Python floats, to the same bits
+    half, step, sixth, two = (np.array(x) for x in (0.5 * dt, dt, dt / 6.0, 2.0))
     # A stage may overflow before the step's state reaches the guard, which
     # turns the inf or NaN it leaves into BlowupError; numpy need not warn.
+    lo = 1  # the first recorded state the guard has not checked
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, steps + 1):
-            k1 = rhs(y)
-            k2 = rhs(y + half * k1)
-            k3 = rhs(y + half * k2)
-            k4 = rhs(y + dt * k3)
-            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if project is not None:
-                y = project(y)
-            path[i] = _guarded(y)
+            try:
+                k1 = rhs(y)
+                k2 = rhs(y + half * k1)
+                k3 = rhs(y + half * k2)
+                k4 = rhs(y + step * k3)
+                y = y + sixth * (k1 + two * k2 + two * k3 + k4)
+                if project is not None:
+                    y = project(y)
+            except Exception:  # a step from an unchecked bad state may fail (float ** overflows)
+                if lo < i:
+                    _guarded(path[lo:i], stacked=True)
+                raise
+            path[i] = y
+            if i % GUARD_BLOCK == 0 or i == steps:
+                _guarded(path[lo : i + 1], stacked=True)
+                lo = i + 1
     return times, path
 
 

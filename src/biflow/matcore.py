@@ -300,7 +300,7 @@ def numerical_rank(mats) -> int:
     Forms the Gram matrix G_ij = tr(A_i^T A_j) of the vectorized inputs and
     counts its singular values above ``RANK_TOL`` times the largest one.
     The family is a (P, n, n) stack or a sequence of n x n arrays, checked
-    as one stack.
+    as one stack; a 4-D stack is refused.  :func:`_gram_ranks` counts over leading batch axes.
     """
     if len(mats) == 0:
         return 0
@@ -309,12 +309,13 @@ def numerical_rank(mats) -> int:
     v = as_stack(mats)
     if v.ndim != 3:
         raise ValueError(f"expected a family of square matrices, got shape {v.shape}")
-    v = v.reshape(len(v), -1)
-    gram = v @ v.T
-    svals = np.linalg.svd(gram, compute_uv=False)
-    if svals[0] <= 0.0:
-        return 0
-    return int(np.sum(svals > RANK_TOL * svals[0]))
+    return int(_gram_ranks(v.reshape(len(v), -1)))
+
+
+def _gram_ranks(v: np.ndarray) -> np.ndarray:
+    """Rank of the rows of each (P, k) matrix in a (..., P, k) stack, as numerical_rank counts it."""
+    svals = np.linalg.svd(v @ v.swapaxes(-1, -2), compute_uv=False)
+    return np.sum(svals > RANK_TOL * svals[..., :1], axis=-1)
 
 
 class SplitMix64:

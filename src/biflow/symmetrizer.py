@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .matcore import SkewMatrix, SymMatrix, as_matrix, as_stack, commutator, numerical_rank
+from .matcore import SkewMatrix, SymMatrix, _gram_ranks, as_matrix, as_stack, commutator
 
 __all__ = [
     "SymmetrizerTable",
@@ -42,18 +42,20 @@ PARITY_TOL = 1e-13  # relative asymmetry (or skew defect) parity_check accepts
 
 
 class SymmetrizerTable:
-    """Every sym_{ij}(A, B) with i + j up to a degree cap, from one row sweep."""
+    """Every sym_{ij}(A, B) with i + j up to a degree cap, from one row sweep.
+
+    A and B may be stacks (..., n, n) of one shape; each entry is then a stack."""
 
     def __init__(self, a, b, degree_cap: int):
-        self.a = as_matrix(a)
-        self.b = as_matrix(b)
+        self.a = as_stack(a)
+        self.b = as_stack(b)
         if self.a.shape != self.b.shape:
             raise ValueError("A and B must share one dimension")
         if degree_cap < 0:
             raise ValueError("degree cap must be nonnegative")
         self.degree_cap = degree_cap
         # rows[i][j] = sym_{ij}; copies, as the sweep stores the A and B it gets
-        rows = self._rows = [[np.eye(self.a.shape[0])]]
+        rows = self._rows = [[np.zeros_like(self.a) + np.eye(self.a.shape[-1])]]
         if degree_cap:
             keep = lambda r, row: rows.append(row) if r else rows[0].extend(row[1:])
             _sweep(self.a.copy(), self.b.copy(), degree_cap, degree_cap, keep)
@@ -75,6 +77,17 @@ class SymmetrizerTable:
             return self.get(i - 1, 0) @ self.a
         return self.get(i - 1, j) @ self.a + self.get(i, j - 1) @ self.b
 
+    def cancellation(self, i: int, j: int) -> float:
+        """Norm of [sym_{i,j+1}, A] + [sym_{i+1,j}, B] for matrices; zero in exact arithmetic."""
+        resid = commutator(self.get(i, j + 1), self.a) + commutator(self.get(i + 1, j), self.b)
+        return float(np.linalg.norm(resid))
+
+    def has_parity(self, i: int, j: int) -> bool:
+        """For matrices, True iff sym_{ij} is symmetric for even j and skew for odd j, to ``PARITY_TOL``."""
+        m = self.get(i, j)
+        defect = m - m.T if j % 2 == 0 else m + m.T
+        return bool(np.linalg.norm(defect) <= PARITY_TOL * max(1.0, np.linalg.norm(m)))
+
 
 def sym(a, b, i: int, j: int) -> np.ndarray:
     """sym_{ij}(A, B) by the row sweep over the (i+1) x (j+1) rectangle it needs.
@@ -91,24 +104,26 @@ def sym(a, b, i: int, j: int) -> np.ndarray:
     return _sweep(a, b, i, j)
 
 
-def _sweep(a: np.ndarray, b: np.ndarray, i: int, j: int, keep=None) -> np.ndarray:
+def _sweep(a: np.ndarray, b: np.ndarray, i: int, j: int, keep=None, dot=np.matmul) -> np.ndarray:
     """Unchecked sym_{ij}(A, B), i + j >= 1, from rows r = 0..i of the table.
 
     Only the last row is held, unless ``keep(r, row)`` takes each row as made,
     row[c] = sym_{rc} (None at r = c = 0), cut to r + c <= i (j <= i; the return
     is then unused).  The recursion starts from A and B, not I; X @ I is an
-    exact copy of X, so the bits agree with the identity-seeded table."""
+    exact copy of X, so the bits agree with the identity-seeded table.
+    ``dot`` is the matrix product; ``np.ndarray.dot`` gives the same bits on
+    matrices, without numpy's dispatch."""
     row = [b]  # row[c - 1] = sym_{r,c}, here for r = 0
     for _ in range(j - 1):
-        row.append(b @ row[-1])
+        row.append(dot(b, row[-1]))
     if keep is not None:
         keep(0, [None, *row[:j]])
         j = min(j, i - 1)  # the width of row 1
     for r in range(i):
-        col = a @ col if r else a  # sym_{r+1,0}
+        col = dot(a, col) if r else a  # sym_{r+1,0}
         nxt = [col]
         for c in range(j):
-            nxt.append(a @ row[c] + b @ nxt[-1])
+            nxt.append(dot(a, row[c]) + dot(b, nxt[-1]))
         row = nxt[1:]
         if keep is not None:
             keep(r + 1, nxt)
@@ -135,19 +150,13 @@ def sym_enumerated(a, b, i: int, j: int) -> np.ndarray:
 
 
 def lemma_a_residual(a, b, i: int, j: int) -> float:
-    """Norm of [sym_{i,j+1}, A] + [sym_{i+1,j}, B]; zero in exact arithmetic."""
-    table = SymmetrizerTable(a, b, i + j + 1)
-    resid = commutator(table.get(i, j + 1), table.a) + commutator(table.get(i + 1, j), table.b)
-    return float(np.linalg.norm(resid))
+    """Norm of [sym_{i,j+1}, A] + [sym_{i+1,j}, B] for matrices A and B; zero in exact arithmetic."""
+    return SymmetrizerTable(a, b, i + j + 1).cancellation(i, j)
 
 
 def parity_check(s: SymMatrix, n: SkewMatrix, i: int, j: int) -> bool:
     """True iff sym_{ij}(S, N) is symmetric for even j and skew for odd j, to ``PARITY_TOL``."""
-    m = sym(s.full(), n.full(), i, j)
-    scale = max(1.0, np.linalg.norm(m))
-    if j % 2 == 0:
-        return bool(np.linalg.norm(m - m.T) <= PARITY_TOL * scale)
-    return bool(np.linalg.norm(m + m.T) <= PARITY_TOL * scale)
+    return SymmetrizerTable(s, n, i + j).has_parity(i, j)
 
 
 def cayley_hamilton_dependence(a, b) -> float:
@@ -196,13 +205,14 @@ def degree_below(n: int) -> list[tuple[int, int]]:
     return [(r, d - r) for d in range(n) for r in range(d + 1)]
 
 
-def generic_independence(s: SymMatrix, n: SkewMatrix) -> int:
+def generic_independence(s, n) -> int | np.ndarray:
     """Rank of the family of all symmetrizers of degree below n.
 
     Equals n(n+1)/2 for generic (S, N); collapses on degenerate pairs such
-    as S proportional to the identity.
+    as S proportional to the identity.  S and N may also be arrays (B, n, n)
+    with a leading batch axis of states: then the B ranks, from one batched SVD.
     """
-    dim = s.n
-    table = SymmetrizerTable(s.full(), n.full(), dim - 1)
-    family = [table.get(i, j) for i, j in degree_below(dim)]
-    return numerical_rank(family)
+    table = SymmetrizerTable(s, n, as_stack(s).shape[-1] - 1)
+    family = as_stack(np.stack([table.get(i, j) for i, j in degree_below(table.degree_cap + 1)], axis=-3))
+    ranks = _gram_ranks(family.reshape(*family.shape[:-2], -1))
+    return ranks if ranks.ndim else int(ranks)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biflow import cli, flows, invariants, matcore, symmetrizer
+from biflow import blockpde, cli, flows, invariants, matcore, symmetrizer
 from biflow.flows import (
     BLOWUP_NORM,
     BlowupError,
@@ -286,6 +286,125 @@ class TestIntegrate:
             _, states = integrate(s, n, idx, t_final=0.1, h=1e-3)
             assert states.shape == (101, 4, 4)
             assert len(calls) <= 2
+
+
+def per_step_rk4_path(rhs, y0, t_final, h, project=None):
+    """Oracle: rk4_path's steps with each new state guarded as it is made."""
+    steps = int(round(t_final / h)) or int(t_final > 0)
+    dt = t_final / steps if steps else 0.0
+    path = np.empty((steps + 1, *np.shape(y0)))
+    y = path[0] = np.asarray(y0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if project is not None:
+                y = project(y)
+            path[i] = flows._guarded(y)
+    return np.linspace(0.0, t_final, steps + 1), path
+
+
+class TestBlockGuard:
+    """rk4_path checks its states GUARD_BLOCK steps at a time, with the per-step verdict."""
+
+    @staticmethod
+    def ramp(first_bad):
+        """From 0 at unit steps, y' = c puts state i at i c, past the guard from step first_bad on."""
+        c = np.array([[BLOWUP_NORM / (first_bad - 0.5)]])
+        calls = []
+        return (lambda y: calls.append(1) or c), calls
+
+    @pytest.mark.parametrize(
+        "first_bad, steps",
+        [(70, 200), (100, 100), (64, 200), (128, 128), (1, 1), (1, 64)],
+        ids=["mid-block", "last-step-of-a-partial-block", "block-boundary", "last-block-boundary",
+             "one-step", "first-step"],
+    )
+    def test_blowup_at_the_first_bad_state(self, first_bad, steps):
+        assert flows.GUARD_BLOCK == 64
+        rhs, calls = self.ramp(first_bad)
+        _, path = per_step_rk4_path(rhs, np.zeros((1, 1)), first_bad - 1.0, 1.0)
+        assert np.linalg.norm(path[-1]) <= BLOWUP_NORM
+        for integrate_path in (per_step_rk4_path, rk4_path):
+            calls.clear()
+            with pytest.raises(BlowupError):
+                integrate_path(rhs, np.zeros((1, 1)), float(steps), 1.0)
+            # The blown-up run stops at the end of the block holding its first bad state.
+            assert first_bad * 4 <= len(calls) <= 4 * min(steps, first_bad + 63)
+
+    def test_ends_of_blocks_pass_under_the_bound(self):
+        rhs, calls = self.ramp(201)
+        want = per_step_rk4_path(rhs, np.zeros((1, 1)), 200.0, 1.0)
+        got = rk4_path(rhs, np.zeros((1, 1)), 200.0, 1.0)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_error_after_a_bad_state_is_that_blowup(self):
+        # y' = y^2 in Python floats: the state passes the bound, and within
+        # the same block squaring it raises OverflowError.
+        def rhs(y):
+            return np.array([[float(y[0, 0]) ** 2]])
+
+        with pytest.raises(BlowupError):
+            per_step_rk4_path(rhs, np.ones((1, 1)), 30.0, 0.1)
+        with pytest.raises(BlowupError):
+            rk4_path(rhs, np.ones((1, 1)), 30.0, 0.1)
+
+    def test_error_before_any_bad_state_propagates(self):
+        def rhs(y):
+            if y[0, 0] > 10.5:
+                raise ZeroDivisionError("from the field")
+            return np.ones_like(y)
+
+        with pytest.raises(ZeroDivisionError, match="from the field"):
+            rk4_path(rhs, np.zeros((1, 1)), 100.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "n, k, l, seed, t, h", [(4, 2, 0, 7, 0.25, 1e-3), (8, 4, 2, 13, 0.2, 1e-3), (3, 2, 0, 1, 7.0, 0.05)]
+    )
+    def test_flow_field_matches_per_step_oracle(self, monkeypatch, n, k, l, seed, t, h):
+        s0, nmat = cli.sample_state(n, seed)
+        want = None
+        for path in (per_step_rk4_path, rk4_path):
+            monkeypatch.setattr(flows, "rk4_path", path)
+            got = integrate(s0, nmat, IntegralIndex(k, l), t, h)
+            assert want is None or all(np.array_equal(a, b) for a, b in zip(got, want))
+            want = got
+
+    @pytest.mark.parametrize("h", [1e-3, 2e-3])
+    def test_pde_fields_match_per_step_oracle(self, monkeypatch, h):
+        # The pde experiment's two RK4 runs: the quadratic block flow and the
+        # projected spectral system.
+        x = 2.0 * np.pi * np.arange(64) / 64
+        st0 = blockpde.PDEState.from_fields(0.4 * np.sin(x) + 0.2 * np.sin(3 * x), 0.3 * np.sin(2 * x), "odd")
+        bs0 = blockpde.extract(cli.sample_state(8, 7)[0])
+        paths = []
+        for path in (per_step_rk4_path, rk4_path):
+            monkeypatch.setattr(blockpde, "rk4_path", path)
+            times, st = blockpde.integrate_pde(st0, 1.0, h)
+            times_b, bs = blockpde.integrate_block(bs0, 2, 1.0, h)
+            paths.append([times, st.u_hat, st.v_hat, times_b, bs.a, bs.b, bs.c, bs.u, bs.v])
+        assert all(np.array_equal(a, b) for a, b in zip(*paths))
+
+    @pytest.mark.parametrize("power, h", [(2, 1.0), (3, 0.5)])
+    def test_block_flow_blowup_matches_per_step_oracle(self, monkeypatch, power, h):
+        # At these steps RK4 leaves the admissible region; the block fields
+        # square Python floats, which overflow past the guard.
+        bs0 = blockpde.extract(cli.sample_state(8, 7)[0])
+        for path in (per_step_rk4_path, rk4_path):
+            monkeypatch.setattr(blockpde, "rk4_path", path)
+            with pytest.raises(BlowupError):
+                blockpde.integrate_block(bs0, power, 50.0, h)
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 16, 33, 64])
+    def test_field_on_a_matrix_equals_the_one_state_stack(self, n):
+        s0, nmat = cli.sample_state(n, 7)
+        nf = nmat.full()
+        sf = s0.full()
+        for idx in (IntegralIndex(2, 0), IntegralIndex(3, 2), IntegralIndex(5, 2)):
+            assert np.array_equal(flows._field(sf, nf, idx), flows._field(sf[None], nf, idx)[0])
 
 
 def sequential_gbs_path(rhs, y0, t_final, macro):

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from biflow.matcore import numerical_rank, random_matrix, random_skew_simple, random_sym
+from biflow.matcore import commutator, numerical_rank, random_matrix, random_skew_simple, random_sym
 from biflow.symmetrizer import (
     SymmetrizerTable,
     _sweep,
@@ -188,6 +188,19 @@ class TestLemmaA:
                             1.0, (np.linalg.norm(a) + np.linalg.norm(b)) ** (i + j + 2)
                         )
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_table_serves_every_residual(self, n):
+        # lemma41 reads every residual at i + j <= 4 from one table of degree
+        # 5: each has the bits of its own table's and of the entries sym builds.
+        a = random_matrix(n, seed=400 + n)
+        b = random_matrix(n, seed=500 + n)
+        table = SymmetrizerTable(a, b, 5)
+        for i in range(5):
+            for j in range(5 - i):
+                resid = commutator(sym(a, b, i, j + 1), a) + commutator(sym(a, b, i + 1, j), b)
+                want = float(np.linalg.norm(resid))
+                assert table.cancellation(i, j) == lemma_a_residual(a, b, i, j) == want
+
 
 class TestParity:
     def test_s_squared_symmetric(self):
@@ -212,6 +225,25 @@ class TestParity:
             for i in range(4):
                 for j in range(4):
                     assert parity_check(s, n, i, j)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_one_table_serves_every_entry(self, dim):
+        # lemma41 reads the entries i, j <= 2 of one state from one table of degree 4.
+        s = random_sym(dim, seed=600 + dim)
+        n = random_skew_simple(dim, seed=700 + dim)
+        table = SymmetrizerTable(s, n, 4)
+        for i in range(3):
+            for j in range(3):
+                assert np.array_equal(table.get(i, j), sym(s.full(), n.full(), i, j))
+                assert table.has_parity(i, j) and parity_check(s, n, i, j)
+
+    def test_wrong_parity_refused(self):
+        # With B symmetric, sym_{ij} is symmetric for every j, so odd j fails.
+        a = random_sym(4, seed=25).full()
+        b = random_sym(4, seed=26).full()
+        table = SymmetrizerTable(a, b, 4)
+        got = [table.has_parity(i, j) for i, j in ((0, 1), (1, 1), (0, 2), (1, 3))]
+        assert got == [False, False, True, False]
 
 
 class TestCayleyHamiltonDependence:
@@ -288,6 +320,23 @@ class TestGenericIndependence:
             if generic_independence(s, k) == 10:
                 hits += 1
         assert hits >= 19
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_stacked_ranks_equal_per_sample_ranks(self, n):
+        # lemma41's 20 samples as one stack and one batched SVD, against a
+        # table and a rank per sample; at n = 8 some ranks fall short.
+        pairs = [(random_sym(n, seed=107 + t), random_skew_simple(n, seed=10_107 + t)) for t in range(20)]
+        s = np.stack([p.full() for p, _ in pairs])
+        k = np.stack([q.full() for _, q in pairs])
+        stacked = SymmetrizerTable(s, k, n - 1)
+        ranks = generic_independence(s, k)
+        assert ranks.shape == (20,)
+        for t, (p, q) in enumerate(pairs):
+            table = SymmetrizerTable(p, q, n - 1)
+            family = [table.get(i, j) for i, j in degree_below(n)]
+            assert all(np.array_equal(stacked.get(i, j)[t], m) for (i, j), m in zip(degree_below(n), family))
+            assert ranks[t] == numerical_rank(family) == generic_independence(p, q)
+        assert (n == 4) == all(ranks == n * (n + 1) // 2)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -38,21 +38,30 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from biflow import cli  # noqa: E402
 
+# The per-op command lines of the three benchmark workloads (perfbench/run.py),
+# without --seed: flow-n4, factorize-n8 and the five of checks-n8.
+BENCHMARK_OPS = [
+    "flow --n 4 --k 2 --l 0 --t 0.25 --h 1e-3",
+    "factorize --n 8 --k 2 --l 0 --t 0.5",
+    *(f"{experiment} --n 8" for experiment in ("invariants", "commute", "lemma41", "findim", "pde")),
+]
+
 # Each case is a command line without --out.
 CASES = {
     # The cases a change that claims identical results must keep identical:
-    # the battery over sizes and seeds, the per-op configs of the flow-n4 and
-    # factorize-n8 benchmark workloads, and the cases at the top of the size
-    # range that end in a named error or take the most time.
+    # the battery over sizes and seeds, the per-op configs of the three
+    # benchmark workloads, and the cases at the top of the size range that
+    # end in a named error or take the most time.
     "equivalence": [
         *(f"all --n {n} --t 0.2 --seed {seed}" for n in (3, 4, 8, 12, 16) for seed in (1, 7)),
-        "flow --n 4 --k 2 --l 0 --t 0.25 --h 1e-3 --seed 7",
-        "factorize --n 8 --k 2 --l 0 --t 0.5 --seed 7",
+        *(f"{op} --seed 7" for op in BENCHMARK_OPS),
         "lemma41 --n 33 --seed 7",
         "flow --n 48 --t 0.2 --seed 7",
         "commute --n 32 --seed 7",
         "commute --n 64 --seed 7",
     ],
+    # The benchmark ops at the op seeds 7000-7009 of a run with --seed 7.
+    "seeds": [f"{op} --seed {seed}" for seed in range(7000, 7010) for op in BENCHMARK_OPS],
 }
 
 
