@@ -74,12 +74,10 @@ AGREE_TOL = 1e-7  # gap between the states conjugated by g_minus and g_plus
 def generator(x0: BILoop, idx: IntegralIndex) -> LaurentLoop:
     """Exponent loop X0(z)^k z^-(l+1) of the factorization problem.
 
-    Only even l is allowed: that parity makes the generator fixed by the
-    involution, delta(z) + delta(-z)^T = 0, which is what guarantees the
-    loop symmetry of exp(-t * generator).
+    ``IntegralIndex`` enforces even l: that parity makes the generator fixed
+    by the involution, delta(z) + delta(-z)^T = 0, which is what guarantees
+    the loop symmetry of exp(-t * generator).
     """
-    if idx.l % 2 != 0:
-        raise ValueError("factorization generators need an even power l")
     return gradient_loop(x0, idx)  # which rejects an index not admissible for n
 
 

@@ -51,8 +51,8 @@ def _blocks(n: int, rows) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GroupElem:
-    """Group element g(S, N) stored by its block data."""
+class _BlockPair:
+    """Block data (S, N) of one dimension n, as the three element types store it."""
 
     S: SymMatrix
     N: SkewMatrix
@@ -64,6 +64,11 @@ class GroupElem:
     @property
     def n(self) -> int:
         return self.S.n
+
+
+@dataclass(frozen=True)
+class GroupElem(_BlockPair):
+    """Group element g(S, N) stored by its block data."""
 
     def full(self) -> np.ndarray:
         n = self.n
@@ -80,25 +85,10 @@ class GroupElem:
             },
         )
 
-    @classmethod
-    def identity(cls, n: int) -> "GroupElem":
-        return cls(SymMatrix.zero(n), SkewMatrix.zero(n))
-
 
 @dataclass(frozen=True)
-class AlgElem:
+class AlgElem(_BlockPair):
     """Lie algebra element X(S, N): strictly upper block triangular."""
-
-    S: SymMatrix
-    N: SkewMatrix
-
-    def __post_init__(self):
-        if self.S.n != self.N.n:
-            raise ValueError("block dimensions differ")
-
-    @property
-    def n(self) -> int:
-        return self.S.n
 
     def full(self) -> np.ndarray:
         s = self.S.full()
@@ -106,19 +96,8 @@ class AlgElem:
 
 
 @dataclass(frozen=True)
-class DualElem:
+class DualElem(_BlockPair):
     """Dual element A(S~, N~): strictly lower block triangular."""
-
-    S: SymMatrix
-    N: SkewMatrix
-
-    def __post_init__(self):
-        if self.S.n != self.N.n:
-            raise ValueError("block dimensions differ")
-
-    @property
-    def n(self) -> int:
-        return self.S.n
 
     def full(self) -> np.ndarray:
         s = self.S.full()

@@ -188,9 +188,6 @@ class LaurentLoop:
     def __rmul__(self, scalar: float) -> "LaurentLoop":
         return LaurentLoop(self.lo, float(scalar) * self.coeffs)
 
-    def __matmul__(self, other: "LaurentLoop") -> "LaurentLoop":
-        return mul(self, other)
-
     def transpose_flip(self) -> "LaurentLoop":
         """The loop z -> X(-z)^T, coefficient j -> (-1)^j X_j^T."""
         signs = np.where(np.arange(self.lo, self.hi + 1) % 2, -1.0, 1.0)
@@ -356,16 +353,14 @@ def exp_truncated(x: LaurentLoop, window: tuple[int, int]) -> LaurentLoop:
     raise LoopConvergenceError(f"exponential did not converge in {EXP_MAX_TERMS} terms")
 
 
-def symmetry_defect(g: LaurentLoop, window: tuple[int, int] | None = None) -> float:
-    """Deviation of g(z) g(-z)^T from the identity on a degree window.
+def symmetry_defect(g: LaurentLoop) -> float:
+    """Deviation of g(z) g(-z)^T from the identity on g's own degree window.
 
-    The window defaults to that of g itself: outside it a truncated group
-    element cannot cancel its own dropped tail, so only in-window degrees
-    are meaningful.
+    Outside that window a truncated group element cannot cancel its own
+    dropped tail, so only in-window degrees are meaningful.
     """
-    lo, hi = window if window is not None else g.window
     prod = mul(g, g.transpose_flip()) - LaurentLoop.identity(g.n)
-    prod = prod.restrict(min(lo, 0), max(hi, 0))
+    prod = prod.restrict(min(g.lo, 0), max(g.hi, 0))
     return 0.0 if prod.is_zero() else prod.norm()
 
 

@@ -1,9 +1,9 @@
 """Dense real matrix foundation.
 
 Symmetric and skew-symmetric value types with exact-by-storage structure,
-commutators, Cartan splitting, characteristic polynomials by the
-Faddeev-LeVerrier recursion, a cyclic Jacobi eigensolver, Gram-matrix
-numerical rank, and a reproducible counter-based random generator.
+commutators, characteristic polynomials by the Faddeev-LeVerrier
+recursion, a cyclic Jacobi eigensolver, Gram-matrix numerical rank, and a
+reproducible counter-based random generator.
 
 Everything here is desk scale (n <= 64, dense, float64).  Values are
 immutable after construction and all operations are pure functions.
@@ -26,7 +26,6 @@ __all__ = [
     "as_stack",
     "as_matrix",
     "commutator",
-    "cartan_split",
     "char_poly",
     "eval_poly",
     "eigenvalues_sym",
@@ -212,12 +211,6 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def cartan_split(a) -> tuple[SkewMatrix, SymMatrix]:
-    """Split A into (skew, symmetric) halves; the two parts sum back to A."""
-    a = as_matrix(a)
-    return SkewMatrix.skew_part(a), SymMatrix.symmetric_part(a)
-
-
 def char_poly(a) -> np.ndarray:
     """Coefficients of det(A - w*I), ascending in w, for one matrix or a stack.
 
@@ -340,10 +333,9 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * self._MIX2) & _U64
         return z ^ (z >> 31)
 
-    def uniform(self, lo: float = -1.0, hi: float = 1.0) -> float:
-        """Uniform double in [lo, hi) from the top 53 bits."""
-        u = self.next_u64() >> 11
-        return lo + (hi - lo) * (u / float(1 << 53))
+    def uniform(self) -> float:
+        """Uniform double in [-1, 1) from the top 53 bits."""
+        return -1.0 + 2.0 * ((self.next_u64() >> 11) / float(1 << 53))
 
     def matrix(self, n: int, m: int | None = None) -> np.ndarray:
         """n x m uniforms in [-1, 1), row by row: the next n*m values of :meth:`uniform`.

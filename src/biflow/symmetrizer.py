@@ -25,20 +25,18 @@ from itertools import combinations
 
 import numpy as np
 
-from .matcore import SkewMatrix, SymMatrix, _gram_ranks, as_matrix, as_stack, commutator
+from .matcore import _gram_ranks, as_matrix, as_stack, commutator
 
 __all__ = [
     "SymmetrizerTable",
     "sym",
     "sym_enumerated",
-    "lemma_a_residual",
-    "parity_check",
     "cayley_hamilton_dependence",
     "witness_pair",
     "generic_independence",
 ]
 
-PARITY_TOL = 1e-13  # relative asymmetry (or skew defect) parity_check accepts
+PARITY_TOL = 1e-13  # relative asymmetry (or skew defect) has_parity accepts
 
 
 class SymmetrizerTable:
@@ -84,7 +82,7 @@ class SymmetrizerTable:
 
     def has_parity(self, i: int, j: int) -> bool:
         """For matrices, True iff sym_{ij} is symmetric for even j and skew for odd j, to ``PARITY_TOL``."""
-        m = self.get(i, j)
+        m = as_matrix(self.get(i, j))
         defect = m - m.T if j % 2 == 0 else m + m.T
         return bool(np.linalg.norm(defect) <= PARITY_TOL * max(1.0, np.linalg.norm(m)))
 
@@ -147,16 +145,6 @@ def sym_enumerated(a, b, i: int, j: int) -> np.ndarray:
             word = word @ (a if slot in pos else b)
         total += word
     return total
-
-
-def lemma_a_residual(a, b, i: int, j: int) -> float:
-    """Norm of [sym_{i,j+1}, A] + [sym_{i+1,j}, B] for matrices A and B; zero in exact arithmetic."""
-    return SymmetrizerTable(a, b, i + j + 1).cancellation(i, j)
-
-
-def parity_check(s: SymMatrix, n: SkewMatrix, i: int, j: int) -> bool:
-    """True iff sym_{ij}(S, N) is symmetric for even j and skew for odd j, to ``PARITY_TOL``."""
-    return SymmetrizerTable(s, n, i + j).has_parity(i, j)
 
 
 def cayley_hamilton_dependence(a, b) -> float:

@@ -22,7 +22,7 @@ from biflow.cli import RUNNERS, ExperimentConfig, sample_state
 from biflow.flows import bi_rhs, flow_commutation, m_rhs, rk4_path
 from biflow.invariants import IntegralIndex, enumerate_indices
 from biflow.matcore import SplitMix64, random_matrix, random_sym
-from biflow.symmetrizer import lemma_a_residual
+from biflow.symmetrizer import SymmetrizerTable
 
 
 def gate(num, description, ok, detail, elapsed, budget):
@@ -132,9 +132,10 @@ def test_criterion_7_symmetrizer_identities(tmp_path):
             b = random_matrix(n, seed=91 * n + trial)
             a /= np.linalg.norm(a)
             b /= np.linalg.norm(b)
+            table = SymmetrizerTable(a, b, 9)
             for i in range(9):
                 for j in range(9 - i):
-                    worst_a = max(worst_a, lemma_a_residual(a, b, i, j))
+                    worst_a = max(worst_a, table.cancellation(i, j))
     configs = [{"n": n, "seed": 100 * n + s} for n in range(2, 6) for s in range(3)]
     gates = runner_gates("lemma41", tmp_path, configs)
     passed = sum(g.passed for g in gates)

@@ -1,5 +1,8 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from biflow.findim import (
     AlgElem,
@@ -31,6 +34,28 @@ def rand_alg(n, seed):
 
 def rand_dual(n, seed):
     return DualElem(random_sym(n, seed), random_skew_simple(n, seed + 70))
+
+
+@pytest.mark.parametrize("cls", [GroupElem, AlgElem, DualElem])
+class TestBlockData:
+    def test_mismatched_sizes_refused(self, cls):
+        with pytest.raises(ValueError, match="block dimensions differ"):
+            cls(random_sym(3, seed=1), random_skew_simple(4, seed=2))
+
+    def test_frozen(self, cls):
+        x = cls(random_sym(3, seed=1), random_skew_simple(3, seed=2))
+        assert x.n == 3
+        with pytest.raises(FrozenInstanceError):
+            x.S = random_sym(3, seed=3)
+        with pytest.raises(FrozenInstanceError):
+            x.extra = 0.0
+
+    def test_types_compare_apart(self, cls):
+        # The same block data is a group, algebra or dual element, never two.
+        s, n = random_sym(3, seed=1), random_skew_simple(3, seed=2)
+        assert cls(s, n) == cls(s, n)
+        for other in {GroupElem, AlgElem, DualElem} - {cls}:
+            assert cls(s, n) != other(s, n)
 
 
 class TestGroup:

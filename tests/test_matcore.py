@@ -8,7 +8,6 @@ from biflow.matcore import (
     SplitMix64,
     SymMatrix,
     as_stack,
-    cartan_split,
     char_poly,
     commutator,
     eigenvalues_sym,
@@ -99,27 +98,6 @@ class TestCommutator:
             p = random_sym(5, seed=seed + 100).full()
             r = commutator(k, p @ p)
             assert np.linalg.norm(r - r.T) <= 1e-14 * max(1.0, np.linalg.norm(r))
-
-
-class TestCartanSplit:
-    def test_symmetric_input(self):
-        s = random_sym(4, seed=5).full()
-        k, p = cartan_split(s)
-        assert k.norm() == 0.0
-        npt.assert_array_equal(p.full(), s)
-
-    def test_skew_input(self):
-        a = random_skew_simple(4, seed=6).full()
-        k, p = cartan_split(a)
-        assert p.norm() == 0.0
-        npt.assert_array_equal(k.full(), a)
-
-    def test_hand_example(self):
-        a = np.array([[1.0, 2.0], [0.0, 1.0]])
-        k, p = cartan_split(a)
-        npt.assert_array_equal(k.full(), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        npt.assert_array_equal(p.full(), np.array([[1.0, 1.0], [1.0, 1.0]]))
-        npt.assert_array_equal(k.full() + p.full(), a)
 
 
 class TestCharPoly:

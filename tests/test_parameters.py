@@ -33,9 +33,7 @@ DEFAULTED = {
     "laurent.is_sigma_star": ("tol",),
     "laurent.random_dual_loop": ("scale",),
     "laurent.random_sigma_fixed_loop": ("scale",),
-    "laurent.symmetry_defect": ("window",),
     "matcore.SplitMix64.matrix": ("m",),
-    "matcore.SplitMix64.uniform": ("lo", "hi"),
     "matcore.eigenvalues_sym": ("tol", "max_sweeps"),
     "symmetrizer.witness_pair": ("c",),
 }

@@ -48,6 +48,8 @@ def test_usage_error_case_has_no_outputs(sweep):
 
 
 def test_named_lists_parse(sweep):
+    assert {"equivalence", "seeds", "ladder"} <= set(sweep.CASES)
+    assert len(sweep.CASES["ladder"]) == 8 * len(cli.EXPERIMENTS)
     for case in [case for cases in sweep.CASES.values() for case in cases]:
         args = cli._build_parser().parse_args([*case.split(), "--out", "x"])
         assert args.command in (*cli.EXPERIMENTS, "all")

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from biflow.cli import sample_state
 from biflow.matcore import commutator, numerical_rank, random_matrix, random_skew_simple, random_sym
 from biflow.symmetrizer import (
     SymmetrizerTable,
@@ -11,8 +12,6 @@ from biflow.symmetrizer import (
     cayley_hamilton_dependence,
     degree_below,
     generic_independence,
-    lemma_a_residual,
-    parity_check,
     sym,
     sym_enumerated,
     witness_pair,
@@ -164,34 +163,36 @@ class TestLemmaA:
     def test_base_case_exact(self):
         a = random_matrix(3, seed=11)
         b = random_matrix(3, seed=12)
-        assert lemma_a_residual(a, b, 0, 0) == 0.0
+        assert SymmetrizerTable(a, b, 1).cancellation(0, 0) == 0.0
 
     def test_random_4x4(self):
         a = random_matrix(4, seed=13)
         b = random_matrix(4, seed=14)
         scale = max(1.0, np.linalg.norm(a) + np.linalg.norm(b)) ** 4
-        assert lemma_a_residual(a, b, 2, 1) <= 1e-12 * scale
+        assert SymmetrizerTable(a, b, 4).cancellation(2, 1) <= 1e-12 * scale
 
     def test_5x5_higher_degree(self):
         a = random_matrix(5, seed=15)
         b = random_matrix(5, seed=16)
-        assert lemma_a_residual(a, b, 3, 2) <= 1e-11
+        assert SymmetrizerTable(a, b, 6).cancellation(3, 2) <= 1e-11
 
     def test_sweep_small_degrees(self):
         for n in (2, 3, 4, 5):
             for trial in range(5):
                 a = random_matrix(n, seed=100 * n + trial)
                 b = random_matrix(n, seed=100 * n + trial + 50)
+                table = SymmetrizerTable(a, b, 4)
                 for i in range(4):
                     for j in range(4 - i):
-                        assert lemma_a_residual(a, b, i, j) <= 1e-12 * max(
+                        assert table.cancellation(i, j) <= 1e-12 * max(
                             1.0, (np.linalg.norm(a) + np.linalg.norm(b)) ** (i + j + 2)
                         )
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_one_table_serves_every_residual(self, n):
         # lemma41 reads every residual at i + j <= 4 from one table of degree
-        # 5: each has the bits of its own table's and of the entries sym builds.
+        # 5: each has the bits of the smallest table's that holds it, and of
+        # the entries sym builds.
         a = random_matrix(n, seed=400 + n)
         b = random_matrix(n, seed=500 + n)
         table = SymmetrizerTable(a, b, 5)
@@ -199,32 +200,33 @@ class TestLemmaA:
             for j in range(5 - i):
                 resid = commutator(sym(a, b, i, j + 1), a) + commutator(sym(a, b, i + 1, j), b)
                 want = float(np.linalg.norm(resid))
-                assert table.cancellation(i, j) == lemma_a_residual(a, b, i, j) == want
+                assert table.cancellation(i, j) == SymmetrizerTable(a, b, i + j + 1).cancellation(i, j) == want
 
 
 class TestParity:
     def test_s_squared_symmetric(self):
         s = random_sym(4, seed=17)
         n = random_skew_simple(4, seed=18)
-        assert parity_check(s, n, 2, 0)
+        assert SymmetrizerTable(s, n, 2).has_parity(2, 0)
 
     def test_anticommutator_skew(self):
         s = random_sym(4, seed=19)
         n = random_skew_simple(4, seed=20)
-        assert parity_check(s, n, 1, 1)
+        assert SymmetrizerTable(s, n, 2).has_parity(1, 1)
 
     def test_mixed_even(self):
         s = random_sym(4, seed=21)
         n = random_skew_simple(4, seed=22)
-        assert parity_check(s, n, 1, 2)
+        assert SymmetrizerTable(s, n, 3).has_parity(1, 2)
 
     def test_all_small_indices(self):
         for dim in (3, 4, 5):
             s = random_sym(dim, seed=23)
             n = random_skew_simple(dim, seed=24)
+            table = SymmetrizerTable(s, n, 6)
             for i in range(4):
                 for j in range(4):
-                    assert parity_check(s, n, i, j)
+                    assert table.has_parity(i, j)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_one_table_serves_every_entry(self, dim):
@@ -235,7 +237,7 @@ class TestParity:
         for i in range(3):
             for j in range(3):
                 assert np.array_equal(table.get(i, j), sym(s.full(), n.full(), i, j))
-                assert table.has_parity(i, j) and parity_check(s, n, i, j)
+                assert table.has_parity(i, j) and SymmetrizerTable(s, n, i + j).has_parity(i, j)
 
     def test_wrong_parity_refused(self):
         # With B symmetric, sym_{ij} is symmetric for every j, so odd j fails.
@@ -244,6 +246,16 @@ class TestParity:
         table = SymmetrizerTable(a, b, 4)
         got = [table.has_parity(i, j) for i, j in ((0, 1), (1, 1), (0, 2), (1, 3))]
         assert got == [False, False, True, False]
+
+    @pytest.mark.parametrize("states", [4, 3])
+    def test_stacked_table_refused(self, states):
+        # Parity is a statement about one matrix; on a stack of as many states
+        # as rows, transposing every axis would read a wrong verdict.
+        pairs = [sample_state(4, seed) for seed in range(7, 7 + states)]
+        assert all(SymmetrizerTable(s, n, 2).has_parity(2, 0) for s, n in pairs)
+        stacked = SymmetrizerTable(*(np.stack([m.full() for m in ms]) for ms in zip(*pairs)), 2)
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            stacked.has_parity(2, 0)
 
 
 class TestCayleyHamiltonDependence:

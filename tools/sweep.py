@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run a named list of biflow command lines and digest what each produced.
 
-    python3 tools/sweep.py run equivalence digest.json
+    python3 tools/sweep.py run equivalence digest.json   # or seeds, ladder
     python3 tools/sweep.py diff before.json after.json
 
 ``run`` calls ``biflow.cli.main`` in-process for every case of the list,
@@ -62,6 +62,12 @@ CASES = {
     ],
     # The benchmark ops at the op seeds 7000-7009 of a run with --seed 7.
     "seeds": [f"{op} --seed {seed}" for seed in range(7000, 7010) for op in BENCHMARK_OPS],
+    # Every experiment at every size of the Baseline table, up to cli.MAX_N.
+    "ladder": [
+        f"{experiment} --n {n} --seed 7" + (" --t 0.2" if "t_final" in cli.READS[experiment] else "")
+        for n in (4, 8, 12, 16, 24, 32, 48, 64)
+        for experiment in cli.EXPERIMENTS
+    ],
 }
 
 
