@@ -26,10 +26,12 @@ The integrators step on packed arrays, and the public right-hand sides
 call the same kernels, so the two forms agree bit for bit.  A block state
 is the vector (a, b, c, u, v): its scalars are read once as floats, (u, v)
 is a (2, m) view, one Gram product gives every inner product and one
-product with a 2-row coefficient matrix gives (u', v').  A PDE state is the
-(2, 2k) float view of the stacked (u_hat, v_hat), each row interleaving real
-and imaginary parts: 2 pi Y Y^T holds the three L^2 products, and the
-projection onto real fields acts on the same view.
+product with a 2-row coefficient matrix gives (u', v').  The block kernel is
+built once per run around B: it keeps that matrix and the rows it multiplies
+in its own buffers and returns each derivative in a new array.  A PDE state
+is the (2, 2k) float view of the stacked (u_hat, v_hat), each row
+interleaving real and imaginary parts: 2 pi Y Y^T holds the three L^2
+products, and the projection onto real fields acts on the same view.
 
 An integrator returns its path as one state with a leading time axis on each
 field; a diagnostic takes one state or a path and gives a float or a (T,) array.
@@ -133,45 +135,69 @@ def _unpack(y: np.ndarray, b: SymMatrix) -> BlockState:
     return BlockState(*y[..., :3].T, y[..., 3 : 3 + b.n], y[..., 3 + b.n :], b)
 
 
-def _quadratic(y: np.ndarray, bf: np.ndarray) -> np.ndarray:
-    """[N, S^2] on the packed (a, b, c, u, v), packed as (a', b', c', u', v')."""
-    a, b, c = y[:3].tolist()
-    w = y[3:].reshape(2, -1)  # rows u, v
-    (uu, uv), (_, vv) = w.dot(w.T).tolist()
-    da = 2.0 * (b * (a + c) + uv)
-    db = c ** 2 - a ** 2 + vv - uu
-    # u' = b u + c v + B v,  v' = -(a u + b v + B u);  w B has rows B u, B v (B is symmetric)
-    dw = np.array([[b, c, 0.0, 1.0], [-a, -b, -1.0, 0.0]]).dot(np.concatenate([w, w.dot(bf)]))
-    return np.concatenate([[da, db, -da], dw.ravel()])
+def _block_kernel(bf: np.ndarray, power: int):
+    """[N, S^power], power 2 or 3, as a function from the packed (a, b, c, u, v)
+    to a new array of the packed (a', b', c', u', v').
 
+    The kernel owns its buffers: x holds the rows u, v, B u, B v (then B^2 u,
+    B^2 v for the cubic), and (u', v') = coef x, where the last two columns of
+    coef hold the constants [[0, 1], [-1, 0]] and each call writes only the
+    leading ones.  B is symmetric, so the row w B of w = (u, v) holds B u, B v.
+    """
+    if power not in (2, 3):
+        raise ValueError(f"block flows have power 2 or 3, got {power!r}")
+    m = len(bf)
+    x = np.empty((2 * power, m))
+    coef = np.zeros((2, 2 * power))
+    coef[0, -1], coef[1, -2] = 1.0, -1.0
+    top, bottom = coef[0], coef[1]
 
-def _cubic(y: np.ndarray, bf: np.ndarray) -> np.ndarray:
-    """[N, S^3] on the packed (a, b, c, u, v), packed as (a', b', c', u', v')."""
-    a, b, c = y[:3].tolist()
-    w = y[3:].reshape(2, -1)  # rows u, v
-    wb = w.dot(bf)  # rows B u, B v
-    x = np.concatenate([w, wb, wb.dot(bf)])  # rows u, v, B u, B v, B^2 u, B^2 v
-    (uu, uv, ubu, ubv), (_, vv, _, vbv) = w.dot(x[:4].T).tolist()
-    t11 = a ** 2 + b ** 2 + uu
-    t12 = b * (a + c) + uv
-    t22 = b ** 2 + c ** 2 + vv
-    da = 2.0 * (b * t11 + c * t12 + a * uv + b * vv + ubv)
-    s3_22 = b * t12 + c * t22 + b * uv + c * vv + vbv
-    s3_11 = a * t11 + b * t12 + a * uu + b * uv + ubu
-    db = s3_22 - s3_11
-    # u' = t12 u + t22 v + b B u + c B v + B^2 v,  v' = -(t11 u + t12 v + a B u + b B v + B^2 u)
-    coef = np.array([[t12, t22, b, c, 0.0, 1.0], [-t11, -t12, -a, -b, -1.0, 0.0]])
-    return np.concatenate([[da, db, -da], coef.dot(x).ravel()])
+    def quadratic(y: np.ndarray) -> np.ndarray:
+        a, b, c = y[:3].tolist()
+        w = y[3:].reshape(2, -1)  # rows u, v
+        x[:2] = w
+        w.dot(bf, out=x[2:])
+        (uu, uv), (_, vv) = w.dot(w.T).tolist()
+        da = 2.0 * (b * (a + c) + uv)
+        # u' = b u + c v + B v,  v' = -(a u + b v + B u)
+        top[0], top[1], bottom[0], bottom[1] = b, c, -a, -b
+        out = np.empty(3 + 2 * m)
+        out[0], out[1], out[2] = da, c ** 2 - a ** 2 + vv - uu, -da
+        coef.dot(x, out=out[3:].reshape(2, m))
+        return out
+
+    def cubic(y: np.ndarray) -> np.ndarray:
+        a, b, c = y[:3].tolist()
+        w = y[3:].reshape(2, -1)  # rows u, v
+        x[:2] = w
+        w.dot(bf, out=x[2:4])
+        x[2:4].dot(bf, out=x[4:])
+        (uu, uv, ubu, ubv), (_, vv, _, vbv) = w.dot(x[:4].T).tolist()
+        t11 = a ** 2 + b ** 2 + uu
+        t12 = b * (a + c) + uv
+        t22 = b ** 2 + c ** 2 + vv
+        da = 2.0 * (b * t11 + c * t12 + a * uv + b * vv + ubv)
+        s3_22 = b * t12 + c * t22 + b * uv + c * vv + vbv
+        s3_11 = a * t11 + b * t12 + a * uu + b * uv + ubu
+        # u' = t12 u + t22 v + b B u + c B v + B^2 v,  v' = -(t11 u + t12 v + a B u + b B v + B^2 u)
+        top[0], top[1], top[2], top[3] = t12, t22, b, c
+        bottom[0], bottom[1], bottom[2], bottom[3] = -t11, -t12, -a, -b
+        out = np.empty(3 + 2 * m)
+        out[0], out[1], out[2] = da, s3_22 - s3_11, -da
+        coef.dot(x, out=out[3:].reshape(2, m))
+        return out
+
+    return quadratic if power == 2 else cubic
 
 
 def rhs_quadratic(bs: BlockState) -> BlockState:
     """Block extraction of [N, S^2]."""
-    return _unpack(_quadratic(_pack(bs), bs.B.full()), SymMatrix.zero(bs.B.n))
+    return _unpack(_block_kernel(bs.B.full(), 2)(_pack(bs)), SymMatrix.zero(bs.B.n))
 
 
 def rhs_cubic(bs: BlockState) -> BlockState:
     """Block extraction of [N, S^3]."""
-    return _unpack(_cubic(_pack(bs), bs.B.full()), SymMatrix.zero(bs.B.n))
+    return _unpack(_block_kernel(bs.B.full(), 3)(_pack(bs)), SymMatrix.zero(bs.B.n))
 
 
 def rhs_reduced(u: np.ndarray, v: np.ndarray, b: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -286,11 +312,7 @@ def integrate_block(
 ) -> tuple[np.ndarray, BlockState]:
     """RK4 for S' = [N, S^power], power 2 or 3, on the packed (a, b, c, u, v);
     the path has (T,) a, b, c, (T, m) u, v and the frozen ``bs0.B``."""
-    packed = {2: _quadratic, 3: _cubic}.get(power)
-    if packed is None:
-        raise ValueError(f"block flows have power 2 or 3, got {power!r}")
-    bf = bs0.B.full()
-    times, path = rk4_path(lambda y: packed(y, bf), _pack(bs0), t_final, h)
+    times, path = rk4_path(_block_kernel(bs0.B.full(), power), _pack(bs0), t_final, h)
     return times, _unpack(path, bs0.B)
 
 
@@ -317,11 +339,16 @@ def parity_leakage(st: PDEState) -> float | np.ndarray:
     """Largest coefficient mass in the sector opposite the declared parity.
 
     Even fields have u_hat[k] = u_hat[-k]; odd fields flip the sign.  The
-    constant mode belongs to the even sector.
+    constant mode belongs to the even sector.  Only the modes 0 .. k//2 are
+    read: for s = +-1, x_j - s x_-j = -s (x_-j - s x_j) exactly, so a mode and
+    its mirror have the same leakage to the bit.
     """
     if st.parity is None:
         raise ValueError("state carries no parity flag")
     sgn = 1.0 if st.parity == "even" else -1.0
-    mirror = _mirror(st.modes)
-    parts = (np.abs(0.5 * (x - sgn * x[..., mirror])).max(axis=-1) for x in (st.u_hat, st.v_hat))
+    half = st.modes // 2 + 1
+    mirror = _mirror(st.modes)[:half]
+    parts = (
+        np.abs(0.5 * (x[..., :half] - sgn * x[..., mirror])).max(axis=-1) for x in (st.u_hat, st.v_hat)
+    )
     return np.maximum(*parts)

@@ -214,20 +214,21 @@ def commutator(a, b) -> np.ndarray:
 def char_poly(a) -> np.ndarray:
     """Coefficients of det(A - w*I), ascending in w, for one matrix or a stack.
 
-    Computed by the Faddeev-LeVerrier recursion.  The result has shape
-    (..., n+1) with leading coefficient (-1)^n.
+    Computed by the Faddeev-LeVerrier recursion, one matrix product per
+    step.  The result has shape (..., n+1) with leading coefficient (-1)^n.
     """
     a = as_stack(a)
     n = a.shape[-1]
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    # det(wI - A) = sum_k c[k] w^(n-k) with c[0] = 1.
+    # det(wI - A) = sum_k c[k] w^(n-k) with c[0] = 1, from M_k = A M_{k-1} + c[k-1] I
+    # and c[k] = -tr(A M_k) / k; am holds A M_k, which also gives M_{k+1}.
     c = np.zeros(a.shape[:-2] + (n + 1,))
     c[..., 0] = 1.0
-    m = np.zeros_like(a)
+    am = np.zeros_like(a)
     for k in range(1, n + 1):
-        m = a @ m + c[..., k - 1, None, None] * np.eye(n)
-        c[..., k] = -np.trace(a @ m, axis1=-2, axis2=-1) / k
+        am = a @ (am + c[..., k - 1, None, None] * np.eye(n))
+        c[..., k] = -np.trace(am, axis1=-2, axis2=-1) / k
     sign = -1.0 if n % 2 else 1.0
     return sign * c[..., ::-1]
 

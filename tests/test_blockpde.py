@@ -7,8 +7,7 @@ import pytest
 from biflow.blockpde import (
     BlockState,
     PDEState,
-    _cubic,
-    _quadratic,
+    _block_kernel,
     embed,
     extract,
     integrate_block,
@@ -216,9 +215,9 @@ class TestPackedRHS:
         for seed in range(20):
             bs = random_block(4 + seed % 6, seed=400 + seed)
             y = pack_block(bs)
-            for packed, rhs in ((_quadratic, rhs_quadratic), (_cubic, rhs_cubic)):
+            for power, rhs in ((2, rhs_quadratic), (3, rhs_cubic)):
                 want = rhs(unpack_block(y, bs.B))
-                assert np.array_equal(packed(y, bs.B.full()), pack_block(want))
+                assert np.array_equal(_block_kernel(bs.B.full(), power)(y), pack_block(want))
                 assert not want.B.full().any()
 
     def test_block_step_equals_public_step(self):
@@ -252,6 +251,62 @@ class TestPackedRHS:
                 assert np.array_equal(path.u_hat[1], halves[0])
                 assert np.array_equal(path.v_hat[1], halves[1])
                 assert path.parity == parity
+
+
+def reference_quadratic(y, bf):
+    """The quadratic block kernel as a fresh-array function: a new coefficient
+    matrix and two concatenations per call."""
+    a, b, c = y[:3].tolist()
+    w = y[3:].reshape(2, -1)
+    (uu, uv), (_, vv) = w.dot(w.T).tolist()
+    da = 2.0 * (b * (a + c) + uv)
+    db = c ** 2 - a ** 2 + vv - uu
+    dw = np.array([[b, c, 0.0, 1.0], [-a, -b, -1.0, 0.0]]).dot(np.concatenate([w, w.dot(bf)]))
+    return np.concatenate([[da, db, -da], dw.ravel()])
+
+
+def reference_cubic(y, bf):
+    """The cubic block kernel as a fresh-array function."""
+    a, b, c = y[:3].tolist()
+    w = y[3:].reshape(2, -1)
+    wb = w.dot(bf)
+    x = np.concatenate([w, wb, wb.dot(bf)])
+    (uu, uv, ubu, ubv), (_, vv, _, vbv) = w.dot(x[:4].T).tolist()
+    t11 = a ** 2 + b ** 2 + uu
+    t12 = b * (a + c) + uv
+    t22 = b ** 2 + c ** 2 + vv
+    da = 2.0 * (b * t11 + c * t12 + a * uv + b * vv + ubv)
+    s3_22 = b * t12 + c * t22 + b * uv + c * vv + vbv
+    s3_11 = a * t11 + b * t12 + a * uu + b * uv + ubu
+    db = s3_22 - s3_11
+    coef = np.array([[t12, t22, b, c, 0.0, 1.0], [-t11, -t12, -a, -b, -1.0, 0.0]])
+    return np.concatenate([[da, db, -da], coef.dot(x).ravel()])
+
+
+class TestBlockKernel:
+    """The reusable kernel against the fresh-array reference, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 6, 14])
+    @pytest.mark.parametrize("power, reference", [(2, reference_quadratic), (3, reference_cubic)])
+    def test_path_equals_reference(self, m, power, reference):
+        bs = random_block(m + 2, seed=600 + m)
+        bf = bs.B.full()
+        times, path = integrate_block(bs, power, t_final=0.5, h=1e-3)
+        want_times, want = rk4_path(lambda y: reference(y, bf), pack_block(bs), 0.5, 1e-3)
+        assert np.array_equal(times, want_times)
+        assert np.array_equal(np.column_stack([path.a, path.b, path.c, path.u, path.v]), want)
+
+    @pytest.mark.parametrize("power", [2, 3])
+    def test_calls_return_fresh_arrays(self, power):
+        bs = random_block(8, seed=700 + power)
+        kernel = _block_kernel(bs.B.full(), power)
+        y = pack_block(bs)
+        first = kernel(y)
+        kept = first.copy()
+        second = kernel(2.0 * y)
+        assert first is not second and not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(first, second)
 
 
 class TestBlockIntegration:
@@ -409,7 +464,7 @@ class TestPathDiagnostics:
     per-state value: that of the same function on one state, and the
     formula it had as a per-state function."""
 
-    @pytest.mark.parametrize("k", [5, 8, 16, 64])
+    @pytest.mark.parametrize("k", [1, 2, 5, 8, 16, 64])
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_path_equals_per_state(self, k, parity):
         rng = SplitMix64(100 + k)

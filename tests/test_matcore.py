@@ -126,6 +126,25 @@ class TestCharPoly:
                 residual = np.linalg.norm(eval_poly(char_poly(a), a))
                 assert residual <= 1e-10 * max(1.0, np.linalg.norm(a)) ** n
 
+    def test_equals_two_product_recursion(self):
+        # Oracle: the recursion with a fresh product A M_k for each trace; the
+        # kept product is the same one, so the coefficients agree bit for bit.
+        def two_products(a):
+            n = a.shape[-1]
+            c = np.zeros(a.shape[:-2] + (n + 1,))
+            c[..., 0] = 1.0
+            m = np.zeros_like(a)
+            for k in range(1, n + 1):
+                m = a @ m + c[..., k - 1, None, None] * np.eye(n)
+                c[..., k] = -np.trace(a @ m, axis1=-2, axis2=-1) / k
+            return (-1.0 if n % 2 else 1.0) * c[..., ::-1]
+
+        rng = SplitMix64(31)
+        for n in range(1, 13):
+            for batch in ((), (1,), (4,), (2, 3)):
+                a = 3.0 * rng.matrix(int(np.prod(batch)) * n, n).reshape(*batch, n, n)
+                assert np.array_equal(char_poly(a), two_products(a))
+
 
 class TestEigenvaluesSym:
     def test_diag(self):

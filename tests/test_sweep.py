@@ -70,3 +70,33 @@ def test_diff_gives_the_largest_move_per_gate(sweep):
         "  z  0.0 -> 2e-12",
     ]
     assert sweep.diff(first, first) == []
+
+
+def test_table_has_a_row_per_size_and_a_column_per_experiment(sweep):
+    def entry(code, wall, gates):
+        return {"exit": code, "stderr": "", "files": {}, "gates": gates, "wall_s": wall}
+
+    digest = {
+        "flow --n 4 --seed 7 --t 0.2": entry(0, 0.026, {"flow:drift_H_2_0": [1e-15, True]}),
+        "lemma41 --n 4 --seed 7": entry(1, 0.0071, {
+            "lemma41:witness_rank": [9, False],
+            "lemma41:cancellation": [0.0, True],
+            "lemma41:generic_rank_hits": [0, False],
+        }),
+        "flow --n 16 --seed 7 --t 0.2": entry(1, 0.2874, {f"flow:drift_H_{i}_0": [1.0, False] for i in range(5)}),
+        "invariants --n 48 --seed 7": entry(1, 0.094, {"invariants:InterpolationError": [None, False]}),
+        "pde --n 48 --seed 7 --t 1e9": entry(2, 0.0, {}),
+    }
+    assert sweep.table(digest) == [
+        "| n | flow | invariants | commute | factorize | findim | pde | lemma41 |",
+        "|---|---|---|---|---|---|---|---|",
+        "| 4 | 0.026 s |  |  |  |  |  | 0.0071 s, witness_rank, generic_rank_hits |",
+        "| 16 | 0.287 s, drift_H_0_0, drift_H_1_0, drift_H_2_0 and 2 more |  |  |  |  |  |  |",
+        "| 48 |  | 0.094 s, InterpolationError |  |  |  | 0 s, usage error |  |",
+    ]
+    ran = sweep.table(sweep.run_cases([CASES[0]]))
+    assert ran[2].startswith("| 3 |  | ") and ran[2].count(" s |") == 1
+    with pytest.raises(ValueError, match="not a single experiment"):
+        sweep.table({"all --n 4 --seed 7": entry(0, 0.1, {})})
+    with pytest.raises(ValueError, match="two cases of flow at n = 4"):
+        sweep.table({**digest, "flow --n 4 --seed 8 --t 0.2": entry(0, 0.1, {})})

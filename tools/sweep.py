@@ -3,6 +3,7 @@
 
     python3 tools/sweep.py run equivalence digest.json   # or seeds, ladder
     python3 tools/sweep.py diff before.json after.json
+    python3 tools/sweep.py table digest.json             # of a ladder digest
 
 ``run`` calls ``biflow.cli.main`` in-process for every case of the list,
 each with a fresh output directory and with stderr captured, and writes a
@@ -12,7 +13,10 @@ gate's value and verdict, and the wall time.  ``diff`` prints every case
 whose entries differ in anything but wall time, then for each gate name whose
 value moved the largest move over the cases in decades, |log10(after/before)|
 (a move to or from 0, or from or to a value that is not finite, is printed as
-the two values), and exits 1 if anything differs.
+the two values), and exits 1 if anything differs.  ``table`` prints a digest
+of single-experiment cases as a Markdown table, one row per ``--n`` and one
+column per experiment: each cell gives the wall time and the gates that
+failed (a named error is the gate named after it), or the usage error.
 
 Run the same list in two checkouts (say a commit and its parent) and diff
 the two digests: a claim that a change keeps every result cites that diff.
@@ -148,6 +152,34 @@ def diff(a: dict, b: dict) -> list[str]:
     return lines
 
 
+def _cell(entry: dict) -> str:
+    cell = f"{entry['wall_s']:.3g} s"
+    failed = [name.partition(":")[2] for name, (_, passed) in entry["gates"].items() if not passed]
+    if entry["exit"] == 2:
+        return f"{cell}, usage error"
+    if len(failed) > 3:
+        return f"{cell}, {', '.join(failed[:3])} and {len(failed) - 3} more"
+    return ", ".join([cell, *failed])
+
+
+def table(digest: dict) -> list[str]:
+    """The Markdown lines of a digest's table: one row per --n, one column per
+    experiment, one case per cell."""
+    cells = {}
+    for case, entry in digest.items():
+        words = case.split()
+        if words[0] not in cli.EXPERIMENTS or "--n" not in words:
+            raise ValueError(f"not a single experiment at one size: {case}")
+        key = int(words[words.index("--n") + 1]), words[0]
+        if key in cells:
+            raise ValueError(f"two cases of {key[1]} at n = {key[0]}")
+        cells[key] = _cell(entry)
+    lines = ["| n | " + " | ".join(cli.EXPERIMENTS) + " |", "|---" * (1 + len(cli.EXPERIMENTS)) + "|"]
+    for n in sorted({n for n, _ in cells}):
+        lines.append(f"| {n} | " + " | ".join(cells.get((n, e), "") for e in cli.EXPERIMENTS) + " |")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -157,10 +189,18 @@ def main(argv=None) -> int:
     cmp = sub.add_parser("diff", help="list the cases that differ between two digests")
     cmp.add_argument("first", type=Path)
     cmp.add_argument("second", type=Path)
+    tab = sub.add_parser("table", help="print a digest as a table of sizes by experiments")
+    tab.add_argument("digest", type=Path)
     args = parser.parse_args(argv)
     if args.command == "run":
         digest = run_cases(CASES[args.cases], progress=sys.stdout)
         args.digest.write_text(json.dumps({"cases": digest}, indent=1) + "\n")
+        return 0
+    if args.command == "table":
+        try:
+            print("\n".join(table(json.loads(args.digest.read_text())["cases"])))
+        except ValueError as err:
+            parser.error(str(err))
         return 0
     lines = diff(*(json.loads(p.read_text())["cases"] for p in (args.first, args.second)))
     print("\n".join(lines) if lines else "no difference")
