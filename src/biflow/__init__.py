@@ -8,6 +8,10 @@ and their generic independence, conservation along RK4 trajectories, the
 closed-form solution by Birkhoff factorization, an equivalent flow on a
 finite-dimensional nilpotent matrix group, and the rank-two block and PDE
 reductions.
+
+States are plain float arrays: S and N are (n, n), a trajectory is
+(T, n, n).  Each public entry that takes S or N checks it once with
+:func:`~biflow.matcore.as_sym` or :func:`~biflow.matcore.as_skew`.
 """
 
 from .blockpde import BlockState, PDEState
@@ -24,14 +28,11 @@ from .invariants import (
     spectral_coeffs,
 )
 from .laurent import BILoop, LaurentLoop
-from .matcore import SkewMatrix, SymMatrix
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "SymMatrix",
-    "SkewMatrix",
     "LaurentLoop",
     "BILoop",
     "IntegralIndex",

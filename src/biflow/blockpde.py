@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import rk4_path
-from .matcore import SkewMatrix, SymMatrix
+from .matcore import as_sym
 
 __all__ = [
     "BlockState",
@@ -72,24 +72,26 @@ class BlockState:
     c: float | np.ndarray
     u: np.ndarray
     v: np.ndarray
-    B: SymMatrix
+    B: np.ndarray
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
         v = np.asarray(self.v, dtype=float)
+        b = as_sym(self.B)
         if u.shape != v.shape or u.ndim not in (1, 2):
             raise ValueError("u and v must be vectors, or stacks of them, of equal length")
-        if self.B.n != u.shape[-1]:
+        if len(b) != u.shape[-1]:
             raise ValueError("B dimension must match the vectors")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "B", b)
 
     @property
     def n(self) -> int:
         return self.u.shape[-1] + 2
 
 
-def embed(bs: BlockState) -> SymMatrix:
+def embed(bs: BlockState) -> np.ndarray:
     """Symmetric matrix with corner [[a, b], [b, c]], border (u, v), core B."""
     n = bs.n
     s = np.zeros((n, n))
@@ -99,40 +101,40 @@ def embed(bs: BlockState) -> SymMatrix:
     s[2:, 0] = bs.u
     s[1, 2:] = bs.v
     s[2:, 1] = bs.v
-    s[2:, 2:] = bs.B.full()
-    return SymMatrix.from_full(s)
+    s[2:, 2:] = bs.B
+    return s
 
 
-def extract(s: SymMatrix) -> BlockState:
+def extract(s: np.ndarray) -> BlockState:
     """Inverse of :func:`embed`."""
-    f = s.full()
-    if s.n < 3:
+    f = as_sym(s)
+    if len(f) < 3:
         raise ValueError("block splitting needs dimension at least 3")
     return BlockState(
         float(f[0, 0]),
         float(f[0, 1]),
         float(f[1, 1]),
-        f[0, 2:].copy(),
-        f[1, 2:].copy(),
-        SymMatrix.from_full(f[2:, 2:]),
+        f[0, 2:],
+        f[1, 2:],
+        f[2:, 2:],
     )
 
 
-def n0(n: int) -> SkewMatrix:
+def n0(n: int) -> np.ndarray:
     """The rank-two skew generator: a single rotation in coordinates 1, 2."""
     if n < 3:
         raise ValueError("block splitting needs dimension at least 3")
     k = np.zeros((n, n))
     k[0, 1], k[1, 0] = 1.0, -1.0
-    return SkewMatrix.from_full(k)
+    return k
 
 
 def _pack(bs: BlockState) -> np.ndarray:
     return np.concatenate([[bs.a, bs.b, bs.c], bs.u, bs.v])
 
 
-def _unpack(y: np.ndarray, b: SymMatrix) -> BlockState:
-    return BlockState(*y[..., :3].T, y[..., 3 : 3 + b.n], y[..., 3 + b.n :], b)
+def _unpack(y: np.ndarray, b: np.ndarray) -> BlockState:
+    return BlockState(*y[..., :3].T, y[..., 3 : 3 + len(b)], y[..., 3 + len(b) :], b)
 
 
 def _block_kernel(bf: np.ndarray, power: int):
@@ -192,21 +194,21 @@ def _block_kernel(bf: np.ndarray, power: int):
 
 def rhs_quadratic(bs: BlockState) -> BlockState:
     """Block extraction of [N, S^2]."""
-    return _unpack(_block_kernel(bs.B.full(), 2)(_pack(bs)), SymMatrix.zero(bs.B.n))
+    return _unpack(_block_kernel(bs.B, 2)(_pack(bs)), np.zeros_like(bs.B))
 
 
 def rhs_cubic(bs: BlockState) -> BlockState:
     """Block extraction of [N, S^3]."""
-    return _unpack(_block_kernel(bs.B.full(), 3)(_pack(bs)), SymMatrix.zero(bs.B.n))
+    return _unpack(_block_kernel(bs.B, 3)(_pack(bs)), np.zeros_like(bs.B))
 
 
-def rhs_reduced(u: np.ndarray, v: np.ndarray, b: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
+def rhs_reduced(u: np.ndarray, v: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed (u, v) system at a = b = c = 0.
 
     The sign -<u,u> u in v' is the one inherited from the cubic block flow
     and conserves <u,u> + <v,v>.
     """
-    bf = b.full()
+    bf = as_sym(b)
     uu, vv, uv = float(u @ u), float(v @ v), float(u @ v)
     du = uv * u + vv * v + bf @ (bf @ v)
     dv = -uu * u - uv * v - bf @ (bf @ u)
@@ -312,7 +314,7 @@ def integrate_block(
 ) -> tuple[np.ndarray, BlockState]:
     """RK4 for S' = [N, S^power], power 2 or 3, on the packed (a, b, c, u, v);
     the path has (T,) a, b, c, (T, m) u, v and the frozen ``bs0.B``."""
-    times, path = rk4_path(_block_kernel(bs0.B.full(), power), _pack(bs0), t_final, h)
+    times, path = rk4_path(_block_kernel(bs0.B, power), _pack(bs0), t_final, h)
     return times, _unpack(path, bs0.B)
 
 

@@ -73,7 +73,6 @@ from .laurent import BILoop
 from .matcore import (
     NumericalError,
     SplitMix64,
-    SymMatrix,
     commutator,
     numerical_rank,
     random_skew_simple,
@@ -183,7 +182,7 @@ class Gate:
         return cls(name, float(value), float(want), bool(value == want))
 
 
-def sample_state(n: int, seed: int) -> tuple[SymMatrix, "SkewMatrix"]:
+def sample_state(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return random_sym(n, seed), random_skew_simple(n, seed + 10_000)
 
 
@@ -275,7 +274,7 @@ def run_factorize(cfg: ExperimentConfig) -> tuple[list[Gate], dict]:
     refs, reference = _reference_states(s0, nmat, idx, times[-1])
     gates = []
     for t, (fac, s_fact), s_ode in zip(times, solved, refs):
-        gap = float(np.linalg.norm(s_fact.full() - s_ode))
+        gap = float(np.linalg.norm(s_fact - s_ode))
         tag = repr(float(t))
         gates += [
             Gate.leq(f"birkhoff_residual_t={tag}", fac.residual, TOLERANCES["birkhoff_residual"]),
@@ -287,7 +286,7 @@ def run_factorize(cfg: ExperimentConfig) -> tuple[list[Gate], dict]:
 
 
 def _reference_states(
-    s0: SymMatrix, nmat: "SkewMatrix", idx: IntegralIndex, t_end: float
+    s0: np.ndarray, nmat: np.ndarray, idx: IntegralIndex, t_end: float
 ) -> tuple[np.ndarray, dict]:
     """Gragg-Bulirsch-Stoer reference at t_end/4, t_end/2 and t_end: (3, n, n).
 
@@ -297,20 +296,19 @@ def _reference_states(
     run below REFERENCE_MACRO_CAP steps ends in BlowupError, macro doubles,
     up to that cap.  Returns the last run and its diagnostics.
     """
-    sf, nf = s0.full(), nmat.full()
-    budget = 1e-10 * max(1.0, float(np.linalg.norm(sf)))
+    budget = 1e-10 * max(1.0, float(np.linalg.norm(s0)))
     evals = 0
 
     def field(y: np.ndarray) -> np.ndarray:  # y is a stack of states
         nonlocal evals
         evals += len(y)
-        return _field(y, nf, idx)
+        return _field(y, nmat, idx)
 
     macro, fine, estimate = 4, None, np.inf
     while estimate > budget and macro < REFERENCE_MACRO_CAP:
         coarse, macro = fine, 2 * macro
         try:
-            fine = gbs_path(field, sf, t_end, macro)[[macro // 4, macro // 2, macro]]
+            fine = gbs_path(field, s0, t_end, macro)[[macro // 4, macro // 2, macro]]
         except BlowupError:  # not converged, unless at the cap
             if macro >= REFERENCE_MACRO_CAP:
                 raise
@@ -333,11 +331,8 @@ def run_findim(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
         law = max(law, float(np.linalg.norm(g12.full() - want)))
         lhs = coadjoint_f(g12, a)
         rhs = coadjoint_f(g1, coadjoint_f(g2, a))
-        homo = max(homo, float(np.linalg.norm(lhs.S.full() - rhs.S.full())))
-        induced = max(
-            induced,
-            float(np.linalg.norm(induced_flow_rhs(a).S.full() - bi_rhs(a.S, a.N).full())),
-        )
+        homo = max(homo, float(np.linalg.norm(lhs.S - rhs.S)))
+        induced = max(induced, float(np.linalg.norm(induced_flow_rhs(a).S - bi_rhs(a.S, a.N))))
     dims_ok = all(
         orbit_dimension_f(random_skew_simple(n, cfg.seed + 20 + n)) == 2 * (n * n // 4)
         for n in range(2, 7)
@@ -355,10 +350,9 @@ def run_pde(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
     m = max(cfg.n - 2, 3)
     a, b, c = rng.uniform(), rng.uniform(), rng.uniform()
     bs = BlockState(a, b, c, rng.matrix(1, m)[0], rng.matrix(1, m)[0], random_sym(m, cfg.seed + 30))
-    nf = n0(bs.n).full()
-    sf = embed(bs).full()
-    quad_gap = float(np.abs(embed(rhs_quadratic(bs)).full() - commutator(nf, sf @ sf)).max())
-    cubic_gap = float(np.abs(embed(rhs_cubic(bs)).full() - commutator(nf, sf @ sf @ sf)).max())
+    nf, sf = n0(bs.n), embed(bs)
+    quad_gap = float(np.abs(embed(rhs_quadratic(bs)) - commutator(nf, sf @ sf)).max())
+    cubic_gap = float(np.abs(embed(rhs_cubic(bs)) - commutator(nf, sf @ sf @ sf)).max())
 
     _, path = integrate_block(bs, 2, cfg.t_final, cfg.h)
     trace_gap = np.abs(path.a + path.c - (bs.a + bs.c)).max()
@@ -408,7 +402,7 @@ def run_lemma41(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
     fams = [f / np.linalg.norm(f) for f in fams]
     witness_ok = numerical_rank(fams) == cfg.n * (cfg.n + 1) // 2
     states = [sample_state(cfg.n, cfg.seed + 100 + t) for t in range(20)]
-    s, nmat = (np.stack([state[k].full() for state in states]) for k in (0, 1))
+    s, nmat = map(np.stack, zip(*states))
     hits = int(np.sum(generic_independence(s, nmat) == cfg.n * (cfg.n + 1) // 2))
     return [
         Gate.leq("cancellation_identity", worst_a, TOLERANCES["cancellation"]),

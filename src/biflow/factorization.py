@@ -33,7 +33,7 @@ import numpy as np
 
 from .invariants import IntegralIndex, gradient_loop
 from .laurent import BILoop, LaurentLoop, mul
-from .matcore import NumericalError, SymMatrix
+from .matcore import NumericalError
 
 __all__ = [
     "FourierLoop",
@@ -368,7 +368,7 @@ def _conjugation_coeffs(g: LaurentLoop, x0: BILoop) -> np.ndarray:
     return c
 
 
-def conjugated_states(factors: BirkhoffFactors, x0: BILoop) -> tuple[SymMatrix, SymMatrix]:
+def conjugated_states(factors: BirkhoffFactors, x0: BILoop) -> tuple[np.ndarray, np.ndarray]:
     """Flowed state from each factor: z^0 coefficient of g^-1 X0 g.
 
     Inverses go through the loop symmetry g^-1(z) = g(-z)^T, and only the
@@ -379,21 +379,21 @@ def conjugated_states(factors: BirkhoffFactors, x0: BILoop) -> tuple[SymMatrix, 
     out = []
     for g in (factors.g_minus, factors.g_plus):
         c0, c1 = _conjugation_coeffs(g, x0)
-        n_err = np.linalg.norm(c1 - x0.N.full())
+        n_err = np.linalg.norm(c1 - x0.N)
         if n_err > N_TOL:
             raise FactorizationError(f"z^1 coefficient drifted from N by {n_err:.3e}")
         sym_err = np.linalg.norm(c0 - c0.T)
         if sym_err > N_TOL:
             raise FactorizationError(f"flowed state asymmetric by {sym_err:.3e}")
-        out.append(SymMatrix.symmetric_part(c0))
+        out.append(0.5 * (c0 + c0.T))
     s_minus, s_plus = out
-    gap = np.linalg.norm(s_minus.full() - s_plus.full())
+    gap = np.linalg.norm(s_minus - s_plus)
     if gap > AGREE_TOL:
         raise FactorizationError(f"factor conjugations disagree by {gap:.3e}")
     return s_minus, s_plus
 
 
-def solve_by_factorization(x0: BILoop, idx: IntegralIndex, t: float) -> SymMatrix:
+def solve_by_factorization(x0: BILoop, idx: IntegralIndex, t: float) -> np.ndarray:
     """State of the (k, l) flow at time t by Birkhoff factorization.
 
     The circle sampling and the start depth are the defaults of

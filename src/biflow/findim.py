@@ -14,8 +14,9 @@ symmetric slot, A -> A(S~ + [N~, T], N~), and the cubic-trace Hamiltonian
 H(A) = (2/3) tr(S~^3) induces exactly the Bloch-Iserles motion
 S~' = [N~, S~^2] there; the 2/3 normalizes the factor 2 in the pairing.
 
-Block data (S, N) is the stored representation; the 3n x 3n matrices are
-materialized only for oracle-style checks.
+Block data (S, N) is the stored representation, as arrays checked symmetric
+and skew; the 3n x 3n matrices are materialized only for oracle-style
+checks.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import SkewMatrix, SymMatrix, commutator, numerical_rank
+from .matcore import as_skew, as_sym, commutator, numerical_rank
 
 __all__ = [
     "GroupElem",
@@ -54,25 +55,33 @@ def _blocks(n: int, rows) -> np.ndarray:
 class _BlockPair:
     """Block data (S, N) of one dimension n, as the three element types store it."""
 
-    S: SymMatrix
-    N: SkewMatrix
+    S: np.ndarray
+    N: np.ndarray
+
+    def __eq__(self, other):
+        """The same element type and the same block data, entry for entry."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.S, other.S) and np.array_equal(self.N, other.N)
 
     def __post_init__(self):
-        if self.S.n != self.N.n:
+        s, n = as_sym(self.S), as_skew(self.N)
+        if s.shape != n.shape:
             raise ValueError("block dimensions differ")
+        object.__setattr__(self, "S", s)
+        object.__setattr__(self, "N", n)
 
     @property
     def n(self) -> int:
-        return self.S.n
+        return len(self.S)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupElem(_BlockPair):
     """Group element g(S, N) stored by its block data."""
 
     def full(self) -> np.ndarray:
-        n = self.n
-        s = self.S.full()
+        n, s = self.n, self.S
         return _blocks(
             n,
             {
@@ -81,62 +90,55 @@ class GroupElem(_BlockPair):
                 (2, 2): np.eye(n),
                 (0, 1): s,
                 (1, 2): s,
-                (0, 2): 0.5 * s @ s + self.N.full(),
+                (0, 2): 0.5 * s @ s + self.N,
             },
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgElem(_BlockPair):
     """Lie algebra element X(S, N): strictly upper block triangular."""
 
     def full(self) -> np.ndarray:
-        s = self.S.full()
-        return _blocks(self.n, {(0, 1): s, (1, 2): s, (0, 2): self.N.full()})
+        s = self.S
+        return _blocks(self.n, {(0, 1): s, (1, 2): s, (0, 2): self.N})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualElem(_BlockPair):
     """Dual element A(S~, N~): strictly lower block triangular."""
 
     def full(self) -> np.ndarray:
-        s = self.S.full()
-        return _blocks(self.n, {(1, 0): s, (2, 1): s, (2, 0): 2.0 * self.N.full()})
+        s = self.S
+        return _blocks(self.n, {(1, 0): s, (2, 1): s, (2, 0): 2.0 * self.N})
 
 
 def group_mul(g1: GroupElem, g2: GroupElem) -> GroupElem:
     """Closed-form product g(S+T, N+M+[S,T]/2)."""
     if g1.n != g2.n:
         raise ValueError("dimension mismatch")
-    s1, s2 = g1.S.full(), g2.S.full()
-    s = SymMatrix.symmetric_part(s1 + s2)
-    n = SkewMatrix.skew_part(g1.N.full() + g2.N.full() + 0.5 * commutator(s1, s2))
-    return GroupElem(s, n)
+    s, n = g1.S + g2.S, g1.N + g2.N + 0.5 * commutator(g1.S, g2.S)
+    return GroupElem(0.5 * (s + s.T), 0.5 * (n - n.T))
 
 
 def group_inverse(g: GroupElem) -> GroupElem:
     """g(-S, -N); the commutator term cancels since [S, -S] = 0."""
-    return GroupElem(
-        SymMatrix(g.n, -g.S.packed), SkewMatrix(g.n, -g.N.packed)
-    )
+    return GroupElem(-g.S, -g.N)
 
 
 def alg_bracket(x1: AlgElem, x2: AlgElem) -> AlgElem:
     """[X(S1, N1), X(S2, N2)] = X(0, [S1, S2]); two-step nilpotent."""
     if x1.n != x2.n:
         raise ValueError("dimension mismatch")
-    return AlgElem(
-        SymMatrix.zero(x1.n), SkewMatrix.skew_part(commutator(x1.S.full(), x2.S.full()))
-    )
+    n = commutator(x1.S, x2.S)
+    return AlgElem(np.zeros_like(n), 0.5 * (n - n.T))
 
 
 def pairing_f(x: AlgElem, a: DualElem) -> float:
     """Block form of the trace pairing: 2 tr(S S~) + 2 tr(N N~)."""
     if x.n != a.n:
         raise ValueError("dimension mismatch")
-    return 2.0 * float(np.trace(x.S.full() @ a.S.full())) + 2.0 * float(
-        np.trace(x.N.full() @ a.N.full())
-    )
+    return 2.0 * float(np.trace(x.S @ a.S)) + 2.0 * float(np.trace(x.N @ a.N))
 
 
 def pairing_f_matrix(x: AlgElem, a: DualElem) -> float:
@@ -153,13 +155,13 @@ def coadjoint_f(g: GroupElem, a: DualElem) -> DualElem:
     """Coadjoint action: only the symmetric slot moves, by [N~, T]."""
     if g.n != a.n:
         raise ValueError("dimension mismatch")
-    shift = commutator(a.N.full(), g.S.full())
-    return DualElem(SymMatrix.symmetric_part(a.S.full() + shift), a.N)
+    s = a.S + commutator(a.N, g.S)
+    return DualElem(0.5 * (s + s.T), a.N)
 
 
 def hamiltonian_f(a: DualElem) -> float:
     """Cubic-trace Hamiltonian (2/3) tr(S~^3) of the induced flow."""
-    s = a.S.full()
+    s = a.S
     return (2.0 / 3.0) * float(np.trace(s @ s @ s))
 
 
@@ -170,18 +172,17 @@ def induced_flow_rhs(a: DualElem) -> DualElem:
     and empty skew slot, so the coadjoint motion reproduces the
     Bloch-Iserles right-hand side exactly.
     """
-    s = a.S.full()
-    vel = commutator(a.N.full(), s @ s)
-    return DualElem(SymMatrix.symmetric_part(vel), SkewMatrix.zero(a.n))
+    vel = commutator(a.N, a.S @ a.S)
+    return DualElem(0.5 * (vel + vel.T), np.zeros_like(vel))
 
 
-def orbit_dimension_f(n: SkewMatrix) -> int:
+def orbit_dimension_f(n: np.ndarray) -> int:
     """Rank of T -> [N, T] on symmetric T: the coadjoint orbit dimension.
 
     Equals 2*floor(n^2/4) whenever N has simple spectrum.
     """
-    dim = n.n
-    nf = n.full()
+    nf = as_skew(n)
+    dim = len(nf)
     images = []
     for i in range(dim):
         for j in range(i, dim):

@@ -11,9 +11,10 @@ Integration is fixed-step RK4, or Gragg-Bulirsch-Stoer for references;
 the GBS field receives stacks (k, *y0.shape) of independent states, and a
 macro step of q = GBS_STAGES sequences makes 1 + q(q+1) evaluations in
 1 + 2q calls.
-The field is formed symmetric bit for bit, so every state is too, with no
-projection; drift reports evaluate every conserved quantity along a
-trajectory.  The companion full-matrix equation
+S and N are arrays, checked once where a public entry takes them and never
+inside the RK4 or GBS loops.  The field is formed symmetric bit for bit, so
+every state is too, with no projection; drift reports evaluate every
+conserved quantity along a trajectory.  The companion full-matrix equation
 
     M' = [(M^T M + M M^T) + M^2, M^T] / 4
 
@@ -35,7 +36,7 @@ from .invariants import (
     enumerate_indices,
     spectral_coeffs,
 )
-from .matcore import NumericalError, SkewMatrix, SymMatrix, as_matrix, commutator
+from .matcore import NumericalError, as_matrix, as_skew, as_sym, commutator
 from .symmetrizer import _sweep, sym
 
 __all__ = [
@@ -61,20 +62,22 @@ class BlowupError(NumericalError):
     """State norm exceeded the global guard during integration."""
 
 
-def vector_field(s: SymMatrix, n: SkewMatrix, idx: IntegralIndex) -> SymMatrix:
+def vector_field(s: np.ndarray, n: np.ndarray, idx: IntegralIndex) -> np.ndarray:
     """S-velocity -[sym_{k-l,l}(S, N), N] of the (k, l) flow."""
-    _check_flow(s, n, idx)
-    return SymMatrix.symmetric_part(_field(s.full(), n.full(), idx))
+    return _field(*_checked(s, n, idx), idx)
 
 
-def _check_flow(s: SymMatrix, n: SkewMatrix, idx: IntegralIndex) -> None:
-    if s.n != n.n:
+def _checked(s, n, idx: IntegralIndex) -> tuple[np.ndarray, np.ndarray]:
+    """S and N checked symmetric and skew, of one dimension for which idx is admissible."""
+    s, n = as_sym(s), as_skew(n)
+    if s.shape != n.shape:
         raise ValueError("S and N must share one dimension")
-    _require_admissible(idx, s.n)
+    _require_admissible(idx, len(s))
+    return s, n
 
 
 def _field(sf: np.ndarray, nf: np.ndarray, idx: IntegralIndex) -> np.ndarray:
-    """-[sym_{k-l,l}(S, N), N] on bare arrays that :func:`_check_flow` vetted.
+    """-[sym_{k-l,l}(S, N), N] on arrays that :func:`_checked` vetted.
 
     Admissible l is even, so M = sym_{k-l,l}(S, N) is symmetric, and with N
     skew (N M)^T = -M N.  The field N M - M N is therefore P + P^T for
@@ -85,18 +88,18 @@ def _field(sf: np.ndarray, nf: np.ndarray, idx: IntegralIndex) -> np.ndarray:
     return p + p.swapaxes(-1, -2)
 
 
-def vector_field_s_form(s: SymMatrix, n: SkewMatrix, idx: IntegralIndex) -> SymMatrix:
-    """Same velocity written as [sym_{k-l-1, l+1}(S, N), S]."""
-    _check_flow(s, n, idx)
-    m = sym(s.full(), n.full(), idx.k - idx.l - 1, idx.l + 1)
-    return SymMatrix.symmetric_part(commutator(m, s.full()))
+def vector_field_s_form(s: np.ndarray, n: np.ndarray, idx: IntegralIndex) -> np.ndarray:
+    """Same velocity written as [sym_{k-l-1, l+1}(S, N), S], made symmetric."""
+    s, n = _checked(s, n, idx)
+    v = commutator(sym(s, n, idx.k - idx.l - 1, idx.l + 1), s)
+    return 0.5 * (v + v.T)
 
 
-def bi_rhs(s: SymMatrix, n: SkewMatrix) -> SymMatrix:
-    """Bloch-Iserles velocity [NS + SN, S]; equals [N, S^2]."""
-    sf = s.full()
-    nf = n.full()
-    return SymMatrix.symmetric_part(commutator(nf @ sf + sf @ nf, sf))
+def bi_rhs(s: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Bloch-Iserles velocity [NS + SN, S], made symmetric; equals [N, S^2]."""
+    s, n = as_sym(s), as_skew(n)
+    v = commutator(n @ s + s @ n, s)
+    return 0.5 * (v + v.T)
 
 
 def m_rhs(m) -> np.ndarray:
@@ -230,15 +233,14 @@ def _guarded(y: np.ndarray, stacked: bool = False) -> np.ndarray:
 
 
 def integrate(
-    s0: SymMatrix, n: SkewMatrix, idx: IntegralIndex, t_final: float, h: float
+    s0: np.ndarray, n: np.ndarray, idx: IntegralIndex, t_final: float, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """RK4 for the (k, l) flow from s0: the times and the (T, n, n) states, N frozen."""
-    _check_flow(s0, n, idx)
-    nf = n.full()
-    return rk4_path(lambda y: _field(y, nf, idx), s0.full(), t_final, h)
+    s0, n = _checked(s0, n, idx)
+    return rk4_path(lambda y: _field(y, n, idx), s0, t_final, h)
 
 
-def invariant_series(states: np.ndarray, n: SkewMatrix) -> dict[str, np.ndarray]:
+def invariant_series(states: np.ndarray, n: np.ndarray) -> dict[str, np.ndarray]:
     """Every monitored conserved quantity along a (T, n, n) stack of states, N = ``n``.
 
     Keys: H_k_l for each admissible integral, casimir_l for each even l,
@@ -247,7 +249,8 @@ def invariant_series(states: np.ndarray, n: SkewMatrix) -> dict[str, np.ndarray]
     once.  The H_k_l are tr sym_{k+1-l,l}(S, N) / (k+1) from one row sweep
     to degree n, l <= n-2.
     """
-    nf, dim = n.full(), n.n
+    nf = as_skew(n)
+    dim = len(nf)
     out = dict.fromkeys(map(str, enumerate_indices(dim)))
 
     def keep(r, row):  # the even l of row r >= 2 are exactly the admissible H_{r+l-1,l}
@@ -255,9 +258,9 @@ def invariant_series(states: np.ndarray, n: SkewMatrix) -> dict[str, np.ndarray]
             out[str(IntegralIndex(r + l - 1, l))] = np.trace(row[l], axis1=1, axis2=2) / (r + l)
 
     _sweep(states, nf, dim, dim - 2, keep)
-    cas = casimirs(states, n)
+    cas = casimirs(states, nf)
     out.update((f"casimir_{l}", cas[:, j]) for j, l in enumerate(casimir_exponents(dim)))
-    coeffs = spectral_coeffs(states, n)[0]
+    coeffs = spectral_coeffs(states, nf)[0]
     out.update((f"I_{r}_{k}", coeffs[r, k]) for r, k in sorted(coeffs))
     eig = np.linalg.eigvalsh(states)
     out.update((f"eig_{i}", eig[:, i]) for i in range(dim))
@@ -277,8 +280,8 @@ def drift_report(series: dict[str, np.ndarray]) -> dict[str, float]:
 
 
 def flow_commutation(
-    s0: SymMatrix,
-    n: SkewMatrix,
+    s0: np.ndarray,
+    n: np.ndarray,
     idx1: IntegralIndex,
     idx2: IntegralIndex,
     s: float,
@@ -288,8 +291,6 @@ def flow_commutation(
     """Norm of the commutator defect of the two flow maps at times (s, t)."""
     if s == 0.0 or t == 0.0:
         return 0.0
-    mid = integrate(s0, n, idx2, t, h)[1][-1]
-    a = integrate(SymMatrix.symmetric_part(mid), n, idx1, s, h)[1][-1]
-    mid = integrate(s0, n, idx1, s, h)[1][-1]
-    b = integrate(SymMatrix.symmetric_part(mid), n, idx2, t, h)[1][-1]
+    a = integrate(integrate(s0, n, idx2, t, h)[1][-1], n, idx1, s, h)[1][-1]
+    b = integrate(integrate(s0, n, idx1, s, h)[1][-1], n, idx2, t, h)[1][-1]
     return float(np.linalg.norm(a - b))

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .laurent import BILoop, LaurentLoop, loop_power, pairing, rbracket
-from .matcore import NumericalError, SkewMatrix, SymMatrix, as_stack, char_poly, numerical_rank
+from .matcore import NumericalError, as_skew, as_stack, as_sym, char_poly, numerical_rank
 from .symmetrizer import SymmetrizerTable, sym
 
 __all__ = [
@@ -93,7 +93,7 @@ def _require_admissible(idx: IntegralIndex, n: int):
 def hamiltonian(x: BILoop, idx: IntegralIndex) -> float:
     """The z^l coefficient of tr(X(z)^(k+1)), which is tr sym_{k+1-l,l}(S, N), over k+1."""
     _require_admissible(idx, x.n)
-    return float(np.trace(sym(x.S.full(), x.N.full(), idx.k + 1 - idx.l, idx.l))) / (idx.k + 1)
+    return float(np.trace(sym(x.S, x.N, idx.k + 1 - idx.l, idx.l))) / (idx.k + 1)
 
 
 def gradient_loop(x: BILoop, idx: IntegralIndex) -> LaurentLoop:
@@ -115,19 +115,20 @@ def poisson_bracket(x: BILoop, idx1: IntegralIndex, idx2: IntegralIndex) -> floa
     return pairing(x.loop(), rbracket(g1, g2))
 
 
-def _hamiltonian_fields(s: SymMatrix, n: SkewMatrix):
+def _hamiltonian_fields(s: np.ndarray, n: np.ndarray):
     """Symmetrizer table up to degree n-1, and the (P, n, n) stacks M and [N, M].
 
     M_a = sym_{k-l,l}(S, N) is the z^-1 coefficient of the gradient of the
     a-th admissible integral, and [N, M_a] its Hamiltonian vector field.
     """
-    table = SymmetrizerTable(s.full(), n.full(), s.n - 1)
-    m = np.stack([table.get(idx.k - idx.l, idx.l) for idx in enumerate_indices(s.n)])
+    s, n = as_sym(s), as_skew(n)
+    table = SymmetrizerTable(s, n, len(s) - 1)
+    m = np.stack([table.get(idx.k - idx.l, idx.l) for idx in enumerate_indices(len(s))])
     nf = table.b
     return table, m, nf @ m - m @ nf
 
 
-def poisson_matrix(s: SymMatrix, n: SkewMatrix) -> tuple[np.ndarray, np.ndarray]:
+def poisson_matrix(s: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every bracket {H_a, H_b} of the admissible family and its gate scale, (P, P) each.
 
     X = S + zN pairs only with the z^-1 and z^-2 coefficients of the
@@ -139,18 +140,18 @@ def poisson_matrix(s: SymMatrix, n: SkewMatrix) -> tuple[np.ndarray, np.ndarray]
     """
     table, m, fields = _hamiltonian_fields(s, n)
     # tr(F_a M_b) is the dot product of the flattened F_a and M_b^T: one BLAS product
-    p = len(m)
+    dim, p = len(table.a), len(m)
     brackets = -(fields.reshape(p, -1) @ m.transpose(0, 2, 1).reshape(p, -1).T)
     brackets = 0.5 * (brackets - brackets.T)
     power_norm = [
-        max(np.linalg.norm(table.get(k - j, j)) for j in range(k + 1)) for k in range(s.n)
+        max(np.linalg.norm(table.get(k - j, j)) for j in range(k + 1)) for k in range(dim)
     ]
-    grad = np.array([power_norm[idx.k] for idx in enumerate_indices(s.n)])
+    grad = np.array([power_norm[idx.k] for idx in enumerate_indices(dim)])
     xnorm = max(np.linalg.norm(table.a), np.linalg.norm(table.b))
     return brackets, np.maximum(1.0, np.outer(grad, grad) * xnorm)
 
 
-def spectral_coeffs(s, n: SkewMatrix) -> tuple[dict, float | np.ndarray]:
+def spectral_coeffs(s, n: np.ndarray) -> tuple[dict, float | np.ndarray]:
     """Coefficients I_rk of det(S + zN - wI) = sum I_rk z^(2k) w^(n-r), and the odd-z residual.
 
     det(S + zN - wI) has degree <= n in both z and w; n+1 real Chebyshev
@@ -161,10 +162,10 @@ def spectral_coeffs(s, n: SkewMatrix) -> tuple[dict, float | np.ndarray]:
     so it measures numerical noise only.  ``s`` is one symmetric state or a
     (..., n, n) stack of them, and then every value is an array over it.
     """
-    sf = as_stack(s)
-    dim = n.n
+    sf, nf = as_stack(s), as_skew(n)
+    dim = len(nf)
     nodes = spectral_nodes(dim)
-    wcoeffs = char_poly(sf[..., None, :, :] + nodes[:, None, None] * n.full())  # (..., node, w)
+    wcoeffs = char_poly(sf[..., None, :, :] + nodes[:, None, None] * nf)  # (..., node, w)
     batch = wcoeffs.shape[:-2]
     table = {}
     odd = np.zeros(batch)
@@ -199,25 +200,24 @@ def casimir_exponents(n: int) -> list[int]:
     return list(range(0, n, 2))
 
 
-def casimirs(s, n: SkewMatrix) -> np.ndarray:
+def casimirs(s, n: np.ndarray) -> np.ndarray:
     """Orbit invariants tr(S N^l) for even l below n, in the last axis.
 
     ``s`` is one symmetric state or a (..., n, n) stack of them.  Odd
     exponents are excluded: tr(S N^l) = -tr(S N^l) by transposition, so
     those traces vanish identically.
     """
-    sf = as_stack(s)
-    nf = n.full()
+    sf, nf = as_stack(s), as_skew(n)
     out = []
-    power = np.eye(n.n)
-    for l in range(n.n):
+    power = np.eye(len(nf))
+    for l in range(len(nf)):
         if l % 2 == 0:
             out.append(np.trace(sf @ power, axis1=-2, axis2=-1))
         power = power @ nf
     return np.stack(out, axis=-1)
 
 
-def orbit_membership(s: SymMatrix, s0: SymMatrix, n0: SkewMatrix, tol: float) -> bool:
+def orbit_membership(s: np.ndarray, s0: np.ndarray, n0: np.ndarray, tol: float) -> bool:
     """True iff s sits on the coadjoint orbit through (s0, n0) within tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -226,7 +226,7 @@ def orbit_membership(s: SymMatrix, s0: SymMatrix, n0: SkewMatrix, tol: float) ->
     return bool(np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want))))
 
 
-def integral_independence_rank(s: SymMatrix, n: SkewMatrix) -> int:
+def integral_independence_rank(s: np.ndarray, n: np.ndarray) -> int:
     """Rank of the admissible family of Hamiltonian vector fields at (s, n).
 
     Each field is -[sym_{k-l,l}(S, N), N]; generic points give floor(n^2/4).

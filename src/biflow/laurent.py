@@ -10,14 +10,16 @@ through the loop-group symmetry g(z) g(-z)^T = I, and the coadjoint action
 built from those pieces.
 
 All arithmetic is exact on finite windows, and loops are immutable after
-construction.
+construction.  The dual-space loop S + zN (:class:`BILoop`) keeps S and N
+as read-only arrays, checked symmetric and skew by
+:func:`~biflow.matcore.as_sym` and :func:`~biflow.matcore.as_skew`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matcore import NumericalError, SkewMatrix, SplitMix64, SymMatrix, as_matrix
+from .matcore import NumericalError, SplitMix64, as_matrix, as_skew, as_sym
 
 __all__ = [
     "LaurentLoop",
@@ -202,13 +204,15 @@ class LaurentLoop:
 
 
 class BILoop:
-    """The dual-space loop S + z N with exact symmetric/skew coefficients."""
+    """The dual-space loop S + z N: a symmetric S and a skew N, checked on construction."""
 
     __slots__ = ("S", "N")
 
-    def __init__(self, S: SymMatrix, N: SkewMatrix):
-        if S.n != N.n:
-            raise ValueError(f"dimension mismatch: {S.n} vs {N.n}")
+    def __init__(self, S, N):
+        S, N = as_sym(S), as_skew(N)
+        if S.shape != N.shape:
+            raise ValueError(f"dimension mismatch: {len(S)} vs {len(N)}")
+        S.flags.writeable = N.flags.writeable = False
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "N", N)
 
@@ -217,10 +221,10 @@ class BILoop:
 
     @property
     def n(self) -> int:
-        return self.S.n
+        return len(self.S)
 
     def loop(self) -> LaurentLoop:
-        return LaurentLoop(0, np.stack([self.S.full(), self.N.full()]))
+        return LaurentLoop(0, np.stack([self.S, self.N]))
 
     def __repr__(self):
         return f"BILoop(n={self.n})"

@@ -1,12 +1,12 @@
 """Dense real matrix foundation.
 
-Symmetric and skew-symmetric value types with exact-by-storage structure,
-commutators, characteristic polynomials by the Faddeev-LeVerrier
-recursion, a cyclic Jacobi eigensolver, Gram-matrix numerical rank, and a
-reproducible counter-based random generator.
+Checked symmetric and skew-symmetric arrays (:func:`as_sym`,
+:func:`as_skew`), commutators, characteristic polynomials by the
+Faddeev-LeVerrier recursion, a cyclic Jacobi eigensolver, Gram-matrix
+numerical rank, and a reproducible counter-based random generator.
 
-Everything here is desk scale (n <= 64, dense, float64).  Values are
-immutable after construction and all operations are pure functions.
+Everything here is desk scale (n <= 64, dense, float64).  Matrices are
+plain arrays, and no function mutates its inputs.
 """
 
 from __future__ import annotations
@@ -17,14 +17,15 @@ from functools import cache
 import numpy as np
 
 __all__ = [
-    "SymMatrix",
-    "SkewMatrix",
+    "SymMatrix",  # unused by the package; kept because perfbench/tracer.py wraps it
     "SplitMix64",
     "NumericalError",
     "JacobiConvergenceError",
     "ResampleCapError",
     "as_stack",
     "as_matrix",
+    "as_sym",
+    "as_skew",
     "commutator",
     "char_poly",
     "eval_poly",
@@ -39,7 +40,7 @@ __all__ = [
 
 _U64 = (1 << 64) - 1
 
-STRUCTURE_TOL = 1e-12  # relative asymmetry (or skew defect) from_full accepts
+STRUCTURE_TOL = 1e-12  # largest |A - A^T| (as_sym) or |A + A^T| (as_skew) entry, over max(1, max |A|)
 RANK_TOL = 1e-8  # singular values counted by numerical_rank, relative to the largest
 SIMPLE_GAP = 1e-6  # least separation of the skew spectrum values read as simple
 MAX_RESAMPLES = 100  # draws random_skew_simple makes before it gives up
@@ -77,12 +78,10 @@ def _tril(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def as_stack(x) -> np.ndarray:
-    """Coerce a SymMatrix/SkewMatrix/array-like to finite float matrices (..., n, n).
+    """Coerce an array-like to finite float matrices (..., n, n).
 
     Complex input is refused, not cast: the cast would drop its imaginary part.
     """
-    if isinstance(x, (SymMatrix, SkewMatrix)):
-        return x.full()
     a = np.asarray(x)
     if a.dtype != float:
         if a.dtype.kind == "c":
@@ -96,11 +95,39 @@ def as_stack(x) -> np.ndarray:
 
 
 def as_matrix(x) -> np.ndarray:
-    """Coerce a SymMatrix/SkewMatrix/array-like to a square float ndarray."""
+    """Coerce an array-like to a square float ndarray."""
     a = as_stack(x)
     if a.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def as_sym(x) -> np.ndarray:
+    """A new symmetric matrix from one symmetric within ``STRUCTURE_TOL``: its
+    lower triangle, mirrored into the upper half."""
+    a = as_matrix(x)
+    _check_defect(a, a - a.T, "symmetric")
+    out = np.array(a, order="C")
+    il = _tril(len(a), -1)
+    out.T[il] = a[il]
+    return out
+
+
+def as_skew(x) -> np.ndarray:
+    """A new skew matrix from one skew within ``STRUCTURE_TOL``: its strict lower
+    triangle, negated into the upper half, with an exactly zero diagonal."""
+    a = as_matrix(x)
+    _check_defect(a, a + a.T, "skew-symmetric")
+    k = np.tril(a, -1)
+    return k - k.T
+
+
+def _check_defect(a: np.ndarray, defect: np.ndarray, kind: str) -> None:
+    """Refuse ``a`` unless ``defect`` is within ``STRUCTURE_TOL``; entry maxima,
+    unlike Frobenius norms, do not overflow for huge finite entries."""
+    dev = np.abs(defect).max(initial=0.0)
+    if dev > STRUCTURE_TOL * max(1.0, np.abs(a).max(initial=0.0)):
+        raise ValueError(f"matrix is not {kind} (largest defect {dev:.3e})")
 
 
 @dataclass(frozen=True)
@@ -153,55 +180,6 @@ class SymMatrix:
         return float(np.linalg.norm(self.full()))
 
 
-@dataclass(frozen=True)
-class SkewMatrix:
-    """Real skew-symmetric matrix stored by its strict lower triangle.
-
-    Materialization gives ``K == -K.T`` exactly, with an exactly zero
-    diagonal.
-    """
-
-    n: int
-    packed: np.ndarray  # strict lower triangle, row-major, length n*(n-1)/2
-
-    def __post_init__(self):
-        packed = _freeze(self.packed).ravel()
-        if packed.size != self.n * (self.n - 1) // 2:
-            raise ValueError("packed length does not match dimension")
-        if not np.isfinite(packed).all():
-            raise ValueError("matrix entries must be finite")
-        object.__setattr__(self, "packed", packed)
-
-    @classmethod
-    def from_full(cls, a) -> "SkewMatrix":
-        """Build from a full matrix that is already skew within ``STRUCTURE_TOL``."""
-        a = as_matrix(a)
-        dev = np.linalg.norm(a + a.T)
-        if dev > STRUCTURE_TOL * max(1.0, np.linalg.norm(a)):
-            raise ValueError(f"matrix is not skew-symmetric (deviation {dev:.3e})")
-        return cls(a.shape[0], a[_tril(a.shape[0], -1)])
-
-    @classmethod
-    def skew_part(cls, a) -> "SkewMatrix":
-        """Project a full matrix onto its skew part (A - A^T)/2."""
-        a = as_matrix(a)
-        k = 0.5 * (a - a.T)
-        return cls(a.shape[0], k[_tril(a.shape[0], -1)])
-
-    @classmethod
-    def zero(cls, n: int) -> "SkewMatrix":
-        return cls(n, np.zeros(n * (n - 1) // 2))
-
-    def full(self) -> np.ndarray:
-        k = np.zeros((self.n, self.n))
-        il = _tril(self.n, -1)
-        k[il] = self.packed
-        return k - k.T
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.full()))
-
-
 def commutator(a, b) -> np.ndarray:
     """Matrix commutator AB - BA."""
     a = as_matrix(a)
@@ -249,7 +227,7 @@ def eigenvalues_sym(s, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
     ``tol * ||S||_F``.  Raises :class:`JacobiConvergenceError` after
     ``max_sweeps`` full sweeps, which signals pathological input.
     """
-    a = as_matrix(s) if not isinstance(s, SymMatrix) else s.full()
+    a = as_matrix(s)
     n = a.shape[0]
     if n == 1:
         return a.diagonal().copy()
@@ -366,15 +344,16 @@ def random_orthogonal(n: int, seed: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def random_sym(n: int, seed: int) -> SymMatrix:
-    """Symmetrized uniform random matrix."""
+def random_sym(n: int, seed: int) -> np.ndarray:
+    """Symmetrized uniform random matrix (A + A^T)/2."""
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    return SymMatrix.symmetric_part(random_matrix(n, seed))
+    a = random_matrix(n, seed)
+    return 0.5 * (a + a.T)
 
 
-def random_skew_simple(n: int, seed: int) -> SkewMatrix:
-    """Antisymmetrized uniform random matrix with simple spectrum.
+def random_skew_simple(n: int, seed: int) -> np.ndarray:
+    """Antisymmetrized uniform random matrix (A - A^T)/2 with simple spectrum.
 
     A real skew matrix has eigenvalues in pairs +-i*lambda_j; its singular
     values are those lambda_j, each doubled.  Up to ``MAX_RESAMPLES`` samples
@@ -386,13 +365,14 @@ def random_skew_simple(n: int, seed: int) -> SkewMatrix:
         raise ValueError("dimension must be at least 2")
     rng = SplitMix64(seed)
     for _ in range(MAX_RESAMPLES):
-        k = SkewMatrix.skew_part(rng.matrix(n))
+        a = rng.matrix(n)
+        k = 0.5 * (a - a.T)
         if skew_spectrum_is_simple(k):
             return k
     raise ResampleCapError(f"no simple-spectrum sample in {MAX_RESAMPLES} draws")
 
 
-def skew_spectrum_is_simple(k: SkewMatrix | np.ndarray) -> bool:
+def skew_spectrum_is_simple(k: np.ndarray) -> bool:
     """True when the +-i*lambda pairs of a skew matrix are separated by ``SIMPLE_GAP``."""
     svals = np.linalg.svd(as_matrix(k), compute_uv=False)
     lams = svals[::2][: svals.size // 2]

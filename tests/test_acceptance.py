@@ -166,10 +166,10 @@ def test_criterion_9_m_equation():
         s, k = sample_state(4, 700 + seed)
         ident = max(
             ident,
-            float(np.linalg.norm(m_rhs(s.full() + k.full()) - bi_rhs(s, k).full())),
+            float(np.linalg.norm(m_rhs(s + k) - bi_rhs(s, k))),
         )
     s, k = sample_state(3, seed=77)
-    _, path = rk4_path(m_rhs, s.full() + k.full(), t_final=1.0, h=1e-3)
+    _, path = rk4_path(m_rhs, s + k, t_final=1.0, h=1e-3)
     skew0 = 0.5 * (path[0] - path[0].T)
     skew_drift = max(float(np.linalg.norm(0.5 * (m - m.T) - skew0)) for m in path)
     ok = ident <= 1e-12 and skew_drift <= 1e-10

@@ -22,7 +22,7 @@ from biflow.blockpde import (
 )
 from biflow.flows import integrate, rk4_path
 from biflow.invariants import IntegralIndex, casimirs
-from biflow.matcore import SplitMix64, SymMatrix, commutator, random_sym
+from biflow.matcore import SplitMix64, commutator, random_sym
 
 
 def random_block(n, seed, zero_trace_corner=False, zero_corner=False):
@@ -35,13 +35,13 @@ def random_block(n, seed, zero_trace_corner=False, zero_corner=False):
         a = b = c = 0.0
     u = np.array([rng.uniform() for _ in range(m)])
     v = np.array([rng.uniform() for _ in range(m)])
-    core = random_sym(m, seed + 5000) if m > 1 else SymMatrix.from_full([[rng.uniform()]])
+    core = random_sym(m, seed + 5000) if m > 1 else [[rng.uniform()]]
     return BlockState(a, b, c, u, v, core)
 
 
 def oracle_blocks(bs, power):
-    s = embed(bs).full()
-    nf = n0(bs.n).full()
+    s = embed(bs)
+    nf = n0(bs.n)
     return extract_rhs(commutator(nf, np.linalg.matrix_power(s, power)), bs.n)
 
 
@@ -62,13 +62,13 @@ def assert_matches_oracle(got: BlockState, want: dict, atol: float):
     npt.assert_allclose(got.c, want["c"], atol=atol)
     npt.assert_allclose(got.u, want["u"], atol=atol)
     npt.assert_allclose(got.v, want["v"], atol=atol)
-    npt.assert_allclose(got.B.full(), want["B"], atol=atol)
+    npt.assert_allclose(got.B, want["B"], atol=atol)
 
 
 class TestEmbed:
     def test_zero_state(self):
-        bs = BlockState(0.0, 0.0, 0.0, np.zeros(3), np.zeros(3), SymMatrix.zero(3))
-        assert embed(bs).norm() == 0.0
+        bs = BlockState(0.0, 0.0, 0.0, np.zeros(3), np.zeros(3), np.zeros((3, 3)))
+        assert not embed(bs).any()
 
     def test_round_trip(self):
         bs = random_block(6, seed=1)
@@ -76,10 +76,21 @@ class TestEmbed:
         npt.assert_array_equal(back.u, bs.u)
         npt.assert_array_equal(back.v, bs.v)
         assert (back.a, back.b, back.c) == (bs.a, bs.b, bs.c)
-        npt.assert_array_equal(back.B.full(), bs.B.full())
+        npt.assert_array_equal(back.B, bs.B)
+
+    def test_malformed_block_refused(self):
+        u, b = np.zeros(3), random_sym(3, seed=2)
+        for core, match in [
+            (b + np.triu(np.ones((3, 3)), 1), "not symmetric"),
+            (np.where(b, np.inf, 0.0), "finite"),
+            (b + 0j, "complex"),
+            (random_sym(4, seed=2), "B dimension must match"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                BlockState(0.0, 0.0, 0.0, u, u, core)
 
     def test_n0_shape(self):
-        k = n0(5).full()
+        k = n0(5)
         assert k[0, 1] == 1.0 and k[1, 0] == -1.0
         assert np.count_nonzero(k) == 2
 
@@ -120,7 +131,7 @@ class TestQuadraticRHS:
 
 class TestCubicRHS:
     def test_zero_everything(self):
-        bs = BlockState(0.0, 0.0, 0.0, np.zeros(4), np.zeros(4), SymMatrix.zero(4))
+        bs = BlockState(0.0, 0.0, 0.0, np.zeros(4), np.zeros(4), np.zeros((4, 4)))
         d = rhs_cubic(bs)
         assert d.a == d.b == 0.0
         npt.assert_allclose(d.u, np.zeros(4), atol=0)
@@ -128,7 +139,7 @@ class TestCubicRHS:
     def test_zero_corner_scalar_equations(self):
         bs = random_block(6, seed=6, zero_corner=True)
         d = rhs_cubic(bs)
-        bf = bs.B.full()
+        bf = bs.B
         npt.assert_allclose(d.a, 2.0 * bs.u @ (bf @ bs.v), atol=1e-13)
         npt.assert_allclose(
             d.b, bs.v @ (bf @ bs.v) - bs.u @ (bf @ bs.u), atol=1e-13
@@ -145,10 +156,9 @@ class TestCubicRHS:
         rng = SplitMix64(7)
         m = 2
         cblk = rng.matrix(m)
-        bfull = np.zeros((2 * m, 2 * m))
-        bfull[:m, m:] = cblk
-        bfull[m:, :m] = cblk.T
-        b = SymMatrix.from_full(bfull)
+        b = np.zeros((2 * m, 2 * m))
+        b[:m, m:] = cblk
+        b[m:, :m] = cblk.T
         u = np.concatenate([rng.matrix(1, m)[0], np.zeros(m)])
         v = np.concatenate([rng.matrix(1, m)[0], np.zeros(m)])
         d = rhs_cubic(BlockState(0.0, 0.0, 0.0, u, v, b))
@@ -157,7 +167,7 @@ class TestCubicRHS:
 
 class TestReduced:
     def test_zero(self):
-        du, dv = rhs_reduced(np.zeros(3), np.zeros(3), SymMatrix.zero(3))
+        du, dv = rhs_reduced(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
         assert not du.any() and not dv.any()
 
     def test_matches_cubic_at_zero_corner(self):
@@ -191,7 +201,7 @@ def pack_block(bs):
 
 
 def unpack_block(y, b):
-    m = b.n
+    m = len(b)
     return BlockState(y[0], y[1], y[2], y[3 : 3 + m], y[3 + m :], b)
 
 
@@ -217,8 +227,8 @@ class TestPackedRHS:
             y = pack_block(bs)
             for power, rhs in ((2, rhs_quadratic), (3, rhs_cubic)):
                 want = rhs(unpack_block(y, bs.B))
-                assert np.array_equal(_block_kernel(bs.B.full(), power)(y), pack_block(want))
-                assert not want.B.full().any()
+                assert np.array_equal(_block_kernel(bs.B, power)(y), pack_block(want))
+                assert not want.B.any()
 
     def test_block_step_equals_public_step(self):
         for seed in range(10):
@@ -231,7 +241,7 @@ class TestPackedRHS:
 
                 want = rk4_step(public, pack_block(bs), 0.01)
                 assert np.array_equal(pack_block(block_at(path, 1)), want)
-                assert path.B is bs.B
+                assert np.array_equal(path.B, bs.B)
 
     def test_pde_step_equals_public_step(self):
         rng = SplitMix64(7)
@@ -290,7 +300,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("power, reference", [(2, reference_quadratic), (3, reference_cubic)])
     def test_path_equals_reference(self, m, power, reference):
         bs = random_block(m + 2, seed=600 + m)
-        bf = bs.B.full()
+        bf = bs.B
         times, path = integrate_block(bs, power, t_final=0.5, h=1e-3)
         want_times, want = rk4_path(lambda y: reference(y, bf), pack_block(bs), 0.5, 1e-3)
         assert np.array_equal(times, want_times)
@@ -299,7 +309,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("power", [2, 3])
     def test_calls_return_fresh_arrays(self, power):
         bs = random_block(8, seed=700 + power)
-        kernel = _block_kernel(bs.B.full(), power)
+        kernel = _block_kernel(bs.B, power)
         y = pack_block(bs)
         first = kernel(y)
         kept = first.copy()
@@ -339,7 +349,7 @@ class TestBlockIntegration:
         bs = random_block(6, seed=14)
         _, path = integrate_block(bs, 3, t_final=1.0, h=1e-3)
         _, states = integrate(embed(bs), n0(6), IntegralIndex(3, 0), t_final=1.0, h=1e-3)
-        gap = np.linalg.norm(embed(block_at(path, -1)).full() - states[-1])
+        gap = np.linalg.norm(embed(block_at(path, -1)) - states[-1])
         assert gap <= 1e-9
 
     @pytest.mark.parametrize("power", [1, 4])
@@ -351,7 +361,7 @@ class TestBlockIntegration:
         bs = random_block(5, seed=15)
         _, path = integrate_block(bs, 2, t_final=1.0, h=1e-3)
         _, states = integrate(embed(bs), n0(5), IntegralIndex(2, 0), t_final=1.0, h=1e-3)
-        gap = np.linalg.norm(embed(block_at(path, -1)).full() - states[-1])
+        gap = np.linalg.norm(embed(block_at(path, -1)) - states[-1])
         assert gap <= 1e-9
 
 

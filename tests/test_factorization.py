@@ -26,13 +26,11 @@ from biflow.factorization import (
 from biflow.flows import integrate
 from biflow.invariants import IntegralIndex, orbit_membership
 from biflow.laurent import BILoop, LaurentLoop, mul
-from biflow.matcore import SkewMatrix, SymMatrix, random_matrix, random_skew_simple, random_sym
+from biflow.matcore import random_matrix, random_skew_simple, random_sym
 
 
 def bi_state(n, seed, scale=1.0):
-    s = SymMatrix(n, scale * random_sym(n, seed).packed)
-    k = SkewMatrix(n, scale * random_skew_simple(n, seed + 900).packed)
-    return BILoop(s, k)
+    return BILoop(scale * random_sym(n, seed), scale * random_skew_simple(n, seed + 900))
 
 
 @pytest.fixture
@@ -54,12 +52,12 @@ class TestGenerator:
     def test_k1_l0_form(self):
         x = bi_state(3, seed=1)
         g = generator(x, IntegralIndex(1, 0))
-        npt.assert_array_equal(g.coeff(-1), x.S.full())
-        npt.assert_array_equal(g.coeff(0), x.N.full())
+        npt.assert_array_equal(g.coeff(-1), x.S)
+        npt.assert_array_equal(g.coeff(0), x.N)
 
     def test_k2_l0_expansion(self):
         x = bi_state(3, seed=2)
-        s, n = x.S.full(), x.N.full()
+        s, n = x.S, x.N
         g = generator(x, IntegralIndex(2, 0))
         npt.assert_allclose(g.coeff(-1), s @ s, atol=1e-14)
         npt.assert_allclose(g.coeff(0), s @ n + n @ s, atol=1e-14)
@@ -88,7 +86,7 @@ class TestExpm:
 
     def test_against_eig_oracle(self):
         # Oracle: diagonalization of a normal (skew-hermitian) argument.
-        k = random_skew_simple(4, seed=5).full().astype(complex)
+        k = random_skew_simple(4, seed=5).astype(complex)
         w, v = np.linalg.eig(k)
         want = v @ np.diag(np.exp(w)) @ np.linalg.inv(v)
         npt.assert_allclose(expm(k), want, atol=1e-12)
@@ -267,7 +265,7 @@ class TestBirkhoff:
     def test_plus_loop_untouched(self):
         # exp of z * (skew) is already analytic inside with the symmetry,
         # so uniqueness forces g- = I and g+ = gamma.
-        k = 0.4 * random_skew_simple(3, seed=15).full()
+        k = 0.4 * random_skew_simple(3, seed=15)
         zs = circle_points(64)
         samples = np.stack([expm(z * k) for z in zs])
         coeffs = np.fft.fft(samples, axis=0) / 64
@@ -395,7 +393,7 @@ class TestStartDepth:
             out, gamma = [], None
             for t in (0.125, 0.25, 0.5):
                 gamma = sample_exp(gen, t, 256, half=gamma)
-                out += [s.full() for s in conjugated_states(birkhoff(gamma, 40), x0)]
+                out += conjugated_states(birkhoff(gamma, 40), x0)
             return np.array(out)
 
         new = states()
@@ -489,17 +487,16 @@ class TestSolution:
     def test_t_zero(self):
         x = bi_state(3, seed=19)
         npt.assert_array_equal(
-            solve_by_factorization(x, IntegralIndex(2, 0), t=0.0).full(), x.S.full()
+            solve_by_factorization(x, IntegralIndex(2, 0), t=0.0), x.S
         )
 
     def test_commuting_state_is_frozen(self):
         n = random_skew_simple(3, seed=20)
-        nf = n.full()
-        s = SymMatrix.symmetric_part(nf @ nf)
+        s = n @ n
         x = BILoop(s, n)
         for t in (0.25, 1.0):
             got = solve_by_factorization(x, IntegralIndex(2, 0), t=t)
-            npt.assert_allclose(got.full(), s.full(), atol=1e-9)
+            npt.assert_allclose(got, s, atol=1e-9)
 
     def test_matches_rk4(self):
         x = bi_state(3, seed=21)
@@ -507,14 +504,14 @@ class TestSolution:
         for t in (0.25, 0.5, 1.0):
             s_fact = solve_by_factorization(x, idx, t=t)
             s_ode = integrate(x.S, x.N, idx, t_final=t, h=1e-4)[1][-1]
-            assert np.linalg.norm(s_fact.full() - s_ode) <= 1e-6
+            assert np.linalg.norm(s_fact - s_ode) <= 1e-6
 
     def test_higher_flow_matches_rk4(self):
         x = bi_state(4, seed=22, scale=0.8)
         idx = IntegralIndex(3, 2)
         s_fact = solve_by_factorization(x, idx, t=0.5)
         s_ode = integrate(x.S, x.N, idx, t_final=0.5, h=1e-4)[1][-1]
-        assert np.linalg.norm(s_fact.full() - s_ode) <= 1e-6
+        assert np.linalg.norm(s_fact - s_ode) <= 1e-6
 
     def test_stays_on_orbit(self):
         x = bi_state(3, seed=23)
@@ -526,7 +523,7 @@ class TestSolution:
         gamma = sample_exp(generator(x, IntegralIndex(2, 0)), t=0.5, m_samples=256)
         fac = birkhoff(gamma, depth=40)
         s_minus, s_plus = conjugated_states(fac, x)
-        assert np.linalg.norm(s_minus.full() - s_plus.full()) <= 1e-7
+        assert np.linalg.norm(s_minus - s_plus) <= 1e-7
 
     def test_isospectral(self):
         from biflow.matcore import eigenvalues_sym
@@ -543,7 +540,7 @@ class TestSolution:
         direct = solve_by_factorization(x, idx, t=0.6)
         half = solve_by_factorization(x, idx, t=0.3)
         relayed = solve_by_factorization(BILoop(half, x.N), idx, t=0.3)
-        assert np.linalg.norm(direct.full() - relayed.full()) <= 1e-8
+        assert np.linalg.norm(direct - relayed) <= 1e-8
 
     def test_depth_auto_escalation(self):
         # A depth too shallow for the tail criterion doubles until it fits

@@ -22,8 +22,6 @@ from biflow.flows import (
 from biflow.invariants import IntegralIndex, casimirs, enumerate_indices, spectral_coeffs
 from biflow.laurent import BILoop, loop_power
 from biflow.matcore import (
-    SkewMatrix,
-    SymMatrix,
     commutator,
     eigenvalues_sym,
     random_orthogonal,
@@ -31,8 +29,8 @@ from biflow.matcore import (
     random_sym,
 )
 
-N2 = SkewMatrix.from_full(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-S2 = SymMatrix.from_full(np.diag([1.0, 2.0]))
+N2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+S2 = np.diag([1.0, 2.0])
 
 
 def embed2(n):
@@ -41,13 +39,13 @@ def embed2(n):
     s[0, 0], s[1, 1] = 1.0, 2.0
     k = np.zeros((n, n))
     k[0, 1], k[1, 0] = 1.0, -1.0
-    return SymMatrix.from_full(s), SkewMatrix.from_full(k)
+    return s, k
 
 
 class TestVectorField:
     def test_bi_hand_value(self):
         s, n = embed2(3)
-        got = vector_field(s, n, IntegralIndex(2, 0)).full()
+        got = vector_field(s, n, IntegralIndex(2, 0))
         want = np.zeros((3, 3))
         want[0, 1] = want[1, 0] = 3.0
         npt.assert_allclose(got, want, atol=1e-14)
@@ -55,15 +53,14 @@ class TestVectorField:
     def test_k1_is_rotation_generator(self):
         s = random_sym(4, seed=1)
         n = random_skew_simple(4, seed=2)
-        got = vector_field(s, n, IntegralIndex(1, 0)).full()
-        npt.assert_allclose(got, commutator(n.full(), s.full()), atol=1e-14)
+        got = vector_field(s, n, IntegralIndex(1, 0))
+        npt.assert_allclose(got, commutator(n, s), atol=1e-14)
 
     def test_commuting_pair_is_fixed_point(self):
         n = random_skew_simple(4, seed=3)
-        nf = n.full()
-        s = SymMatrix.symmetric_part(nf @ nf)  # polynomial in N commutes with N
+        s = n @ n  # polynomial in N commutes with N
         for idx in enumerate_indices(4):
-            assert vector_field(s, n, idx).norm() <= 1e-13
+            assert np.linalg.norm(vector_field(s, n, idx)) <= 1e-13
 
     def test_two_forms_agree(self):
         for n_dim in (3, 4, 5, 6):
@@ -71,19 +68,18 @@ class TestVectorField:
                 s = random_sym(n_dim, seed=1000 * n_dim + seed)
                 k = random_skew_simple(n_dim, seed=2000 * n_dim + seed)
                 for idx in enumerate_indices(n_dim):
-                    a = vector_field(s, k, idx).full()
-                    b = vector_field_s_form(s, k, idx).full()
+                    a = vector_field(s, k, idx)
+                    b = vector_field_s_form(s, k, idx)
                     scale = max(1.0, np.linalg.norm(a))
                     npt.assert_allclose(a, b, atol=1e-12 * scale)
 
     def test_tangent_to_casimir_levels(self):
         s = random_sym(5, seed=4)
         n = random_skew_simple(5, seed=5)
-        nf = n.full()
         for idx in enumerate_indices(5):
-            v = vector_field(s, n, idx).full()
+            v = vector_field(s, n, idx)
             for l in range(0, 5, 2):
-                val = np.trace(v @ np.linalg.matrix_power(nf, l))
+                val = np.trace(v @ np.linalg.matrix_power(n, l))
                 assert abs(val) <= 1e-12 * max(1.0, np.linalg.norm(v))
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -91,7 +87,7 @@ class TestVectorField:
         # P + P^T with P = N M is symmetric bit for bit, alone and on a
         # stack, and equals the commutator N M - M N to rounding.
         for seed in (1, 2, 3):
-            sf, nf = random_sym(n, seed).full(), random_skew_simple(n, seed + 50).full()
+            sf, nf = random_sym(n, seed), random_skew_simple(n, seed + 50)
             stack = np.stack([sf, 0.5 * sf])
             for idx in enumerate_indices(n):
                 f = flows._field(sf, nf, idx)
@@ -106,6 +102,27 @@ class TestVectorField:
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
             vector_field(S2, N2, IntegralIndex(2, 0))
+
+    def test_malformed_state_rejected(self):
+        s, n = embed2(3)
+        idx = IntegralIndex(2, 0)
+        bad = [
+            (s + np.triu(np.ones((3, 3)), 1), n, "not symmetric"),
+            (s, np.eye(3), "not skew-symmetric"),
+            (np.where(s, np.nan, 0.0), n, "finite"),
+            (s, n + 0j, "complex"),
+            (s, embed2(4)[1], "share one dimension"),
+        ]
+        def integrate_briefly(s, n, idx):
+            return integrate(s, n, idx, t_final=0.1, h=0.1)
+
+        for entry in (vector_field, vector_field_s_form, integrate_briefly):
+            for s_bad, n_bad, match in bad:
+                with pytest.raises(ValueError, match=match):
+                    entry(s_bad, n_bad, idx)
+        for s_bad, n_bad, match in bad[:4]:
+            with pytest.raises(ValueError, match=match):
+                bi_rhs(s_bad, n_bad)
 
     def test_loop_equation_closes_on_window(self):
         # The loop motion [P+(X^k z^-(l+1)), X] stays inside the S + zN
@@ -123,7 +140,7 @@ class TestVectorField:
                 scale = max(1.0, motion.norm())
                 npt.assert_allclose(
                     motion.coeff(0),
-                    vector_field(s, n, idx).full(),
+                    vector_field(s, n, idx),
                     atol=1e-12 * scale,
                 )
                 assert motion.lo >= 0
@@ -134,19 +151,18 @@ class TestVectorField:
 class TestBiRhs:
     def test_hand_value(self):
         npt.assert_allclose(
-            bi_rhs(S2, N2).full(), np.array([[0.0, 3.0], [3.0, 0.0]]), atol=1e-14
+            bi_rhs(S2, N2), np.array([[0.0, 3.0], [3.0, 0.0]]), atol=1e-14
         )
 
     def test_identity_fixed(self):
-        assert bi_rhs(SymMatrix.from_full(np.eye(3)), random_skew_simple(3, seed=6)).norm() == 0.0
+        assert np.linalg.norm(bi_rhs(np.eye(3), random_skew_simple(3, seed=6))) == 0.0
 
     def test_lax_identity(self):
         for seed in range(10):
             s = random_sym(5, seed=10 + seed)
             n = random_skew_simple(5, seed=20 + seed)
-            sf, nf = s.full(), n.full()
-            lhs = commutator(nf @ sf + sf @ nf, sf)
-            rhs = commutator(nf, sf @ sf)
+            lhs = commutator(n @ s + s @ n, s)
+            rhs = commutator(n, s @ s)
             assert np.linalg.norm(lhs - rhs) <= 1e-13 * max(1.0, np.linalg.norm(lhs))
 
     def test_orthogonal_equivariance(self):
@@ -154,19 +170,16 @@ class TestBiRhs:
             s = random_sym(4, seed=30 + seed)
             n = random_skew_simple(4, seed=40 + seed)
             q = random_orthogonal(4, seed=50 + seed)
-            inner = bi_rhs(
-                SymMatrix.symmetric_part(q.T @ s.full() @ q),
-                SkewMatrix.skew_part(q.T @ n.full() @ q),
-            ).full()
-            outer = q.T @ bi_rhs(s, n).full() @ q
+            inner = bi_rhs(q.T @ s @ q, q.T @ n @ q)
+            outer = q.T @ bi_rhs(s, n) @ q
             assert np.linalg.norm(inner - outer) <= 1e-12 * max(1.0, np.linalg.norm(outer))
 
     def test_matches_bi_index_field(self):
         s = random_sym(4, seed=7)
         n = random_skew_simple(4, seed=8)
         npt.assert_allclose(
-            bi_rhs(s, n).full(),
-            vector_field(s, n, IntegralIndex(2, 0)).full(),
+            bi_rhs(s, n),
+            vector_field(s, n, IntegralIndex(2, 0)),
             atol=1e-13,
         )
 
@@ -177,14 +190,13 @@ class TestIntegrate:
         n = random_skew_simple(3, seed=10)
         _, states = integrate(s, n, IntegralIndex(2, 0), t_final=0.0, h=1e-2)
         assert len(states) == 1
-        npt.assert_array_equal(states[0], s.full())
+        npt.assert_array_equal(states[0], s)
 
     def test_commuting_initial_state_constant(self):
         n = random_skew_simple(3, seed=11)
-        nf = n.full()
-        s = SymMatrix.symmetric_part(nf @ nf)
+        s = n @ n
         _, states = integrate(s, n, IntegralIndex(2, 0), t_final=1.0, h=1e-2)
-        assert np.linalg.norm(states[-1] - s.full()) <= 1e-12
+        assert np.linalg.norm(states[-1] - s) <= 1e-12
 
     def test_states_exactly_symmetric(self):
         s = random_sym(3, seed=12)
@@ -262,7 +274,7 @@ class TestIntegrate:
         # No stage checks its state, so an overflow within a step reaches the
         # guard and ends the run as a numerical error, not as bad input, and
         # without a RuntimeWarning (an error under this suite's settings).
-        s = SymMatrix(4, 1e200 * random_sym(4, seed=20).packed)
+        s = 1e200 * random_sym(4, seed=20)
         n = random_skew_simple(4, seed=21)
         with pytest.raises(BlowupError):
             integrate(s, n, IntegralIndex(2, 0), t_final=1.0, h=0.1)
@@ -401,10 +413,8 @@ class TestBlockGuard:
     @pytest.mark.parametrize("n", [3, 4, 8, 16, 33, 64])
     def test_field_on_a_matrix_equals_the_one_state_stack(self, n):
         s0, nmat = cli.sample_state(n, 7)
-        nf = nmat.full()
-        sf = s0.full()
         for idx in (IntegralIndex(2, 0), IntegralIndex(3, 2), IntegralIndex(5, 2)):
-            assert np.array_equal(flows._field(sf, nf, idx), flows._field(sf[None], nf, idx)[0])
+            assert np.array_equal(flows._field(s0, nmat, idx), flows._field(s0[None], nmat, idx)[0])
 
 
 def sequential_gbs_path(rhs, y0, t_final, macro):
@@ -485,30 +495,30 @@ class TestGBS:
     )
     def test_field_matches_sequential_oracle(self, n, k, l, seed, t, macros):
         s0, nmat = cli.sample_state(n, seed)
-        nf, idx = nmat.full(), IntegralIndex(k, l)
+        idx = IntegralIndex(k, l)
 
         def field(y):
-            return flows._field(y, nf, idx)
+            return flows._field(y, nmat, idx)
 
         for macro in macros:
-            want = sequential_gbs_path(field, s0.full(), t, macro)
-            assert np.array_equal(gbs_path(field, s0.full(), t, macro), want)
+            want = sequential_gbs_path(field, s0, t, macro)
+            assert np.array_equal(gbs_path(field, s0, t, macro), want)
 
     def test_blowup_matches_sequential_oracle(self):
         # The stiff (6, 2) flow leaves the admissible region at 8 and 16
         # macro steps on both forms; at 64 both run through, to the same bits.
         s0, nmat = cli.sample_state(8, 10)
-        nf, idx = nmat.full(), IntegralIndex(6, 2)
+        idx = IntegralIndex(6, 2)
 
         def field(y):
-            return flows._field(y, nf, idx)
+            return flows._field(y, nmat, idx)
 
         for macro in (8, 16):
             for path in (sequential_gbs_path, gbs_path):
                 with pytest.raises(BlowupError):
-                    path(field, s0.full(), 0.1, macro)
-        want = sequential_gbs_path(field, s0.full(), 0.1, 64)
-        assert np.array_equal(gbs_path(field, s0.full(), 0.1, 64), want)
+                    path(field, s0, 0.1, macro)
+        want = sequential_gbs_path(field, s0, 0.1, 64)
+        assert np.array_equal(gbs_path(field, s0, 0.1, 64), want)
 
     def test_stack_guard_bounds_each_state(self):
         # Each of six states has norm 0.6 BLOWUP_NORM, the stack sqrt(6) times that.
@@ -563,8 +573,7 @@ class TestGBS:
 class TestDrift:
     def test_constant_trajectory_zero_drift(self):
         n = random_skew_simple(3, seed=18)
-        nf = n.full()
-        s = SymMatrix.symmetric_part(nf @ nf)
+        s = n @ n
         _, states = integrate(s, n, IntegralIndex(2, 0), t_final=0.2, h=1e-2)
         report = drift_report(invariant_series(states, n))
         assert report and all(v <= 1e-12 for v in report.values())
@@ -584,8 +593,7 @@ class TestDrift:
         k = random_skew_simple(n, seed=50 + n)
         _, states = integrate(s, k, IntegralIndex(1, 0), t_final=0.05, h=1e-2)
         series = invariant_series(states, k)
-        for i, state in enumerate(states):
-            sm = SymMatrix.from_full(state)
+        for i, sm in enumerate(states):
             x = BILoop(sm, k)
             want = {
                 str(idx): np.trace(loop_power(x.loop(), idx.k + 1).coeff(idx.l)) / (idx.k + 1)
@@ -610,7 +618,7 @@ class TestDrift:
             _, states = integrate(s, k, idx, t_final=0.01, h=2e-3)
             series = invariant_series(states, k)
             for h in enumerate_indices(n):
-                want = np.trace(symmetrizer.sym(states, k.full(), h.k + 1 - h.l, h.l), axis1=1, axis2=2)
+                want = np.trace(symmetrizer.sym(states, k, h.k + 1 - h.l, h.l), axis1=1, axis2=2)
                 assert np.array_equal(series[str(h)], want / (h.k + 1)), (idx, h)
 
     def test_report_covers_all_quantities(self):
@@ -645,21 +653,21 @@ class TestFlowCommutation:
 
 class TestMEquation:
     def test_symmetric_m_is_fixed(self):
-        s = random_sym(4, seed=29).full()
+        s = random_sym(4, seed=29)
         assert np.linalg.norm(m_rhs(s)) <= 1e-12 * max(1.0, np.linalg.norm(s)) ** 3
 
     def test_matches_bi_rhs(self):
         for seed in range(10):
             s = random_sym(4, seed=100 + seed)
             n = random_skew_simple(4, seed=200 + seed)
-            got = m_rhs(s.full() + n.full())
-            want = bi_rhs(s, n).full()
+            got = m_rhs(s + n)
+            want = bi_rhs(s, n)
             assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
 
     def test_skew_part_constant_along_flow(self):
         s = random_sym(3, seed=30)
         n = random_skew_simple(3, seed=31)
-        m0 = s.full() + n.full()
+        m0 = s + n
         _, path = rk4_path(m_rhs, m0, t_final=1.0, h=1e-3)
         skew0 = 0.5 * (path[0] - path[0].T)
         worst = max(np.linalg.norm(0.5 * (m - m.T) - skew0) for m in path)
@@ -668,7 +676,7 @@ class TestMEquation:
     def test_sym_part_tracks_bi_flow(self):
         s = random_sym(3, seed=32)
         n = random_skew_simple(3, seed=33)
-        _, path = rk4_path(m_rhs, s.full() + n.full(), t_final=1.0, h=1e-3)
+        _, path = rk4_path(m_rhs, s + n, t_final=1.0, h=1e-3)
         _, states = integrate(s, n, IntegralIndex(2, 0), t_final=1.0, h=1e-3)
         m_sym = 0.5 * (path[-1] + path[-1].T)
         assert np.linalg.norm(m_sym - states[-1]) <= 1e-9

@@ -21,8 +21,8 @@ from biflow.invariants import (
 )
 from biflow.laurent import BILoop, LaurentLoop, is_sigma_fixed, loop_power, pairing, rbracket
 from biflow.matcore import (
-    SkewMatrix,
-    SymMatrix,
+    as_skew,
+    as_sym,
     char_poly,
     commutator,
     random_matrix,
@@ -32,7 +32,7 @@ from biflow.matcore import (
 )
 from biflow.symmetrizer import sym
 
-N2 = SkewMatrix.from_full(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+N2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def random_biloop(n, seed):
@@ -66,14 +66,12 @@ class TestEnumerate:
 
 class TestHamiltonian:
     def test_h10_diag(self):
-        x = BILoop(SymMatrix.from_full(np.diag([1.0, 2.0])), N2)
+        x = BILoop(np.diag([1.0, 2.0]), N2)
         npt.assert_allclose(hamiltonian(x, IntegralIndex(1, 0)), 2.5)
 
     def test_h20_diag(self):
-        s = SymMatrix.from_full(np.diag([1.0, 2.0, 0.0]))
-        n = SkewMatrix.from_full(
-            np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        )
+        s = np.diag([1.0, 2.0, 0.0])
+        n = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         npt.assert_allclose(hamiltonian(BILoop(s, n), IntegralIndex(2, 0)), 3.0)
 
     def test_matches_loop_power_residue(self):
@@ -93,7 +91,7 @@ class TestHamiltonian:
         x = random_biloop(4, seed=1)
         for idx in enumerate_indices(4):
             want = np.trace(
-                sym_enumerated(x.S.full(), x.N.full(), idx.k + 1 - idx.l, idx.l)
+                sym_enumerated(x.S, x.N, idx.k + 1 - idx.l, idx.l)
             ) / (idx.k + 1)
             npt.assert_allclose(hamiltonian(x, idx), want, atol=1e-12 * max(1.0, abs(want)))
 
@@ -106,10 +104,7 @@ class TestHamiltonian:
         for seed in range(5):
             x = random_biloop(4, seed=10 + seed)
             q = random_orthogonal(4, seed=90 + seed)
-            xc = BILoop(
-                SymMatrix.symmetric_part(q.T @ x.S.full() @ q),
-                SkewMatrix.skew_part(q.T @ x.N.full() @ q),
-            )
+            xc = BILoop(q.T @ x.S @ q, q.T @ x.N @ q)
             for idx in enumerate_indices(4):
                 h0 = hamiltonian(x, idx)
                 h1 = hamiltonian(xc, idx)
@@ -121,12 +116,12 @@ class TestGradient:
         x = random_biloop(3, seed=3)
         g = gradient_loop(x, IntegralIndex(1, 0))
         assert g.window == (-1, 0)
-        npt.assert_array_equal(g.coeff(-1), x.S.full())
-        npt.assert_array_equal(g.coeff(0), x.N.full())
+        npt.assert_array_equal(g.coeff(-1), x.S)
+        npt.assert_array_equal(g.coeff(0), x.N)
 
     def test_k2_l0_matches_generator(self):
         x = random_biloop(3, seed=4)
-        s, n = x.S.full(), x.N.full()
+        s, n = x.S, x.N
         g = gradient_loop(x, IntegralIndex(2, 0))
         npt.assert_allclose(g.coeff(-1), s @ s, atol=1e-14)
         npt.assert_allclose(g.coeff(0), s @ n + n @ s, atol=1e-14)
@@ -221,9 +216,9 @@ class TestPoissonMatrix:
     def test_scale_matches_gradient_norms(self):
         # The scaled states put the largest loop coefficient on N, and every
         # product under the floor of 1.
-        s, k = random_sym(5, seed=41).full(), random_skew_simple(5, seed=42).full()
+        s, k = random_sym(5, seed=41), random_skew_simple(5, seed=42)
         for cs, ck in [(1.0, 1.0), (1.0, 10.0), (0.01, 0.01)]:
-            x = BILoop(SymMatrix.from_full(cs * s), SkewMatrix.from_full(ck * k))
+            x = BILoop(cs * s, ck * k)
             _, scale = poisson_matrix(x.S, x.N)
             grad = [gradient_loop(x, idx).norm() for idx in enumerate_indices(5)]
             want = np.maximum(1.0, np.outer(grad, grad) * x.loop().norm())
@@ -246,7 +241,7 @@ class TestPoissonMatrix:
 
         def wrong_skew(s, n):
             table, m, _ = fields(s, n)
-            other = random_skew_simple(s.n, seed=99).full()
+            other = random_skew_simple(len(s), seed=99)
             return table, m, other @ m - m @ other
 
         assert commute_gate(tmp_path, 6, 1).passed
@@ -269,8 +264,8 @@ class TestCommuteSizes:
 class TestSpectralCoeffs:
     def test_zero_n_reduces_to_char_poly(self):
         s = random_sym(4, seed=8)
-        table = spectral_coeffs(s, SkewMatrix.zero(4))[0]
-        coeffs = char_poly(s.full())
+        table = spectral_coeffs(s, np.zeros((4, 4)))[0]
+        coeffs = char_poly(s)
         for r in range(5):
             npt.assert_allclose(table[r, 0], coeffs[4 - r], atol=1e-10)
             for k in range(1, r // 2 + 1):
@@ -296,15 +291,14 @@ class TestSpectralCoeffs:
         n = random_skew_simple(4, seed=13)
         table = spectral_coeffs(s, n)[0]
         z, w = 0.7, -0.3
-        want = np.linalg.det(s.full() + z * n.full() - w * np.eye(4))
+        want = np.linalg.det(s + z * n - w * np.eye(4))
         got = sum(table[r, k] * z ** (2 * k) * w ** (4 - r) for r, k in table)
         npt.assert_allclose(got, want, atol=1e-10 * max(1.0, abs(want)))
 
 
 class TestCasimirs:
     def test_trace_example(self):
-        s = SymMatrix.from_full(np.diag([1.0, 2.0]))
-        vals = casimirs(s, N2)
+        vals = casimirs(np.diag([1.0, 2.0]), N2)
         npt.assert_allclose(vals[0], 3.0)
         assert len(vals) == 1
 
@@ -318,10 +312,8 @@ class TestCasimirs:
         for seed in range(10):
             s = random_sym(4, seed=50 + seed)
             n = random_skew_simple(4, seed=60 + seed)
-            p = random_sym(4, seed=70 + seed).full()
-            shifted = SymMatrix.symmetric_part(
-                s.full() + n.full() @ p - p @ n.full()
-            )
+            p = random_sym(4, seed=70 + seed)
+            shifted = s + n @ p - p @ n
             got = np.array(casimirs(shifted, n))
             want = np.array(casimirs(s, n))
             npt.assert_allclose(got, want, atol=1e-12 * max(1.0, np.abs(want).max()))
@@ -332,8 +324,8 @@ class TestCasimirs:
         s = random_sym(5, seed=80)
         n = random_skew_simple(5, seed=81)
         for l in (1, 3):
-            val = np.trace(s.full() @ np.linalg.matrix_power(n.full(), l))
-            assert abs(val) <= 1e-14 * max(1.0, s.norm() * n.norm() ** l)
+            val = np.trace(s @ np.linalg.matrix_power(n, l))
+            assert abs(val) <= 1e-14 * max(1.0, np.linalg.norm(s) * np.linalg.norm(n) ** l)
 
     def test_interpolation_guard(self, monkeypatch):
         from biflow.invariants import InterpolationError
@@ -355,10 +347,10 @@ class TestCasimirs:
         s = random_sym(4, seed=14)
         n = random_skew_simple(4, seed=15)
         assert orbit_membership(s, s, n, tol=1e-12)
-        p = random_sym(4, seed=16).full()
-        shifted = SymMatrix.symmetric_part(s.full() + n.full() @ p - p @ n.full())
+        p = random_sym(4, seed=16)
+        shifted = s + n @ p - p @ n
         assert orbit_membership(shifted, s, n, tol=1e-10)
-        off = SymMatrix.from_full(s.full() + np.eye(4))
+        off = s + np.eye(4)
         assert not orbit_membership(off, s, n, tol=1e-6)
 
 
@@ -367,14 +359,14 @@ class TestIndependenceRank:
         assert integral_independence_rank(random_sym(2, seed=17), random_skew_simple(2, seed=18)) == 1
 
     def test_zero_s(self):
-        assert integral_independence_rank(SymMatrix.zero(4), random_skew_simple(4, seed=19)) == 0
+        assert integral_independence_rank(np.zeros((4, 4)), random_skew_simple(4, seed=19)) == 0
 
     def test_s_commuting_with_n_has_no_fields(self):
         # S = N^2 makes every sym_{k-l,l}(S, N) a polynomial in N, so every
         # field [N, M] vanishes; integer entries keep the products exact.
         k = np.diag([1.0, 2.0, 3.0], 1)
         k = k - k.T
-        assert integral_independence_rank(SymMatrix.from_full(k @ k), SkewMatrix.from_full(k)) == 0
+        assert integral_independence_rank(k @ k, k) == 0
 
     def test_n4_20_seeds(self):
         hits = sum(
@@ -392,7 +384,7 @@ class TestIndependenceRank:
         from biflow.matcore import numerical_rank
 
         for n in (2, 3, 4, 5, 6):
-            k = random_skew_simple(n, seed=400 + n).full()
+            k = random_skew_simple(n, seed=400 + n)
             fam = [np.linalg.matrix_power(k, l) for l in range(0, n, 2)]
             assert numerical_rank(fam) == (n + 1) // 2
 
@@ -423,15 +415,16 @@ class TestStacks:
 
     def test_casimirs_per_slice(self):
         for n in range(2, 13):
-            states = np.stack([random_sym(n, seed).full() for seed in range(10 * n, 10 * n + 4)])
+            states = np.stack([random_sym(n, seed) for seed in range(10 * n, 10 * n + 4)])
             k = random_skew_simple(n, seed=n + 500)
             got = casimirs(states, k)
             for s, gi in zip(states, got):
-                npt.assert_array_equal(gi, casimirs(SymMatrix.from_full(s), k))
+                npt.assert_array_equal(gi, casimirs(s, k))
 
     def test_matrix_only_functions_reject_stacks(self):
         a = random_stack(3, range(2))
         with pytest.raises(ValueError):
             commutator(a, a)
-        with pytest.raises(ValueError):
-            SymMatrix.from_full(a + a.transpose(0, 2, 1))
+        for check in (as_sym, as_skew):
+            with pytest.raises(ValueError):
+                check(a + a.transpose(0, 2, 1))

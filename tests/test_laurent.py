@@ -93,6 +93,22 @@ class TestLoopBasics:
         with pytest.raises(AttributeError):
             x.lo = 3
         assert not x.coeffs.flags.writeable
+        b = BILoop(random_sym(3, 1), random_skew_simple(3, 2))
+        with pytest.raises(AttributeError):
+            b.S = b.N
+        assert not b.S.flags.writeable and not b.N.flags.writeable
+
+    def test_biloop_checks_its_blocks(self):
+        s, n = random_sym(3, 1), random_skew_simple(3, 2)
+        for s_bad, n_bad, match in [
+            (s, random_skew_simple(4, 2), "dimension mismatch"),
+            (n, n, "not symmetric"),
+            (s, s, "not skew-symmetric"),
+            (s, np.where(n, np.inf, 0.0), "finite"),
+            (s + 0j, n, "complex"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                BILoop(s_bad, n_bad)
 
 
 def mul_by_rows(x, y):
@@ -129,8 +145,8 @@ class TestMul:
         npt.assert_allclose(prod.coeff(0), a @ b)
 
     def test_bi_square_expansion(self):
-        s = random_sym(3, seed=4).full()
-        n = random_skew_simple(3, seed=5).full()
+        s = random_sym(3, seed=4)
+        n = random_skew_simple(3, seed=5)
         # built via from_terms to keep the test independent of BILoop
         x = LaurentLoop.from_terms({0: s, 1: n})
         sq = mul(x, x)
@@ -175,8 +191,8 @@ class TestProjections:
 
     def test_bi_generator_projection(self):
         # P+ of (S+zN)^2 / z is (SN+NS) + z N^2.
-        s = random_sym(3, seed=10).full()
-        n = random_skew_simple(3, seed=11).full()
+        s = random_sym(3, seed=10)
+        n = random_skew_simple(3, seed=11)
         x = LaurentLoop.from_terms({0: s, 1: n})
         gen = proj_plus(mul(x, x).shift(-1))
         npt.assert_allclose(gen.coeff(0), s @ n + n @ s, atol=1e-14)
@@ -186,19 +202,19 @@ class TestProjections:
 
 class TestSigma:
     def test_skew_constant_fixed(self):
-        k = random_skew_simple(3, seed=12).full()
+        k = random_skew_simple(3, seed=12)
         x = LaurentLoop.monomial(k, 0)
         npt.assert_array_equal(sigma(x).coeffs, x.coeffs)
         assert is_sigma_fixed(x)
 
     def test_sym_linear_fixed(self):
-        p = random_sym(3, seed=13).full()
+        p = random_sym(3, seed=13)
         x = LaurentLoop.monomial(p, 1)
         npt.assert_array_equal(sigma(x).coeffs, x.coeffs)
         assert is_sigma_fixed(x)
 
     def test_sym_constant_negated(self):
-        p = random_sym(3, seed=14).full()
+        p = random_sym(3, seed=14)
         x = LaurentLoop.monomial(p, 0)
         npt.assert_array_equal(sigma(x).coeffs, -x.coeffs)
         assert not is_sigma_fixed(x)
@@ -304,7 +320,7 @@ class TestExpAndInverse:
         npt.assert_array_equal(g.coeffs, LaurentLoop.identity(3).coeffs)
 
     def test_exp_truncation_window(self):
-        p = random_sym(3, seed=28).full()
+        p = random_sym(3, seed=28)
         g = exp_truncated(LaurentLoop.monomial(p, -1), window=(-1, 0))
         npt.assert_allclose(g.coeff(0), np.eye(3))
         npt.assert_allclose(g.coeff(-1), p)
@@ -339,7 +355,7 @@ class TestExpAndInverse:
     def test_first_order_minus_loop(self, monkeypatch):
         # g = I + P/z with symmetric P: g(-z)^T = I - P/z inverts g within
         # the window [-1, 0]; the -P^2/z^2 leftover falls outside it.
-        p = 0.3 * random_sym(3, seed=31).full()
+        p = 0.3 * random_sym(3, seed=31)
         g = LaurentLoop.from_terms({0: np.eye(3), -1: p})
         monkeypatch.setattr(laurent, "SYMMETRY_TOL", 1e-12)
         inv = loop_inverse_by_symmetry(g)
@@ -382,16 +398,16 @@ class TestCoadjoint:
             gp, gm = group_pair(3, seed=100 + 7 * seed)
             out = coadjoint(gp, gm, x)
             assert out.lo >= 0 and out.hi <= 1
-            npt.assert_array_equal(out.coeff(1), nmat.full())
+            npt.assert_array_equal(out.coeff(1), nmat)
 
     def test_first_order_formula(self):
         s = random_sym(4, seed=32)
         nmat = random_skew_simple(4, seed=33)
         x = BILoop(s, nmat).loop()
-        p = 1e-4 * random_sym(4, seed=34).full()
+        p = 1e-4 * random_sym(4, seed=34)
         gm = exp_truncated(LaurentLoop.monomial(p, -1), window=(-10, 0))
         out = coadjoint(LaurentLoop.identity(4), gm, x)
-        first_order = s.full() + nmat.full() @ p - p @ nmat.full()
+        first_order = s + nmat @ p - p @ nmat
         npt.assert_allclose(out.coeff(0), first_order, atol=5e-8)
 
     def test_window_invariance(self):
@@ -412,17 +428,16 @@ class TestCoadjoint:
         s0 = random_sym(n, seed=35)
         n0 = random_skew_simple(n, seed=36)
         x = BILoop(s0, n0).loop()
-        n_full = n0.full()
         basis = []
         for i in range(n):
             for j in range(i, n):
                 e = np.zeros((n, n))
                 e[i, j] = e[j, i] = 1.0
-                basis.append((n_full @ e - e @ n_full).ravel())
+                basis.append((n0 @ e - e @ n0).ravel())
         a_op = np.stack(basis, axis=1)
         for seed in range(10):
             gp, gm = group_pair(n, seed=400 + 3 * seed)
-            delta = (coadjoint(gp, gm, x).coeff(0) - s0.full()).ravel()
+            delta = (coadjoint(gp, gm, x).coeff(0) - s0).ravel()
             if np.linalg.norm(delta) == 0:
                 continue
             _, res, _, _ = np.linalg.lstsq(a_op, delta, rcond=None)

@@ -4,10 +4,11 @@ import pytest
 
 from biflow.matcore import (
     JacobiConvergenceError,
-    SkewMatrix,
     SplitMix64,
     SymMatrix,
+    as_skew,
     as_stack,
+    as_sym,
     char_poly,
     commutator,
     eigenvalues_sym,
@@ -25,23 +26,38 @@ N2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 class TestStorage:
     def test_sym_exact_by_storage(self):
-        s = random_sym(5, seed=1).full()
+        s = random_sym(5, seed=1)
         assert np.array_equal(s, s.T)
 
     def test_skew_exact_by_storage(self):
-        k = random_skew_simple(5, seed=1).full()
+        k = random_skew_simple(5, seed=1)
         assert np.array_equal(k, -k.T)
         assert np.array_equal(np.diag(k), np.zeros(5))
 
+    def test_checked_arrays_mirror_the_lower_triangle(self):
+        a = np.array([[1.0, 2.0 + 1e-13], [2.0, -0.0]])
+        s = as_sym(a)
+        assert s is not a and s.flags.c_contiguous
+        assert np.array_equal(s, [[1.0, 2.0], [2.0, 0.0]]) and np.signbit(s[1, 1])
+        k = as_skew(np.array([[1e-13, -3.0], [3.0, 0.0]]))
+        assert np.array_equal(k, [[0.0, -3.0], [3.0, 0.0]]) and not np.signbit(k[0, 0])
+        assert np.array_equal(as_sym(s), s) and np.array_equal(as_skew(k), k)
+
     def test_from_full_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            SymMatrix.from_full(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            SkewMatrix.from_full(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        asym = np.array([[1.0, 2.0], [0.0, 1.0]])
+        for check in (SymMatrix.from_full, as_sym, as_skew):
+            with pytest.raises(ValueError, match="symmetric"):
+                check(asym)
+        with pytest.raises(ValueError, match="not symmetric"):
+            as_sym(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        with pytest.raises(ValueError, match="not skew-symmetric"):
+            as_skew(np.eye(2))
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            SymMatrix.from_full(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        for check in (SymMatrix.from_full, as_sym, as_skew):
+            for bad in (np.inf, np.nan):
+                with pytest.raises(ValueError, match="finite"):
+                    check(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_rejects_complex(self):
         # The cast to float would drop the imaginary part: char_poly of
@@ -49,8 +65,9 @@ class TestStorage:
         for x in ([[1j, 0], [0, 1]], np.eye(2, dtype=complex), np.zeros((3, 2, 2), dtype=np.complex64)):
             with pytest.raises(ValueError, match="complex"):
                 as_stack(x)
-        with pytest.raises(ValueError, match="complex"):
-            char_poly([[1j, 0], [0, 1]])
+        for check in (char_poly, as_sym, as_skew):
+            with pytest.raises(ValueError, match="complex"):
+                check([[1j, 0], [0, 1]])
 
     def test_real_input_cast_as_before(self):
         ints = [[1, 2], [2, 3]]
@@ -94,8 +111,8 @@ class TestCommutator:
 
     def test_skew_with_sym_square_is_symmetric(self):
         for seed in range(10):
-            k = random_skew_simple(5, seed=seed).full()
-            p = random_sym(5, seed=seed + 100).full()
+            k = random_skew_simple(5, seed=seed)
+            p = random_sym(5, seed=seed + 100)
             r = commutator(k, p @ p)
             assert np.linalg.norm(r - r.T) <= 1e-14 * max(1.0, np.linalg.norm(r))
 
@@ -148,25 +165,25 @@ class TestCharPoly:
 
 class TestEigenvaluesSym:
     def test_diag(self):
-        npt.assert_allclose(eigenvalues_sym(SymMatrix.from_full(np.diag([2.0, 1.0]))), [1.0, 2.0])
+        npt.assert_allclose(eigenvalues_sym(np.diag([2.0, 1.0])), [1.0, 2.0])
 
     def test_2x2_closed_form(self):
-        s = SymMatrix.from_full(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        s = np.array([[0.0, 1.0], [1.0, 0.0]])
         npt.assert_allclose(eigenvalues_sym(s), [-1.0, 1.0], atol=1e-12)
 
     def test_orthogonal_conjugation_invariance(self):
         for seed in range(10):
-            s = random_sym(5, seed=seed).full()
+            s = random_sym(5, seed=seed)
             q = random_orthogonal(5, seed=seed + 50)
             npt.assert_allclose(
-                eigenvalues_sym(SymMatrix.symmetric_part(q.T @ s @ q)),
-                eigenvalues_sym(SymMatrix.from_full(s)),
+                eigenvalues_sym(q.T @ s @ q),
+                eigenvalues_sym(s),
                 atol=1e-10,
             )
 
     def test_matches_numpy_oracle(self):
         s = random_sym(6, seed=11)
-        npt.assert_allclose(eigenvalues_sym(s), np.linalg.eigvalsh(s.full()), atol=1e-11)
+        npt.assert_allclose(eigenvalues_sym(s), np.linalg.eigvalsh(s), atol=1e-11)
 
     def test_termination_quality(self):
         s = random_sym(8, seed=12)
@@ -221,9 +238,9 @@ class TestNumericalRank:
 
 class TestRandomGeneration:
     def test_determinism(self):
-        npt.assert_array_equal(random_sym(4, seed=9).full(), random_sym(4, seed=9).full())
+        npt.assert_array_equal(random_sym(4, seed=9), random_sym(4, seed=9))
         npt.assert_array_equal(
-            random_skew_simple(4, seed=9).full(), random_skew_simple(4, seed=9).full()
+            random_skew_simple(4, seed=9), random_skew_simple(4, seed=9)
         )
 
     def test_splitmix_reference_values(self):
@@ -257,7 +274,7 @@ class TestRandomGeneration:
         # Oracle: singular values from numpy's SVD come in doubled pairs.
         for seed in range(100):
             k = random_skew_simple(4, seed=seed)
-            svals = np.linalg.svd(k.full(), compute_uv=False)
+            svals = np.linalg.svd(k, compute_uv=False)
             lam = svals[::2][:2]
             assert lam[0] - lam[1] > 1e-6 and lam[1] > 1e-6
 

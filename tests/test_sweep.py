@@ -1,4 +1,8 @@
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,11 +10,12 @@ import pytest
 from biflow import cli
 
 CASES = ["invariants --n 3 --seed 1", "flow --n 3 --t 0.1 --seed 2"]
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 @pytest.fixture
 def sweep(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    monkeypatch.syspath_prepend(str(TOOLS))
     return importlib.import_module("sweep")
 
 
@@ -49,6 +54,12 @@ def test_usage_error_case_has_no_outputs(sweep):
 
 def test_named_lists_parse(sweep):
     assert {"equivalence", "seeds", "ladder"} <= set(sweep.CASES)
+    # The benchmark's per-op command lines, read from perfbench/run.py.
+    assert {case.partition(" --seed")[0] for case in sweep.CASES["seeds"]} == {
+        "flow --n 4 --k 2 --l 0 --t 0.25 --h 1e-3",
+        "factorize --n 8 --k 2 --l 0 --t 0.5",
+        *(f"{name} --n 8" for name in ("invariants", "commute", "lemma41", "findim", "pde")),
+    }
     assert len(sweep.CASES["ladder"]) == 8 * len(cli.EXPERIMENTS)
     for case in [case for cases in sweep.CASES.values() for case in cases]:
         args = cli._build_parser().parse_args([*case.split(), "--out", "x"])
@@ -100,3 +111,23 @@ def test_table_has_a_row_per_size_and_a_column_per_experiment(sweep):
         sweep.table({"all --n 4 --seed 7": entry(0, 0.1, {})})
     with pytest.raises(ValueError, match="two cases of flow at n = 4"):
         sweep.table({**digest, "flow --n 4 --seed 8 --t 0.2": entry(0, 0.1, {})})
+
+
+def test_digest_does_not_depend_on_blas_threads():
+    # The sweep pins one BLAS thread before numpy loads.  Unpinned, two
+    # threads moved four factorize gates of this case at rounding level.
+    case = "factorize --n 8 --seed 7 --t 0.2"
+    script = (
+        f"import json, sys; sys.path.insert(0, {str(TOOLS)!r}); import sweep; "
+        f"print(json.dumps(sweep.run_case({case!r})))"
+    )
+    entries = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        entry = json.loads(run.stdout)
+        del entry["wall_s"]
+        entries.append(entry)
+    assert entries[0] == entries[1]
+    assert entries[0]["exit"] == 0 and entries[0]["files"]

@@ -236,13 +236,13 @@ class TestParity:
         table = SymmetrizerTable(s, n, 4)
         for i in range(3):
             for j in range(3):
-                assert np.array_equal(table.get(i, j), sym(s.full(), n.full(), i, j))
+                assert np.array_equal(table.get(i, j), sym(s, n, i, j))
                 assert table.has_parity(i, j) and SymmetrizerTable(s, n, i + j).has_parity(i, j)
 
     def test_wrong_parity_refused(self):
         # With B symmetric, sym_{ij} is symmetric for every j, so odd j fails.
-        a = random_sym(4, seed=25).full()
-        b = random_sym(4, seed=26).full()
+        a = random_sym(4, seed=25)
+        b = random_sym(4, seed=26)
         table = SymmetrizerTable(a, b, 4)
         got = [table.has_parity(i, j) for i, j in ((0, 1), (1, 1), (0, 2), (1, 3))]
         assert got == [False, False, True, False]
@@ -253,7 +253,7 @@ class TestParity:
         # as rows, transposing every axis would read a wrong verdict.
         pairs = [sample_state(4, seed) for seed in range(7, 7 + states)]
         assert all(SymmetrizerTable(s, n, 2).has_parity(2, 0) for s, n in pairs)
-        stacked = SymmetrizerTable(*(np.stack([m.full() for m in ms]) for ms in zip(*pairs)), 2)
+        stacked = SymmetrizerTable(*map(np.stack, zip(*pairs)), 2)
         with pytest.raises(ValueError, match="expected a square matrix"):
             stacked.has_parity(2, 0)
 
@@ -277,8 +277,8 @@ class TestCayleyHamiltonDependence:
 
     def test_symmetric_skew_pairs(self):
         for n in (2, 3, 4, 5):
-            s = random_sym(n, seed=31 + n).full()
-            k = random_skew_simple(n, seed=41 + n).full()
+            s = random_sym(n, seed=31 + n)
+            k = random_skew_simple(n, seed=41 + n)
             assert cayley_hamilton_dependence(s, k) <= 1e-8
 
 
@@ -318,8 +318,7 @@ class TestGenericIndependence:
 
     def test_identity_s_degenerate(self):
         n = 4
-        s_id = random_sym(n, seed=52)
-        s_id = type(s_id).from_full(np.eye(n))
+        s_id = np.eye(n)
         k = random_skew_simple(n, seed=53)
         full = n * (n + 1) // 2
         assert generic_independence(s_id, k) < full
@@ -338,8 +337,7 @@ class TestGenericIndependence:
         # lemma41's 20 samples as one stack and one batched SVD, against a
         # table and a rank per sample; at n = 8 some ranks fall short.
         pairs = [(random_sym(n, seed=107 + t), random_skew_simple(n, seed=10_107 + t)) for t in range(20)]
-        s = np.stack([p.full() for p, _ in pairs])
-        k = np.stack([q.full() for _, q in pairs])
+        s, k = map(np.stack, zip(*pairs))
         stacked = SymmetrizerTable(s, k, n - 1)
         ranks = generic_independence(s, k)
         assert ranks.shape == (20,)

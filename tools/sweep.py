@@ -21,10 +21,19 @@ failed (a named error is the gate named after it), or the usage error.
 Run the same list in two checkouts (say a commit and its parent) and diff
 the two digests: a claim that a change keeps every result cites that diff.
 The package is imported from the ``src`` directory of the checkout this file
-sits in.
+sits in, and the benchmark ops from its ``perfbench/run.py``.  BLAS runs on
+one thread whatever the environment says, as in the benchmark: at two, some
+gate values move at rounding level, so digests made on hosts with different
+defaults would differ.
 """
 
 from __future__ import annotations
+
+import os
+
+# Set before numpy is imported, whatever the environment says.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import argparse
 import contextlib
@@ -38,17 +47,15 @@ import time
 import warnings
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from biflow import cli  # noqa: E402
+from run import WORKLOADS  # noqa: E402  (perfbench/run.py)
 
-# The per-op command lines of the three benchmark workloads (perfbench/run.py),
-# without --seed: flow-n4, factorize-n8 and the five of checks-n8.
-BENCHMARK_OPS = [
-    "flow --n 4 --k 2 --l 0 --t 0.25 --h 1e-3",
-    "factorize --n 8 --k 2 --l 0 --t 0.5",
-    *(f"{experiment} --n 8" for experiment in ("invariants", "commute", "lemma41", "findim", "pde")),
-]
+# The per-op command lines of the three benchmark workloads, without --seed:
+# flow-n4, factorize-n8 and the five of checks-n8.
+BENCHMARK_OPS = [" ".join(call) for calls in WORKLOADS.values() for call in calls]
 
 # Each case is a command line without --out.
 CASES = {
