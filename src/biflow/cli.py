@@ -17,8 +17,9 @@ and a ``gates`` list of ``{name, value, tol, pass}``.  A summary's
 A runner returns its gates and a ``diagnostics`` object for the summary
 (None for none):
 ``factorize`` records there each solve's depth, tail, negative part,
-reality and aliasing estimate, and its reference's error estimate, macro
-steps and field evaluations (gates and diagnostics alike are
+reality, aliasing estimate and the sup norms of gamma, g- and g+ over the
+circle, and its reference's error estimate, macro steps and field
+evaluations (gates and diagnostics alike are
 deterministic).  CSV files start with a version header line (the only
 line allowed to differ between releases), a ``# schema: 1`` line, and a
 column-documentation comment.  All randomness flows through the explicit
@@ -94,8 +95,9 @@ MAX_N = 64
 # paths, such as flow's steps + 1 states of n x n floats (51 MB at n = 8).
 MAX_STEPS = 100_000
 # Largest --m: it bounds factorize's circle stacks, each M n x n complex
-# samples (4 MiB at n = 8 and 64 MiB at n = 32), of which expm and birkhoff
-# hold a few at once.
+# samples (4 MiB at n = 8 and 64 MiB at n = 32).  expm holds up to seven at
+# once (its argument, B, B^2, B^3, B^4, the sum and one temporary), and
+# birkhoff a few.
 MAX_SAMPLES = 4096
 # Macro steps of the finest factorize reference run; all runs take at most 504.
 REFERENCE_MACRO_CAP = 256
@@ -267,9 +269,11 @@ def run_factorize(cfg: ExperimentConfig) -> tuple[list[Gate], dict]:
         fac = birkhoff(gamma, cfg.depth)
         solved.append((fac, conjugated_states(fac, x0)[0]))
         aliasing = gamma.aliasing_estimate()
+        sup_gamma, sup_g_minus, sup_g_plus = fac.sup_norms
         checkpoints.append(
             dict(t=t, depth=fac.g_minus.span - 1, tail=fac.tail, negative_part=fac.negative_part,
-                 reality=fac.reality, aliasing=aliasing)
+                 reality=fac.reality, aliasing=aliasing, sup_gamma=sup_gamma,
+                 sup_g_minus=sup_g_minus, sup_g_plus=sup_g_plus)
         )
     refs, reference = _reference_states(s0, nmat, idx, times[-1])
     gates = []

@@ -27,6 +27,7 @@ coefficients that the checks read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,16 +60,16 @@ class AliasingError(FactorizationError):
     """Top Fourier coefficients too large; increase the sample count."""
 
 
-EXPM_TOL = 1e-13  # 1-norm of the last Taylor term summed by expm
-EXPM_MAX_TERMS = 60  # Taylor terms expm sums before it gives up
 ALIASING_TOL = 1e-10  # largest top-frequency coefficient sample_exp accepts
 TAIL_TOL = 1e-10  # largest deepest g_minus coefficient birkhoff accepts
 START_TOL = 1e-15  # gamma coefficients above this set birkhoff's start depth
 RESIDUAL_TOL = 1e-6  # largest sample norm of gamma - g_plus g_minus^-1
 REALITY_TOL = 1e-10  # largest imaginary part of a factor coefficient
 MAX_DEPTH = 256  # deepest g_minus window birkhoff doubles up to
+MAX_SYSTEM = 4096  # largest j*n of birkhoff's dense system: 256 MiB per complex copy
 N_TOL = 1e-8  # drift of the z^1 coefficient from N, and asymmetry of S(t)
 AGREE_TOL = 1e-7  # gap between the states conjugated by g_minus and g_plus
+_TAYLOR = [1.0 / math.factorial(k) for k in range(16)]  # coefficients 1/k! of expm's core
 
 
 def generator(x0: BILoop, idx: IntegralIndex) -> LaurentLoop:
@@ -82,14 +83,16 @@ def generator(x0: BILoop, idx: IntegralIndex) -> LaurentLoop:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Taylor core.
+    """Matrix exponential by scaling-and-squaring with a fixed Taylor core.
 
     ``a`` is one (n, n) matrix or a stack (..., n, n).  Each matrix is
-    scaled by its own 2^-s until its 1-norm is at most 1/2, its series is
-    summed until its own term norm falls below ``EXPM_TOL`` (in at most
-    ``EXPM_MAX_TERMS`` terms), and the result is squared s times.  A stack
-    does per matrix exactly the arithmetic of a single call, so each slice
-    equals the exponential of that slice alone.
+    scaled by its own 2^-s until its 1-norm is at most 1/2, the scaled B
+    goes through the degree-15 Taylor polynomial (:func:`_taylor_15`), and
+    the result is squared s times (Higham, SIAM J. Matrix Anal. Appl. 26,
+    2005).  With ||B||_1 <= 1/2 the truncated terms sum to below
+    (1/2)^16 / 16! ~ 7e-19 in norm, far under rounding, so no term is
+    tested.  A stack does per matrix exactly the arithmetic of a single
+    call, so each slice equals the exponential of that slice alone.
     """
     a = np.asarray(a)
     n = a.shape[-1]
@@ -98,26 +101,33 @@ def expm(a: np.ndarray) -> np.ndarray:
     big = norms > 0.5
     s = np.zeros(len(stack), dtype=int)
     s[big] = np.ceil(np.log2(norms[big] / 0.5))
-    b = stack / (2.0 ** s)[:, None, None]
-    out = np.broadcast_to(np.eye(n, dtype=b.dtype), b.shape).copy()
-    term = out.copy()
-    live, b_live = slice(None), b  # the series not yet converged: all, ungathered, at first
-    for m in range(1, EXPM_MAX_TERMS + 1):
-        term = term @ b_live / m
-        out[live] += term
-        going = ~(np.linalg.norm(term, 1, axis=(1, 2)) < EXPM_TOL)
-        if going.all() and going.size:
-            continue  # the live set is unchanged: gather nothing
-        live = np.arange(len(stack))[live][going]
-        if not live.size:
-            break
-        b_live, term = b[live], term[going]
-    else:
-        raise FactorizationError("matrix exponential series did not converge")
+    out = _taylor_15(stack * (0.5**s)[:, None, None])
     for r in range(s.max(initial=0)):
         sq = out[s > r]
         out[s > r] = sq @ sq
     return out.reshape(a.shape)
+
+
+def _taylor_15(b: np.ndarray) -> np.ndarray:
+    """sum_{k <= 15} B^k / k! for a stack (K, n, n), by Paterson-Stockmeyer.
+
+    B^2, B^3 and B^4 are formed once, then Horner in B^4 runs over the four
+    degree-3 blocks sum_{j < 4} B^j / (i + j)!, i = 12, 8, 4, 0: six stacked
+    products in all (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973).
+    """
+    n = b.shape[-1]
+    b2 = b @ b
+    b3 = b2 @ b
+    b4 = b2 @ b2
+    out = np.zeros_like(b)
+    for i in (12, 8, 4, 0):
+        if i < 12:
+            out = out @ b4
+        out += _TAYLOR[i + 1] * b
+        out += _TAYLOR[i + 2] * b2
+        out += _TAYLOR[i + 3] * b3
+        out.reshape(len(out), n * n)[:, :: n + 1] += _TAYLOR[i]  # the diagonal
+    return out
 
 
 @dataclass(frozen=True)
@@ -170,13 +180,17 @@ def sample_exp(
     ``m_samples`` must be a power of two.  A count below the heuristic floor
     4 * span * max(1, t * ||gen||), or an aliasing estimate above
     ``ALIASING_TOL``, raises :class:`AliasingError` (increase the count).
+    Each sample is one slice of a single stacked :func:`expm`: scaled to
+    1-norm at most 1/2, the degree-15 Taylor polynomial by Paterson-
+    Stockmeyer (truncation below 7e-19), and squared back.
 
     ``half`` is this loop already sampled at t/2, from the same ``gen`` and
     ``m_samples``.  The loops exp(-t gen) form a one-parameter group, so each
     sample at t is the square of the sample at t/2, and no exponential is
     taken.  Where every sample's scaling exponent in :func:`expm` grows by
-    one from t/2 to t, the direct call runs the same Taylor core and one
-    squaring more, so both ways give the same bits.
+    one from t/2 to t, the direct call evaluates the same polynomial at the
+    same scaled matrix and squares once more, so both ways give the same
+    bits.
     """
     if m_samples < 4 or (m_samples & (m_samples - 1)) != 0:
         raise ValueError("sample count must be a power of two, at least 4")
@@ -220,8 +234,10 @@ class BirkhoffFactors:
     gamma - g_plus g_minus^-1, ``tail`` the norm of the deepest kept
     g_minus coefficient, ``negative_part`` the largest norm of the
     coefficients of gamma g_minus at degrees -1 .. -J, which the Birkhoff
-    condition sets to zero, and ``symmetry`` the larger
-    :func:`circle_symmetry_residual` of the two factors on gamma's circle.
+    condition sets to zero, ``symmetry`` the larger
+    :func:`circle_symmetry_residual` of the two factors on gamma's circle,
+    and ``sup_norms`` the largest Frobenius norm over the circle samples of
+    gamma, g_minus and g_plus, in that order.
     """
 
     g_minus: LaurentLoop
@@ -232,6 +248,7 @@ class BirkhoffFactors:
     reality: float
     negative_part: float
     symmetry: float
+    sup_norms: tuple[float, float, float]
 
 
 def _real_part(arr: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -253,7 +270,8 @@ def birkhoff(gamma: FourierLoop, depth: int = 40) -> BirkhoffFactors:
     Gamma_{-d} at small d does not stop the search.  If the deepest computed
     coefficient is above ``TAIL_TOL`` the depth is doubled (up to
     ``MAX_DEPTH``); a singular system means the loop left the factorizable
-    cell, which the loop symmetry rules out for healthy inputs.
+    cell, which the loop symmetry rules out for healthy inputs.  A system
+    with j*n above ``MAX_SYSTEM`` is refused before it is allocated.
 
     g_plus is degrees 0 .. M/2 - J of gamma g_minus, from one FFT of the
     product of their circle samples; the circle samples of both factors
@@ -270,6 +288,11 @@ def birkhoff(gamma: FourierLoop, depth: int = 40) -> BirkhoffFactors:
     above = np.flatnonzero(norms > START_TOL)  # index d - 1 of each Gamma_{-d} above
     j = min(depth, j_cap, int(above[-1]) + 2 if above.size else 1)
     while True:
+        if j * n > MAX_SYSTEM:
+            raise FactorizationError(
+                f"block-Toeplitz system of j*n = {j * n} (depth {j}, n = {n}) "
+                f"above the budget {MAX_SYSTEM}"
+            )
         # System block (r, c) is Gamma_{c-r}, r, c = 1..j; rhs block r is -Gamma_{-r}.
         # Block row r is window r of the degrees j-1 .. -(j-1), read backwards.
         band = gamma.coeff(np.arange(j - 1, -j, -1))
@@ -304,7 +327,10 @@ def birkhoff(gamma: FourierLoop, depth: int = 40) -> BirkhoffFactors:
     if residual > RESIDUAL_TOL:
         raise FactorizationError(f"factorization residual {residual:.3e} above {RESIDUAL_TOL:.1e}")
     symmetry = max(_symmetry_residual(gm), _symmetry_residual(gp))
-    return BirkhoffFactors(g_minus, g_plus, residual, tail, winding, reality, negative_part, symmetry)
+    sup_norms = (_max_norm(gamma.samples), _max_norm(gm), _max_norm(gp))
+    return BirkhoffFactors(
+        g_minus, g_plus, residual, tail, winding, reality, negative_part, symmetry, sup_norms
+    )
 
 
 def _circle_values(loop: LaurentLoop, m_samples: int) -> np.ndarray:

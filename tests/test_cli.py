@@ -165,6 +165,22 @@ class TestOtherExperiments:
         for c in checkpoints:
             assert 0.0 <= c["negative_part"] <= factorization.TAIL_TOL
 
+    def test_circle_sup_norms_recorded_and_deterministic(self, tmp_path):
+        # Op seed 19203101 of factorize-n8, whose t=0.5 residual fails: its
+        # factors grow by more than an order of magnitude over the circle
+        # from t/4 to t.  Every loop here keeps g(z) g(-z)^T = I, so each
+        # sup norm is at least 1.
+        args = ["factorize", "--n", 8, "--k", 2, "--l", 0, "--t", 0.5, "--seed", 19203101]
+        texts = []
+        for name in ("a", "b"):
+            run_cli([*args, "--out", tmp_path / name])
+            texts.append((tmp_path / name / "factorize.json").read_text())
+        assert texts[0] == texts[1]
+        checkpoints = json.loads(texts[0])["diagnostics"]["checkpoints"]
+        sups = [[c[f"sup_{x}"] for x in ("gamma", "g_minus", "g_plus")] for c in checkpoints]
+        assert min(min(row) for row in sups) >= 1.0
+        assert sups[-1][1] > 10 * sups[0][1]
+
     def test_one_exponential_for_three_checkpoints(self, tmp_path, monkeypatch):
         # The samples at t/2 and t are the squares of those at t/4 and t/2.
         shapes = []

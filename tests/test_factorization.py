@@ -106,7 +106,7 @@ class TestExpm:
 
     def test_stack_matches_each_slice(self):
         # Four scales give four different scaling exponents: every slice
-        # keeps its own exponent and its own stopping term.
+        # keeps its own exponent and its own squarings.
         scales = [0.1, 0.7, 3.0, 40.0]
         stack = np.stack(
             [c * random_matrix(4, seed=20 + i) * (1.0 + 0.5j) for i, c in enumerate(scales)]
@@ -119,10 +119,13 @@ class TestExpm:
             npt.assert_array_equal(got[i], expm(a))
         npt.assert_array_equal(expm(stack.reshape(2, 2, 4, 4)), got.reshape(2, 2, 4, 4))
 
-    def test_matches_gathering_every_term(self):
-        # The series gathers its live set only once one series has
-        # converged; the loop below gathers every term, as expm used to.
-        def gathering(stack):
+    def test_matches_the_adaptive_series(self):
+        # Oracle: the adaptive Taylor loop expm ran before its fixed
+        # polynomial, with the same scaling and squaring.  It sums until a
+        # term's 1-norm is below 1e-18, not 1e-13 as it did, so that its own
+        # truncation is below rounding.  The scaled cores agree to a few
+        # ulps; s squarings amplify a relative gap in the core up to 2^s.
+        def adaptive(stack):
             norms = np.linalg.norm(stack, 1, axis=(1, 2))
             s = np.zeros(len(stack), dtype=int)
             s[norms > 0.5] = np.ceil(np.log2(norms[norms > 0.5] / 0.5))
@@ -132,30 +135,28 @@ class TestExpm:
             for m in range(1, 61):
                 term = term @ b[live] / m
                 out[live] += term
-                going = ~(np.linalg.norm(term, 1, axis=(1, 2)) < 1e-13)
+                going = ~(np.linalg.norm(term, 1, axis=(1, 2)) < 1e-18)
                 live, term = live[going], term[going]
                 if not live.size:
                     break
             for r in range(s.max(initial=0)):
                 out[s > r] = out[s > r] @ out[s > r]
-            return out
+            return out, s
 
-        # A zero slice converges at the first term and a tiny one soon after;
-        # the others run on, so the live set shrinks in several steps.
-        scales = [0.0, 1e-9, 1e-3, 0.1, 0.4, 3.0, 40.0]
-        stack = np.stack(
-            [c * random_matrix(5, seed=40 + i) * (1.0 - 0.5j) for i, c in enumerate(scales)]
-        )
-        npt.assert_array_equal(expm(stack), gathering(stack))
-        npt.assert_array_equal(expm(stack[3:]), gathering(stack[3:]))
+        # Exponents 0 (four of them, the last at 1-norm exactly 1/2), 2, 5 and 9.
+        scales = [1e-9, 1e-3, 0.1, 0.4, 3.0, 40.0]
+        slices = [c * random_matrix(5, seed=40 + i) * (1.0 - 0.5j) for i, c in enumerate(scales)]
+        unit = random_matrix(5, seed=60) * (1.0 + 0.5j)
+        slices.insert(3, unit * (0.5 / np.linalg.norm(unit, 1)))
+        stack = np.stack(slices)
+        assert np.linalg.norm(stack[3], 1) == 0.5
+        want, s = adaptive(stack)
+        assert s.tolist() == [0, 0, 0, 0, 2, 5, 9]
+        got = expm(stack)
+        gap = np.linalg.norm(got - want, 1, axis=(1, 2)) / np.linalg.norm(want, 1, axis=(1, 2))
+        assert np.all(gap <= 4 * np.finfo(float).eps * 2.0**s), gap
+        npt.assert_array_equal(expm(np.zeros((2, 3, 3))), np.broadcast_to(np.eye(3), (2, 3, 3)))
         assert expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
-
-    def test_stack_raises_when_one_slice_diverges(self, monkeypatch):
-        stack = np.stack([np.zeros((3, 3)), random_matrix(3, seed=9)])
-        monkeypatch.setattr(factorization, "EXPM_MAX_TERMS", 2)
-        npt.assert_array_equal(expm(stack[:1])[0], np.eye(3))
-        with pytest.raises(FactorizationError):
-            expm(stack)
 
 
 class TestSampleExp:
@@ -426,6 +427,32 @@ class TestStartDepth:
         summary = json.loads((tmp_path / "factorize.json").read_text())
         for c in summary["diagnostics"]["checkpoints"]:
             assert c["depth"] >= 8 and c["tail"] <= TAIL_TOL
+
+
+class TestSystemBudget:
+    """birkhoff refuses a dense system of j*n above MAX_SYSTEM before building it."""
+
+    def gamma(self):
+        s0, nmat = cli.sample_state(8, 7)
+        return sample_exp(generator(BILoop(s0, nmat), IntegralIndex(2, 0)), 0.5)
+
+    def test_a_start_depth_above_the_budget_is_refused(self, monkeypatch, systems):
+        gamma = self.gamma()
+        j = birkhoff(gamma).g_minus.span - 1
+        assert [a.shape[0] for a in systems] == [8 * j]
+        monkeypatch.setattr(factorization, "MAX_SYSTEM", 8 * j - 1)
+        with pytest.raises(FactorizationError, match=rf"j\*n = {8 * j} .* budget {8 * j - 1}"):
+            birkhoff(gamma)
+        assert len(systems) == 1  # the refused system was never solved
+        monkeypatch.setattr(factorization, "MAX_SYSTEM", 8 * j)
+        birkhoff(gamma)
+
+    def test_a_doubling_above_the_budget_is_refused(self, monkeypatch, systems):
+        # Depth 4 leaves a tail above TAIL_TOL, so birkhoff doubles to 8.
+        monkeypatch.setattr(factorization, "MAX_SYSTEM", 8 * 4)
+        with pytest.raises(FactorizationError, match=r"j\*n = 64 \(depth 8, n = 8\) above the budget 32"):
+            birkhoff(self.gamma(), depth=4)
+        assert [a.shape[0] for a in systems] == [32]
 
 
 class TestCirclePath:

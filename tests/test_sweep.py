@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from biflow import cli
@@ -61,7 +62,8 @@ def test_named_lists_parse(sweep):
         *(f"{name} --n 8" for name in ("invariants", "commute", "lemma41", "findim", "pde")),
     }
     assert len(sweep.CASES["ladder"]) == 8 * len(cli.EXPERIMENTS)
-    for case in [case for cases in sweep.CASES.values() for case in cases]:
+    census = [f"{config} --seed 0" for config in sweep.CENSUS]
+    for case in [*(case for cases in sweep.CASES.values() for case in cases), *census]:
         args = cli._build_parser().parse_args([*case.split(), "--out", "x"])
         assert args.command in (*cli.EXPERIMENTS, "all")
 
@@ -131,3 +133,50 @@ def test_digest_does_not_depend_on_blas_threads():
         entries.append(entry)
     assert entries[0] == entries[1]
     assert entries[0]["exit"] == 0 and entries[0]["files"]
+
+
+def test_census_lists_failing_seeds_and_worst_margins(sweep, monkeypatch):
+    rows = {"invariants --n 3": range(1, 3), "flow --n 3 --t 0.1": range(2)}
+    census = sweep.run_census(rows)
+    assert list(census) == list(rows)
+    flow = census["flow --n 3 --t 0.1"]
+    assert (flow["first_seed"], flow["seeds"], flow["failing"]) == (0, 2, {})
+    assert census["invariants --n 3"]["failing"] == {}
+    # The worst margin of a gate is its smallest over the seeds.
+    values = [sweep.run_case(f"flow --n 3 --t 0.1 --seed {seed}")["gates"]["flow:drift_H_2_0"][0] for seed in (0, 1)]
+    want = min(sweep._margin(value, cli.TOLERANCES["drift"]) for value in values)
+    assert flow["margins"]["flow:drift_H_2_0"] == round(want, 3)
+    assert all(0.0 < margin <= 16.0 for row in census.values() for margin in row["margins"].values())
+
+    monkeypatch.setitem(cli.TOLERANCES, "drift", 1e-18)
+    tight = sweep.run_census(rows)
+    failing = tight["flow --n 3 --t 0.1"]["failing"]
+    assert set(failing) == {"0", "1"}
+    assert [failing[seed]["flow:drift_H_2_0"] for seed in ("0", "1")] == values
+    assert "flow:drift_H_2_0" not in tight["flow --n 3 --t 0.1"]["margins"]
+    lines = sweep.census_diff(census, tight)
+    assert len(lines) == 2 and lines[0].startswith("flow --n 3 --t 0.1 --seed 0: passes -> {")
+    assert sweep.census_diff(census, census) == []
+    # A run that writes no summary fails with its exit code.
+    assert sweep.census_row("flow --n 3 --k 5", range(1))["failing"] == {"0": {"exit": 2}}
+
+
+def test_digests_record_the_environment(sweep, tmp_path, capsys):
+    env = sweep.environment()
+    assert env["numpy"] == np.__version__ and env["cpus"] >= 1
+    assert env["threads"] == {var: "1" for var in sweep.THREAD_VARS}
+    entry = {"exit": 0, "stderr": "", "files": {}, "gates": {}, "wall_s": 0.1}
+    paths = []
+    for name, doc in [
+        ("old", {"cases": {"a": entry}}),  # made before environments were recorded
+        ("here", {"env": env, "cases": {"a": entry}}),
+        ("there", {"env": {**env, "cpus": env["cpus"] + 1}, "cases": {"a": entry}}),
+    ]:
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    old, here, there = (str(path) for path in paths)
+    assert sweep.main(["diff", old, here]) == 0
+    assert capsys.readouterr().out == "no difference\n"
+    assert sweep.main(["diff", here, there]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("environments differ: {") and lines[1] == "no difference"
