@@ -9,12 +9,13 @@ closed-form solution by Birkhoff factorization, an equivalent flow on a
 finite-dimensional nilpotent matrix group, and the rank-two block and PDE
 reductions.
 
-States are plain float arrays: S and N are (n, n), a trajectory is
-(T, n, n).  Each public entry that takes S or N checks it once with
-:func:`~biflow.matcore.as_sym` or :func:`~biflow.matcore.as_skew`.
+Every state is a plain array: S and N are (n, n) floats and a trajectory
+is (T, n, n); the loop S + zN is built from them where it is needed; a
+block state is the packed (a, b, c, u, v) beside its core B, and a PDE
+state the complex (2, k) modes of (u, v).  Each public entry that takes S
+and N checks them once: S symmetric, N skew, one dimension.
 """
 
-from .blockpde import BlockState, PDEState
 from .factorization import BirkhoffFactors, FourierLoop, birkhoff, solve_by_factorization
 from .findim import AlgElem, DualElem, GroupElem
 from .flows import bi_rhs, drift_report, integrate, invariant_series, m_rhs, vector_field
@@ -27,14 +28,13 @@ from .invariants import (
     poisson_matrix,
     spectral_coeffs,
 )
-from .laurent import BILoop, LaurentLoop
+from .laurent import LaurentLoop
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     "LaurentLoop",
-    "BILoop",
     "IntegralIndex",
     "enumerate_indices",
     "hamiltonian",
@@ -55,6 +55,4 @@ __all__ = [
     "GroupElem",
     "AlgElem",
     "DualElem",
-    "BlockState",
-    "PDEState",
 ]

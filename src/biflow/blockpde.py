@@ -22,24 +22,26 @@ sign of the <u,u> u term is the one forced by the cubic block flow (it is
 what conserves the L^2 pair); the opposite sign, as printed in the paper,
 breaks that conservation.
 
-The integrators step on packed arrays, and the public right-hand sides
-call the same kernels, so the two forms agree bit for bit.  A block state
-is the vector (a, b, c, u, v): its scalars are read once as floats, (u, v)
-is a (2, m) view, one Gram product gives every inner product and one
-product with a 2-row coefficient matrix gives (u', v').  The block kernel is
-built once per run around B: it keeps that matrix and the rows it multiplies
-in its own buffers and returns each derivative in a new array.  A PDE state
-is the (2, 2k) float view of the stacked (u_hat, v_hat), each row
-interleaving real and imaginary parts: 2 pi Y Y^T holds the three L^2
-products, and the projection onto real fields acts on the same view.
+States are plain arrays, and the right-hand sides and integrators take and
+return them.  A block state is the packed vector y = (a, b, c, u, v) of
+length 3 + 2m, with the frozen m x m core B beside it: its scalars are read
+once as floats, (u, v) is a (2, m) view, one Gram product gives every inner
+product and one product with a 2-row coefficient matrix gives (u', v').  The
+block kernel is built once per call around B: it keeps that matrix and the
+rows it multiplies in its own buffers and returns each derivative in a new
+array.  A PDE state is the complex (2, k) array of (u_hat, v_hat), in
+numpy's FFT layout divided by the mode count, so u(x) = sum_j u_hat[j]
+exp(i j x); conjugate symmetry keeps the fields real.  The kernel steps on
+its (2, 2k) float view, each row interleaving real and imaginary parts:
+2 pi Y Y^T holds the three L^2 products, and the projection onto real fields
+acts on the same view.
 
-An integrator returns its path as one state with a leading time axis on each
-field; a diagnostic takes one state or a path and gives a float or a (T,) array.
+An integrator returns the times and the path, the states stacked on a
+leading time axis: (T, 3 + 2m) for a block flow, (T, 2, k) for the PDE.  A
+diagnostic takes one state or a path and gives a float or a (T,) array.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +49,6 @@ from .flows import rk4_path
 from .matcore import as_sym
 
 __all__ = [
-    "BlockState",
-    "PDEState",
     "embed",
     "extract",
     "n0",
@@ -63,61 +63,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BlockState:
-    """Block coordinates (a, b, c, u, v, B) of one symmetric matrix or of a path."""
-
-    a: float | np.ndarray
-    b: float | np.ndarray
-    c: float | np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        b = as_sym(self.B)
-        if u.shape != v.shape or u.ndim not in (1, 2):
-            raise ValueError("u and v must be vectors, or stacks of them, of equal length")
-        if len(b) != u.shape[-1]:
-            raise ValueError("B dimension must match the vectors")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "B", b)
-
-    @property
-    def n(self) -> int:
-        return self.u.shape[-1] + 2
+def _block(y, b) -> tuple[np.ndarray, np.ndarray]:
+    """A packed block state y = (a, b, c, u, v) and its core B, checked to match."""
+    y, b = np.asarray(y, dtype=float), as_sym(b)
+    if y.shape != (3 + 2 * len(b),):
+        raise ValueError(f"packed state of shape {y.shape} does not match a {len(b)} x {len(b)} core B")
+    return y, b
 
 
-def embed(bs: BlockState) -> np.ndarray:
+def embed(y, b) -> np.ndarray:
     """Symmetric matrix with corner [[a, b], [b, c]], border (u, v), core B."""
-    n = bs.n
-    s = np.zeros((n, n))
-    s[0, 0], s[0, 1], s[1, 1] = bs.a, bs.b, bs.c
-    s[1, 0] = bs.b
-    s[0, 2:] = bs.u
-    s[2:, 0] = bs.u
-    s[1, 2:] = bs.v
-    s[2:, 1] = bs.v
-    s[2:, 2:] = bs.B
+    y, core = _block(y, b)
+    m = len(core)
+    s = np.zeros((m + 2, m + 2))
+    s[0, 0], s[0, 1], s[1, 1] = y[:3]
+    s[1, 0] = y[1]
+    s[0, 2:] = y[3 : 3 + m]
+    s[2:, 0] = y[3 : 3 + m]
+    s[1, 2:] = y[3 + m :]
+    s[2:, 1] = y[3 + m :]
+    s[2:, 2:] = core
     return s
 
 
-def extract(s: np.ndarray) -> BlockState:
-    """Inverse of :func:`embed`."""
+def extract(s) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`embed`: the packed (a, b, c, u, v) and the core B."""
     f = as_sym(s)
     if len(f) < 3:
         raise ValueError("block splitting needs dimension at least 3")
-    return BlockState(
-        float(f[0, 0]),
-        float(f[0, 1]),
-        float(f[1, 1]),
-        f[0, 2:],
-        f[1, 2:],
-        f[2:, 2:],
-    )
+    return np.concatenate([[f[0, 0], f[0, 1], f[1, 1]], f[0, 2:], f[1, 2:]]), f[2:, 2:]
 
 
 def n0(n: int) -> np.ndarray:
@@ -127,14 +101,6 @@ def n0(n: int) -> np.ndarray:
     k = np.zeros((n, n))
     k[0, 1], k[1, 0] = 1.0, -1.0
     return k
-
-
-def _pack(bs: BlockState) -> np.ndarray:
-    return np.concatenate([[bs.a, bs.b, bs.c], bs.u, bs.v])
-
-
-def _unpack(y: np.ndarray, b: np.ndarray) -> BlockState:
-    return BlockState(*y[..., :3].T, y[..., 3 : 3 + len(b)], y[..., 3 + len(b) :], b)
 
 
 def _block_kernel(bf: np.ndarray, power: int):
@@ -192,14 +158,16 @@ def _block_kernel(bf: np.ndarray, power: int):
     return quadratic if power == 2 else cubic
 
 
-def rhs_quadratic(bs: BlockState) -> BlockState:
-    """Block extraction of [N, S^2]."""
-    return _unpack(_block_kernel(bs.B, 2)(_pack(bs)), np.zeros_like(bs.B))
+def rhs_quadratic(y, b) -> np.ndarray:
+    """Block extraction of [N, S^2]: the packed (a', b', c', u', v'); B' = 0."""
+    y, core = _block(y, b)
+    return _block_kernel(core, 2)(y)
 
 
-def rhs_cubic(bs: BlockState) -> BlockState:
-    """Block extraction of [N, S^3]."""
-    return _unpack(_block_kernel(bs.B, 3)(_pack(bs)), np.zeros_like(bs.B))
+def rhs_cubic(y, b) -> np.ndarray:
+    """Block extraction of [N, S^3]: the packed (a', b', c', u', v'); B' = 0."""
+    y, core = _block(y, b)
+    return _block_kernel(core, 3)(y)
 
 
 def rhs_reduced(u: np.ndarray, v: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,47 +183,13 @@ def rhs_reduced(u: np.ndarray, v: np.ndarray, b: np.ndarray) -> tuple[np.ndarray
     return du, dv
 
 
-@dataclass(frozen=True)
-class PDEState:
-    """Fourier data of real fields u, v on [0, 2pi), or a (T, k) path of them.
-
-    Coefficients follow numpy's FFT layout divided by the mode count, so
-    u(x) = sum_k u_hat[k] exp(i k x); conjugate symmetry keeps the fields
-    real.  ``parity`` marks an even (cosine) or odd (sine) sector and is
-    carried, not enforced: the flow itself preserves it.
-    """
-
-    u_hat: np.ndarray
-    v_hat: np.ndarray
-    parity: str | None = None
-
-    def __post_init__(self):
-        u = np.asarray(self.u_hat, dtype=complex)
-        v = np.asarray(self.v_hat, dtype=complex)
-        if u.shape != v.shape or u.ndim not in (1, 2):
-            raise ValueError("u_hat and v_hat must be equal-shape vectors or stacks of them")
-        if self.parity not in (None, "even", "odd"):
-            raise ValueError("parity must be None, 'even' or 'odd'")
-        object.__setattr__(self, "u_hat", u)
-        object.__setattr__(self, "v_hat", v)
-
-    @property
-    def modes(self) -> int:
-        return self.u_hat.shape[-1]
-
-    @classmethod
-    def from_fields(cls, u: np.ndarray, v: np.ndarray, parity: str | None = None):
-        k = len(u)
-        return cls(np.fft.fft(u) / k, np.fft.fft(v) / k, parity)
-
-    def fields(self) -> tuple[np.ndarray, np.ndarray]:
-        k = self.modes
-        return np.fft.ifft(self.u_hat * k).real, np.fft.ifft(self.v_hat * k).real
-
-    def conj_symmetry_residual(self) -> float | np.ndarray:
-        mirror = _mirror(self.modes)
-        parts = (np.abs(x - np.conj(x[..., mirror])).max(axis=-1) for x in (self.u_hat, self.v_hat))
-        return np.maximum(*parts)
+def _modes(y, ndims=(2, 3)) -> np.ndarray:
+    """A PDE state (2, k) of (u_hat, v_hat), or a (T, 2, k) path of them, as complex."""
+    y = np.asarray(y, dtype=complex)
+    if y.ndim not in ndims or y.shape[-2] != 2:
+        path = " or a (T, 2, k) path" if 3 in ndims else ""
+        raise ValueError(f"expected modes of shape (2, k){path}, got {y.shape}")
+    return y
 
 
 def _wavenumbers(k: int) -> np.ndarray:
@@ -271,20 +205,21 @@ def _inner(a_hat: np.ndarray, b_hat: np.ndarray) -> float | np.ndarray:
     return 2.0 * np.pi * np.vecdot(b_hat, a_hat).real
 
 
-def l2_pair(st: PDEState) -> float | np.ndarray:
+def l2_pair(y) -> float | np.ndarray:
     """Conserved quantity <u,u> + <v,v>."""
-    return _inner(st.u_hat, st.u_hat) + _inner(st.v_hat, st.v_hat)
+    y = _modes(y)
+    u, v = y[..., 0, :], y[..., 1, :]
+    return _inner(u, u) + _inner(v, v)
 
 
-def pde_rhs(st: PDEState) -> PDEState:
-    """Spectral right-hand side; scalar inner products via Parseval.
+def pde_rhs(y) -> np.ndarray:
+    """Spectral right-hand side of one state (2, k); scalar inner products via Parseval.
 
     The nonlinearity is scalar * field, so the evaluation is alias-free:
     no padding is needed and the mode support of (u, v) never grows.
     """
-    y = np.stack([st.u_hat, st.v_hat]).view(float)
-    d = _pde(y, _signed_ksq(st.modes)).view(complex)
-    return PDEState(d[0], d[1], st.parity)
+    y = np.ascontiguousarray(_modes(y, (2,)))
+    return _pde(y.view(float), _signed_ksq(y.shape[-1])).view(complex)
 
 
 _TWO_PI_ROW_SIGNS = np.array([[2.0 * np.pi], [-2.0 * np.pi]])
@@ -309,48 +244,47 @@ def _pde(y: np.ndarray, signed_ksq: np.ndarray) -> np.ndarray:
     return (g[::-1] * _TWO_PI_ROW_SIGNS).dot(y) + signed_ksq * y[::-1]
 
 
-def integrate_block(
-    bs0: BlockState, power: int, t_final: float, h: float
-) -> tuple[np.ndarray, BlockState]:
-    """RK4 for S' = [N, S^power], power 2 or 3, on the packed (a, b, c, u, v);
-    the path has (T,) a, b, c, (T, m) u, v and the frozen ``bs0.B``."""
-    times, path = rk4_path(_block_kernel(bs0.B, power), _pack(bs0), t_final, h)
-    return times, _unpack(path, bs0.B)
+def integrate_block(y0, b, power: int, t_final: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 for S' = [N, S^power], power 2 or 3, on the packed (a, b, c, u, v)
+    with the core B frozen; the path is (T, 3 + 2m)."""
+    y0, core = _block(y0, b)
+    return rk4_path(_block_kernel(core, power), y0, t_final, h)
 
 
-def integrate_pde(st0: PDEState, t_final: float, h: float) -> tuple[np.ndarray, PDEState]:
+def integrate_pde(y0, t_final: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     """RK4 on the (2, 2k) float view of (u_hat, v_hat), projected to real fields each step;
-    a (T, k) path."""
-    k = st0.modes
+    a (T, 2, k) path."""
+    y0 = np.ascontiguousarray(_modes(y0, (2,)))
+    k = y0.shape[-1]
     signed_ksq = _signed_ksq(k)
     # conj(x[-j]) on the float view: gather the mirrored pair, negate its imaginary part
     flip = (2 * _mirror(k)[:, None] + [0, 1]).ravel()
     imag_sign = np.tile([1.0, -1.0], k)
     times, path = rk4_path(
         lambda y: _pde(y, signed_ksq),
-        np.stack([st0.u_hat, st0.v_hat]).view(float),
+        y0.view(float),
         t_final,
         h,
         project=lambda y: 0.5 * (y + y.take(flip, axis=1) * imag_sign),
     )
-    path = path.view(complex)
-    return times, PDEState(path[:, 0], path[:, 1], st0.parity)
+    return times, path.view(complex)
 
 
-def parity_leakage(st: PDEState) -> float | np.ndarray:
-    """Largest coefficient mass in the sector opposite the declared parity.
+def parity_leakage(y, parity: str) -> float | np.ndarray:
+    """Largest coefficient mass in the sector opposite ``parity``, 'even' or 'odd'.
 
     Even fields have u_hat[k] = u_hat[-k]; odd fields flip the sign.  The
     constant mode belongs to the even sector.  Only the modes 0 .. k//2 are
     read: for s = +-1, x_j - s x_-j = -s (x_-j - s x_j) exactly, so a mode and
     its mirror have the same leakage to the bit.
     """
-    if st.parity is None:
-        raise ValueError("state carries no parity flag")
-    sgn = 1.0 if st.parity == "even" else -1.0
-    half = st.modes // 2 + 1
-    mirror = _mirror(st.modes)[:half]
-    parts = (
-        np.abs(0.5 * (x[..., :half] - sgn * x[..., mirror])).max(axis=-1) for x in (st.u_hat, st.v_hat)
-    )
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    y = _modes(y)
+    sgn = 1.0 if parity == "even" else -1.0
+    k = y.shape[-1]
+    half = k // 2 + 1
+    mirror = _mirror(k)[:half]
+    u, v = y[..., 0, :], y[..., 1, :]
+    parts = (np.abs(0.5 * (x[..., :half] - sgn * x[..., mirror])).max(axis=-1) for x in (u, v))
     return np.maximum(*parts)

@@ -41,8 +41,6 @@ import numpy as np
 
 from . import __version__
 from .blockpde import (
-    BlockState,
-    PDEState,
     embed,
     integrate_block,
     integrate_pde,
@@ -52,7 +50,7 @@ from .blockpde import (
     rhs_cubic,
     rhs_quadratic,
 )
-from .factorization import birkhoff, conjugated_states, generator, sample_exp
+from .factorization import birkhoff, conjugated_states, sample_exp
 from .findim import (
     DualElem,
     GroupElem,
@@ -65,12 +63,12 @@ from .flows import BlowupError, _field, bi_rhs, drift_report, gbs_path, integrat
 from .invariants import (
     IntegralIndex,
     enumerate_indices,
+    gradient_loop,
     integral_independence_rank,
     poisson_matrix,
     spectral_coeffs,
     spectral_nodes,
 )
-from .laurent import BILoop
 from .matcore import (
     NumericalError,
     SplitMix64,
@@ -256,18 +254,17 @@ def run_commute(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
 def run_factorize(cfg: ExperimentConfig) -> tuple[list[Gate], dict]:
     """The factorize gates, and the diagnostics of each solve and of the reference."""
     s0, nmat = sample_state(cfg.n, cfg.seed)
-    x0 = BILoop(s0, nmat)
     idx = IntegralIndex(cfg.k, cfg.l)
     times = [cfg.t_final / 4, cfg.t_final / 2, cfg.t_final]
     # Every Birkhoff solve runs before the reference, so that a run the
     # solve rejects ends early.  Each checkpoint doubles the last, so its
     # samples are the last ones squared.
-    gen = generator(x0, idx)
+    gen = gradient_loop(s0, nmat, idx)
     solved, checkpoints, gamma = [], [], None
     for t in times:
         gamma = sample_exp(gen, t, cfg.m_samples, half=gamma)
         fac = birkhoff(gamma, cfg.depth)
-        solved.append((fac, conjugated_states(fac, x0)[0]))
+        solved.append((fac, conjugated_states(s0, nmat, fac)[0]))
         aliasing = gamma.aliasing_estimate()
         sup_gamma, sup_g_minus, sup_g_plus = fac.sup_norms
         checkpoints.append(
@@ -353,21 +350,21 @@ def run_pde(cfg: ExperimentConfig) -> tuple[list[Gate], None]:
     rng = SplitMix64(cfg.seed)
     m = max(cfg.n - 2, 3)
     a, b, c = rng.uniform(), rng.uniform(), rng.uniform()
-    bs = BlockState(a, b, c, rng.matrix(1, m)[0], rng.matrix(1, m)[0], random_sym(m, cfg.seed + 30))
-    nf, sf = n0(bs.n), embed(bs)
-    quad_gap = float(np.abs(embed(rhs_quadratic(bs)) - commutator(nf, sf @ sf)).max())
-    cubic_gap = float(np.abs(embed(rhs_cubic(bs)) - commutator(nf, sf @ sf @ sf)).max())
+    y0 = np.concatenate([[a, b, c], rng.matrix(1, m)[0], rng.matrix(1, m)[0]])
+    core = random_sym(m, cfg.seed + 30)
+    nf, sf, zero = n0(m + 2), embed(y0, core), np.zeros((m, m))
+    quad_gap = float(np.abs(embed(rhs_quadratic(y0, core), zero) - commutator(nf, sf @ sf)).max())
+    cubic_gap = float(np.abs(embed(rhs_cubic(y0, core), zero) - commutator(nf, sf @ sf @ sf)).max())
 
-    _, path = integrate_block(bs, 2, cfg.t_final, cfg.h)
-    trace_gap = np.abs(path.a + path.c - (bs.a + bs.c)).max()
+    _, path = integrate_block(y0, core, 2, cfg.t_final, cfg.h)
+    trace_gap = np.abs(path[:, 0] + path[:, 2] - (a + c)).max()
 
     modes = 64
     x = 2.0 * np.pi * np.arange(modes) / modes
-    st0 = PDEState.from_fields(
-        0.4 * np.sin(x) + 0.2 * np.sin(3 * x), 0.3 * np.sin(2 * x), parity="odd"
-    )
+    u, v = 0.4 * np.sin(x) + 0.2 * np.sin(3 * x), 0.3 * np.sin(2 * x)
+    st0 = np.stack([np.fft.fft(u) / modes, np.fft.fft(v) / modes])
     times, pde_path = integrate_pde(st0, cfg.t_final, cfg.h)
-    l2, leaks = l2_pair(pde_path), parity_leakage(pde_path)
+    l2, leaks = l2_pair(pde_path), parity_leakage(pde_path, "odd")
     l2_drift = np.abs(l2 - l2_pair(st0)).max()
     _write_csv(cfg, ["t", "l2_pair", "parity_leakage"], np.column_stack([times, l2, leaks]))
     return [

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import IntegralIndex, gradient_loop
-from .laurent import BILoop, LaurentLoop, mul
+from .invariants import IntegralIndex, _checked, gradient_loop
+from .laurent import LaurentLoop, mul
 from .matcore import NumericalError
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "BirkhoffFactors",
     "FactorizationError",
     "AliasingError",
-    "generator",
     "expm",
     "sample_exp",
     "det_winding",
@@ -70,16 +69,6 @@ MAX_SYSTEM = 4096  # largest j*n of birkhoff's dense system: 256 MiB per complex
 N_TOL = 1e-8  # drift of the z^1 coefficient from N, and asymmetry of S(t)
 AGREE_TOL = 1e-7  # gap between the states conjugated by g_minus and g_plus
 _TAYLOR = [1.0 / math.factorial(k) for k in range(16)]  # coefficients 1/k! of expm's core
-
-
-def generator(x0: BILoop, idx: IntegralIndex) -> LaurentLoop:
-    """Exponent loop X0(z)^k z^-(l+1) of the factorization problem.
-
-    ``IntegralIndex`` enforces even l: that parity makes the generator fixed
-    by the involution, delta(z) + delta(-z)^T = 0, which is what guarantees
-    the loop symmetry of exp(-t * generator).
-    """
-    return gradient_loop(x0, idx)  # which rejects an index not admissible for n
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -375,7 +364,7 @@ def _max_norm(stack: np.ndarray) -> float:
     return float(np.sqrt(sq).max())
 
 
-def _conjugation_coeffs(g: LaurentLoop, x0: BILoop) -> np.ndarray:
+def _conjugation_coeffs(g: LaurentLoop, x0: LaurentLoop) -> np.ndarray:
     """The z^0 and z^1 coefficients of g(-z)^T X0(z) g(z), stacked (2, n, n).
 
     With P = g(-z)^T X0, each c_d = sum_i P_i G_{d-i} takes the products of
@@ -383,7 +372,7 @@ def _conjugation_coeffs(g: LaurentLoop, x0: BILoop) -> np.ndarray:
     i, as :func:`~biflow.laurent.mul` sums them, so it equals the
     coefficient of the full product bit for bit.
     """
-    p = mul(g.transpose_flip(), x0.loop())
+    p = mul(g.transpose_flip(), x0)
     c = np.zeros((2, x0.n, x0.n))
     for d in (0, 1):
         lo, hi = max(p.lo, d - g.hi), min(p.hi, d - g.lo)  # degrees i of P that reach c_d
@@ -394,18 +383,20 @@ def _conjugation_coeffs(g: LaurentLoop, x0: BILoop) -> np.ndarray:
     return c
 
 
-def conjugated_states(factors: BirkhoffFactors, x0: BILoop) -> tuple[np.ndarray, np.ndarray]:
-    """Flowed state from each factor: z^0 coefficient of g^-1 X0 g.
+def conjugated_states(s0, n, factors: BirkhoffFactors) -> tuple[np.ndarray, np.ndarray]:
+    """Flowed state from each factor: z^0 coefficient of g^-1 X0 g, X0 = S0 + zN.
 
     Inverses go through the loop symmetry g^-1(z) = g(-z)^T, and only the
     two coefficients the checks read are formed.  The z^1 coefficient must
     reproduce the frozen N and the two factors must agree; both checks
     raise :class:`FactorizationError` on failure.
     """
+    s0, n = _checked(s0, n)
+    x0 = LaurentLoop(0, np.stack([s0, n]))
     out = []
     for g in (factors.g_minus, factors.g_plus):
         c0, c1 = _conjugation_coeffs(g, x0)
-        n_err = np.linalg.norm(c1 - x0.N)
+        n_err = np.linalg.norm(c1 - n)
         if n_err > N_TOL:
             raise FactorizationError(f"z^1 coefficient drifted from N by {n_err:.3e}")
         sym_err = np.linalg.norm(c0 - c0.T)
@@ -419,13 +410,14 @@ def conjugated_states(factors: BirkhoffFactors, x0: BILoop) -> tuple[np.ndarray,
     return s_minus, s_plus
 
 
-def solve_by_factorization(x0: BILoop, idx: IntegralIndex, t: float) -> np.ndarray:
-    """State of the (k, l) flow at time t by Birkhoff factorization.
+def solve_by_factorization(s0, n, idx: IntegralIndex, t: float) -> np.ndarray:
+    """State S(t) of the (k, l) flow from (S0, N) by Birkhoff factorization.
 
     The circle sampling and the start depth are the defaults of
     :func:`sample_exp` and :func:`birkhoff`.
     """
+    s0, n = _checked(s0, n, idx)
     if t == 0.0:
-        return x0.S
-    factors = birkhoff(sample_exp(generator(x0, idx), t))
-    return conjugated_states(factors, x0)[0]
+        return s0
+    factors = birkhoff(sample_exp(gradient_loop(s0, n, idx), t))
+    return conjugated_states(s0, n, factors)[0]

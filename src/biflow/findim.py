@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_skew, as_sym, commutator, numerical_rank
+from .invariants import _checked
+from .matcore import as_skew, commutator, numerical_rank
 
 __all__ = [
     "GroupElem",
@@ -65,9 +66,7 @@ class _BlockPair:
         return np.array_equal(self.S, other.S) and np.array_equal(self.N, other.N)
 
     def __post_init__(self):
-        s, n = as_sym(self.S), as_skew(self.N)
-        if s.shape != n.shape:
-            raise ValueError("block dimensions differ")
+        s, n = _checked(self.S, self.N)
         object.__setattr__(self, "S", s)
         object.__setattr__(self, "N", n)
 

@@ -30,13 +30,13 @@ import numpy as np
 
 from .invariants import (
     IntegralIndex,
+    _checked,
     casimir_exponents,
     casimirs,
-    _require_admissible,
     enumerate_indices,
     spectral_coeffs,
 )
-from .matcore import NumericalError, as_matrix, as_skew, as_sym, commutator
+from .matcore import NumericalError, as_matrix, as_skew, commutator
 from .symmetrizer import _sweep, sym
 
 __all__ = [
@@ -67,15 +67,6 @@ def vector_field(s: np.ndarray, n: np.ndarray, idx: IntegralIndex) -> np.ndarray
     return _field(*_checked(s, n, idx), idx)
 
 
-def _checked(s, n, idx: IntegralIndex) -> tuple[np.ndarray, np.ndarray]:
-    """S and N checked symmetric and skew, of one dimension for which idx is admissible."""
-    s, n = as_sym(s), as_skew(n)
-    if s.shape != n.shape:
-        raise ValueError("S and N must share one dimension")
-    _require_admissible(idx, len(s))
-    return s, n
-
-
 def _field(sf: np.ndarray, nf: np.ndarray, idx: IntegralIndex) -> np.ndarray:
     """-[sym_{k-l,l}(S, N), N] on arrays that :func:`_checked` vetted.
 
@@ -97,7 +88,7 @@ def vector_field_s_form(s: np.ndarray, n: np.ndarray, idx: IntegralIndex) -> np.
 
 def bi_rhs(s: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Bloch-Iserles velocity [NS + SN, S], made symmetric; equals [N, S^2]."""
-    s, n = as_sym(s), as_skew(n)
+    s, n = _checked(s, n)
     v = commutator(n @ s + s @ n, s)
     return 0.5 * (v + v.T)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .laurent import BILoop, LaurentLoop, loop_power, pairing, rbracket
+from .laurent import LaurentLoop, loop_power, pairing, rbracket
 from .matcore import NumericalError, as_skew, as_stack, as_sym, char_poly, numerical_rank
 from .symmetrizer import SymmetrizerTable, sym
 
@@ -90,29 +90,48 @@ def _require_admissible(idx: IntegralIndex, n: int):
         raise ValueError(f"index ({idx.k},{idx.l}) not admissible for n={n}")
 
 
-def hamiltonian(x: BILoop, idx: IntegralIndex) -> float:
-    """The z^l coefficient of tr(X(z)^(k+1)), which is tr sym_{k+1-l,l}(S, N), over k+1."""
-    _require_admissible(idx, x.n)
-    return float(np.trace(sym(x.S, x.N, idx.k + 1 - idx.l, idx.l))) / (idx.k + 1)
+def _checked(s, n, idx: IntegralIndex | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """S and N checked symmetric and skew, of one dimension for which idx, if given, is admissible.
+
+    The one check of every public entry that takes a single state (S, N).
+    """
+    s, n = as_sym(s), as_skew(n)
+    if s.shape != n.shape:
+        raise ValueError("S and N must share one dimension")
+    if idx is not None:
+        _require_admissible(idx, len(s))
+    return s, n
 
 
-def gradient_loop(x: BILoop, idx: IntegralIndex) -> LaurentLoop:
-    """Gradient of the integral: the loop X(z)^k z^-(l+1)."""
-    _require_admissible(idx, x.n)
-    return loop_power(x.loop(), idx.k).shift(-(idx.l + 1))
+def hamiltonian(s, n, idx: IntegralIndex) -> float:
+    """The z^l coefficient of tr(X(z)^(k+1)), X = S + zN, which is tr sym_{k+1-l,l}(S, N), over k+1."""
+    s, n = _checked(s, n, idx)
+    return float(np.trace(sym(s, n, idx.k + 1 - idx.l, idx.l))) / (idx.k + 1)
 
 
-def poisson_bracket(x: BILoop, idx1: IntegralIndex, idx2: IntegralIndex) -> float:
-    """Lie-Poisson bracket of two integrals at x.
+def gradient_loop(s, n, idx: IntegralIndex) -> LaurentLoop:
+    """Gradient of the integral: the loop X(z)^k z^-(l+1), X = S + zN.
+
+    ``IntegralIndex`` enforces even l, which makes this loop fixed by the
+    involution, delta(z) + delta(-z)^T = 0; that is what gives exp(-t delta)
+    the loop symmetry g(z) g(-z)^T = I the Birkhoff factorization relies on.
+    """
+    s, n = _checked(s, n, idx)
+    return loop_power(LaurentLoop(0, np.stack([s, n])), idx.k).shift(-(idx.l + 1))
+
+
+def poisson_bracket(s, n, idx1: IntegralIndex, idx2: IntegralIndex) -> float:
+    """Lie-Poisson bracket of two integrals at X = S + zN.
 
     Evaluates (X, [dH1, dH2]) with the factorization bracket; antisymmetric
     by construction and zero (to rounding) on every admissible pair.
     """
+    s, n = _checked(s, n)
     if idx1 == idx2:
         return 0.0
-    g1 = gradient_loop(x, idx1)
-    g2 = gradient_loop(x, idx2)
-    return pairing(x.loop(), rbracket(g1, g2))
+    g1 = gradient_loop(s, n, idx1)
+    g2 = gradient_loop(s, n, idx2)
+    return pairing(LaurentLoop(0, np.stack([s, n])), rbracket(g1, g2))
 
 
 def _hamiltonian_fields(s: np.ndarray, n: np.ndarray):
@@ -121,7 +140,7 @@ def _hamiltonian_fields(s: np.ndarray, n: np.ndarray):
     M_a = sym_{k-l,l}(S, N) is the z^-1 coefficient of the gradient of the
     a-th admissible integral, and [N, M_a] its Hamiltonian vector field.
     """
-    s, n = as_sym(s), as_skew(n)
+    s, n = _checked(s, n)
     table = SymmetrizerTable(s, n, len(s) - 1)
     m = np.stack([table.get(idx.k - idx.l, idx.l) for idx in enumerate_indices(len(s))])
     nf = table.b

@@ -10,20 +10,19 @@ through the loop-group symmetry g(z) g(-z)^T = I, and the coadjoint action
 built from those pieces.
 
 All arithmetic is exact on finite windows, and loops are immutable after
-construction.  The dual-space loop S + zN (:class:`BILoop`) keeps S and N
-as read-only arrays, checked symmetric and skew by
-:func:`~biflow.matcore.as_sym` and :func:`~biflow.matcore.as_skew`.
+construction.  The dual-space loop S + zN is ``LaurentLoop(0, [S, N])``,
+which the functions of :mod:`~biflow.invariants` and
+:mod:`~biflow.factorization` build from S and N once they have checked them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matcore import NumericalError, SplitMix64, as_matrix, as_skew, as_sym
+from .matcore import NumericalError, SplitMix64, as_matrix
 
 __all__ = [
     "LaurentLoop",
-    "BILoop",
     "LoopSymmetryError",
     "LoopConvergenceError",
     "mul",
@@ -201,33 +200,6 @@ class LaurentLoop:
 
     def __repr__(self):
         return f"LaurentLoop(window=[{self.lo},{self.hi}], n={self.n})"
-
-
-class BILoop:
-    """The dual-space loop S + z N: a symmetric S and a skew N, checked on construction."""
-
-    __slots__ = ("S", "N")
-
-    def __init__(self, S, N):
-        S, N = as_sym(S), as_skew(N)
-        if S.shape != N.shape:
-            raise ValueError(f"dimension mismatch: {len(S)} vs {len(N)}")
-        S.flags.writeable = N.flags.writeable = False
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "N", N)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BILoop is immutable")
-
-    @property
-    def n(self) -> int:
-        return len(self.S)
-
-    def loop(self) -> LaurentLoop:
-        return LaurentLoop(0, np.stack([self.S, self.N]))
-
-    def __repr__(self):
-        return f"BILoop(n={self.n})"
 
 
 def mul(x: LaurentLoop, y: LaurentLoop) -> LaurentLoop:

@@ -19,18 +19,17 @@ from biflow.factorization import (
     conjugated_states,
     det_winding,
     expm,
-    generator,
     sample_exp,
     solve_by_factorization,
 )
 from biflow.flows import integrate
-from biflow.invariants import IntegralIndex, orbit_membership
-from biflow.laurent import BILoop, LaurentLoop, mul
+from biflow.invariants import IntegralIndex, gradient_loop, orbit_membership
+from biflow.laurent import LaurentLoop, mul
 from biflow.matcore import random_matrix, random_skew_simple, random_sym
 
 
 def bi_state(n, seed, scale=1.0):
-    return BILoop(scale * random_sym(n, seed), scale * random_skew_simple(n, seed + 900))
+    return scale * random_sym(n, seed), scale * random_skew_simple(n, seed + 900)
 
 
 @pytest.fixture
@@ -50,15 +49,14 @@ def systems(monkeypatch):
 
 class TestGenerator:
     def test_k1_l0_form(self):
-        x = bi_state(3, seed=1)
-        g = generator(x, IntegralIndex(1, 0))
-        npt.assert_array_equal(g.coeff(-1), x.S)
-        npt.assert_array_equal(g.coeff(0), x.N)
+        s, n = bi_state(3, seed=1)
+        g = gradient_loop(s, n, IntegralIndex(1, 0))
+        npt.assert_array_equal(g.coeff(-1), s)
+        npt.assert_array_equal(g.coeff(0), n)
 
     def test_k2_l0_expansion(self):
-        x = bi_state(3, seed=2)
-        s, n = x.S, x.N
-        g = generator(x, IntegralIndex(2, 0))
+        s, n = bi_state(3, seed=2)
+        g = gradient_loop(s, n, IntegralIndex(2, 0))
         npt.assert_allclose(g.coeff(-1), s @ s, atol=1e-14)
         npt.assert_allclose(g.coeff(0), s @ n + n @ s, atol=1e-14)
         npt.assert_allclose(g.coeff(1), n @ n, atol=1e-14)
@@ -67,7 +65,7 @@ class TestGenerator:
         # delta(z) + delta(-z)^T = 0 coefficientwise.
         x = bi_state(3, seed=3)
         for idx in (IntegralIndex(1, 0), IntegralIndex(2, 0)):
-            g = generator(x, idx)
+            g = gradient_loop(*x, idx)
             worst = max(
                 np.linalg.norm(g.coeff(d) + ((-1.0) ** d) * g.coeff(d).T)
                 for d in g.degrees()
@@ -162,13 +160,13 @@ class TestExpm:
 class TestSampleExp:
     def test_t_zero_identity(self):
         x = bi_state(3, seed=8)
-        loop = sample_exp(generator(x, IntegralIndex(2, 0)), t=0.0, m_samples=64)
+        loop = sample_exp(gradient_loop(*x, IntegralIndex(2, 0)), t=0.0, m_samples=64)
         npt.assert_allclose(loop.coeff(0), np.eye(3), atol=1e-14)
         assert loop.aliasing_estimate() <= 1e-14
 
     def test_loop_symmetry_on_samples(self):
         x = bi_state(3, seed=9)
-        loop = sample_exp(generator(x, IntegralIndex(2, 0)), t=0.5, m_samples=256)
+        loop = sample_exp(gradient_loop(*x, IntegralIndex(2, 0)), t=0.5, m_samples=256)
         m = loop.m_samples
         worst = 0.0
         for i in range(m):
@@ -181,17 +179,17 @@ class TestSampleExp:
 
     def test_reality(self):
         x = bi_state(3, seed=10)
-        loop = sample_exp(generator(x, IntegralIndex(2, 0)), t=0.5, m_samples=256)
+        loop = sample_exp(gradient_loop(*x, IntegralIndex(2, 0)), t=0.5, m_samples=256)
         assert loop.reality_residual() <= 1e-10
 
     def test_winding_zero(self):
         x = bi_state(3, seed=11)
-        loop = sample_exp(generator(x, IntegralIndex(2, 0)), t=0.5, m_samples=256)
+        loop = sample_exp(gradient_loop(*x, IntegralIndex(2, 0)), t=0.5, m_samples=256)
         assert det_winding(loop) == 0
 
     def test_aliasing_raises_when_undersampled(self):
         x = bi_state(3, seed=12, scale=2.0)
-        gen = generator(x, IntegralIndex(2, 0))
+        gen = gradient_loop(*x, IntegralIndex(2, 0))
         with pytest.raises(AliasingError):
             sample_exp(gen, t=2.0, m_samples=32)
 
@@ -200,7 +198,7 @@ class TestSampleExp:
         # per doubling, so squaring the samples at t/2 repeats expm's last
         # squaring, and the loops at t/2 and t come out the same.
         s0, nmat = cli.sample_state(8, 7)
-        gen = generator(BILoop(s0, nmat), IntegralIndex(2, 0))
+        gen = gradient_loop(s0, nmat, IntegralIndex(2, 0))
         quarter = sample_exp(gen, 0.125)
         half = sample_exp(gen, 0.25, half=quarter)
         full = sample_exp(gen, 0.5, half=half)
@@ -213,7 +211,7 @@ class TestSampleExp:
         # Here small samples keep exponent 0 at t/2 and t, so the two ways
         # differ in rounding only.
         s0, nmat = cli.sample_state(6, 7)
-        gen = generator(BILoop(s0, nmat), IntegralIndex(3, 0))
+        gen = gradient_loop(s0, nmat, IntegralIndex(3, 0))
         full = sample_exp(gen, 0.2, half=sample_exp(gen, 0.1, half=sample_exp(gen, 0.05)))
         want = sample_exp(gen, 0.2)
         for got, ref in ((full.samples, want.samples), (full.coeffs, want.coeffs)):
@@ -222,7 +220,7 @@ class TestSampleExp:
     def test_ladder_checks_the_floor_at_the_doubled_time(self):
         # At t=4 the floor is 151 of 256 samples; at t=8 it is 303.
         s0, nmat = cli.sample_state(4, 3)
-        gen = generator(BILoop(s0, nmat), IntegralIndex(2, 0))
+        gen = gradient_loop(s0, nmat, IntegralIndex(2, 0))
         half = sample_exp(gen, 4.0)
         with pytest.raises(AliasingError, match="floor 303"):
             sample_exp(gen, 8.0, half=half)
@@ -230,13 +228,13 @@ class TestSampleExp:
             sample_exp(gen, 8.0)
 
     def test_ladder_needs_the_same_sample_count(self):
-        gen = generator(bi_state(3, seed=13), IntegralIndex(2, 0))
+        gen = gradient_loop(*bi_state(3, seed=13), IntegralIndex(2, 0))
         with pytest.raises(ValueError, match="128 samples"):
             sample_exp(gen, 0.2, m_samples=256, half=sample_exp(gen, 0.1, m_samples=128))
 
     def test_sample_count_validation(self):
         x = bi_state(3, seed=13)
-        gen = generator(x, IntegralIndex(2, 0))
+        gen = gradient_loop(*x, IntegralIndex(2, 0))
         with pytest.raises(ValueError):
             sample_exp(gen, t=0.1, m_samples=100)  # not a power of two
 
@@ -280,7 +278,7 @@ class TestBirkhoff:
     def test_system_matches_fancy_index_build(self, systems):
         # The block-Toeplitz system is a copy of strided windows; the old
         # build gathered every block by index and transposed.
-        gamma = sample_exp(generator(bi_state(4, seed=21), IntegralIndex(2, 0)), 0.5, 256)
+        gamma = sample_exp(gradient_loop(*bi_state(4, seed=21), IntegralIndex(2, 0)), 0.5, 256)
         for depth in (1, 2, 7, 40):
             systems.clear()
             birkhoff(gamma, depth=depth)
@@ -291,7 +289,7 @@ class TestBirkhoff:
 
     def test_bi_generator_run(self):
         x = bi_state(3, seed=16)
-        gamma = sample_exp(generator(x, IntegralIndex(2, 0)), t=0.5, m_samples=256)
+        gamma = sample_exp(gradient_loop(*x, IntegralIndex(2, 0)), t=0.5, m_samples=256)
         fac = birkhoff(gamma, depth=40)
         assert fac.residual <= 1e-8
         assert fac.tail <= 1e-10
@@ -300,7 +298,7 @@ class TestBirkhoff:
 
     def test_factor_symmetry(self):
         x = bi_state(3, seed=17)
-        gamma = sample_exp(generator(x, IntegralIndex(2, 0)), t=0.5, m_samples=256)
+        gamma = sample_exp(gradient_loop(*x, IntegralIndex(2, 0)), t=0.5, m_samples=256)
         fac = birkhoff(gamma, depth=40)
         assert circle_symmetry_residual(fac.g_minus) <= 1e-8
         assert circle_symmetry_residual(fac.g_plus) <= 1e-8
@@ -317,7 +315,7 @@ class TestBirkhoff:
         eps = np.finfo(float).eps
         for n, seed, k in ((3, 20, 2), (4, 21, 3), (5, 22, 2)):
             x = bi_state(n, seed=seed)
-            gamma = sample_exp(generator(x, IntegralIndex(k, 0)), t=0.4, m_samples=256)
+            gamma = sample_exp(gradient_loop(*x, IntegralIndex(k, 0)), t=0.4, m_samples=256)
             fac = birkhoff(gamma, depth=40)
             j = -fac.g_minus.lo
             rows = range(1, j + 1)
@@ -335,7 +333,7 @@ class TestBirkhoff:
 
     def test_coefficient_gather_keeps_the_band_check(self):
         x = bi_state(3, seed=23)
-        gamma = sample_exp(generator(x, IntegralIndex(2, 0)), t=0.3, m_samples=64)
+        gamma = sample_exp(gradient_loop(*x, IntegralIndex(2, 0)), t=0.3, m_samples=64)
         idx = np.array([[-32, 5], [0, 32]])
         want = np.stack([gamma.coeff(int(i)) for i in idx.ravel()]).reshape(2, 2, 3, 3)
         assert np.array_equal(gamma.coeff(idx), want)
@@ -345,7 +343,7 @@ class TestBirkhoff:
 
     def test_uniqueness_under_depth_change(self):
         x = bi_state(3, seed=18)
-        gamma = sample_exp(generator(x, IntegralIndex(2, 0)), t=0.5, m_samples=256)
+        gamma = sample_exp(gradient_loop(*x, IntegralIndex(2, 0)), t=0.5, m_samples=256)
         f1 = birkhoff(gamma, depth=40)
         f2 = birkhoff(gamma, depth=48)
         for j in range(1, 37):
@@ -359,7 +357,7 @@ class TestStartDepth:
     capped at the requested depth, and doubles from there."""
 
     def test_start_is_one_past_the_deepest_coefficient_above_start_tol(self, systems):
-        gamma = sample_exp(generator(bi_state(4, seed=21), IntegralIndex(2, 0)), 0.5, 256)
+        gamma = sample_exp(gradient_loop(*bi_state(4, seed=21), IntegralIndex(2, 0)), 0.5, 256)
         deepest = max(d for d in range(1, 128) if np.linalg.norm(gamma.coeff(-d)) > START_TOL)
         assert deepest + 1 < 40
         for depth in (1, 4, deepest, deepest + 1, 40, 200):
@@ -387,14 +385,14 @@ class TestStartDepth:
         # The factorize-n8 config (n = 8, (2, 0), t = 0.5, M = 256, --j 40).
         # With START_TOL = 0 every Gamma_{-d} is above it, so each solve
         # starts at depth 40 as it did before the start depth was chosen.
-        x0 = BILoop(*cli.sample_state(8, seed))
-        gen = generator(x0, IntegralIndex(2, 0))
+        x0 = cli.sample_state(8, seed)
+        gen = gradient_loop(*x0, IntegralIndex(2, 0))
 
         def states():
             out, gamma = [], None
             for t in (0.125, 0.25, 0.5):
                 gamma = sample_exp(gen, t, 256, half=gamma)
-                out += conjugated_states(birkhoff(gamma, 40), x0)
+                out += conjugated_states(*x0, birkhoff(gamma, 40))
             return np.array(out)
 
         new = states()
@@ -411,10 +409,10 @@ class TestStartDepth:
         # most 6.4e-13 from a depth-40 start and from this one.  A start where
         # Gamma_{-d} first falls below TAIL_TOL reads up to 8.0e-10, about
         # two decades of gate margin lost.
-        x0 = BILoop(*cli.sample_state(8, seed))
+        x0 = cli.sample_state(8, seed)
         gamma = None
         for t in (0.125, 0.25, 0.5):
-            gamma = sample_exp(generator(x0, IntegralIndex(2, 0)), t, 256, half=gamma)
+            gamma = sample_exp(gradient_loop(*x0, IntegralIndex(2, 0)), t, 256, half=gamma)
             fac = birkhoff(gamma, 40)
             symmetry = max(circle_symmetry_residual(g) for g in (fac.g_minus, fac.g_plus))
             assert max(fac.residual, symmetry) <= 1e-11
@@ -434,7 +432,7 @@ class TestSystemBudget:
 
     def gamma(self):
         s0, nmat = cli.sample_state(8, 7)
-        return sample_exp(generator(BILoop(s0, nmat), IntegralIndex(2, 0)), 0.5)
+        return sample_exp(gradient_loop(s0, nmat, IntegralIndex(2, 0)), 0.5)
 
     def test_a_start_depth_above_the_budget_is_refused(self, monkeypatch, systems):
         gamma = self.gamma()
@@ -478,7 +476,7 @@ class TestCirclePath:
 
     def test_symmetry_residual_equals_two_evaluations(self):
         x = bi_state(4, seed=31)
-        fac = birkhoff(sample_exp(generator(x, IntegralIndex(2, 0)), t=0.5), depth=40)
+        fac = birkhoff(sample_exp(gradient_loop(*x, IntegralIndex(2, 0)), t=0.5), depth=40)
         skewed = LaurentLoop(-2, [random_matrix(4, seed=32 + d) for d in range(5)])
         for loop, m in ((fac.g_minus, 256), (fac.g_plus, 256), (skewed, 16), (skewed, 4)):
             zs = circle_points(m)
@@ -490,7 +488,7 @@ class TestCirclePath:
     def test_birkhoff_records_the_symmetry_residual(self, n, seed, k, t, m):
         # birkhoff reads it from the circle samples it already holds; the
         # public wrapper samples each factor again, and both give the same bits.
-        fac = birkhoff(sample_exp(generator(bi_state(n, seed=seed), IntegralIndex(k, 0)), t, m), 40)
+        fac = birkhoff(sample_exp(gradient_loop(*bi_state(n, seed=seed), IntegralIndex(k, 0)), t, m), 40)
         want = max(circle_symmetry_residual(fac.g_minus, m), circle_symmetry_residual(fac.g_plus, m))
         assert fac.symmetry == want
 
@@ -501,79 +499,77 @@ class TestCirclePath:
     @pytest.mark.parametrize("n, seed, k", [(3, 33, 2), (5, 34, 3), (8, 7000, 2)])
     def test_conjugation_coeffs_bit_identical_to_full_product(self, n, seed, k):
         x = bi_state(n, seed=seed)
-        gamma = sample_exp(generator(x, IntegralIndex(k, 0)), t=0.5, m_samples=256)
+        gamma = sample_exp(gradient_loop(*x, IntegralIndex(k, 0)), t=0.5, m_samples=256)
         fac = birkhoff(gamma, depth=40)
         for g in (fac.g_minus, fac.g_plus):
-            full = mul(mul(g.transpose_flip(), x.loop()), g)
-            c0, c1 = _conjugation_coeffs(g, x)
+            loop = LaurentLoop(0, np.stack(x))
+            full = mul(mul(g.transpose_flip(), loop), g)
+            c0, c1 = _conjugation_coeffs(g, loop)
             assert np.array_equal(c0, full.coeff(0))
             assert np.array_equal(c1, full.coeff(1))
 
 
 class TestSolution:
     def test_t_zero(self):
-        x = bi_state(3, seed=19)
-        npt.assert_array_equal(
-            solve_by_factorization(x, IntegralIndex(2, 0), t=0.0), x.S
-        )
+        s, n = bi_state(3, seed=19)
+        npt.assert_array_equal(solve_by_factorization(s, n, IntegralIndex(2, 0), t=0.0), s)
 
     def test_commuting_state_is_frozen(self):
         n = random_skew_simple(3, seed=20)
         s = n @ n
-        x = BILoop(s, n)
         for t in (0.25, 1.0):
-            got = solve_by_factorization(x, IntegralIndex(2, 0), t=t)
+            got = solve_by_factorization(s, n, IntegralIndex(2, 0), t=t)
             npt.assert_allclose(got, s, atol=1e-9)
 
     def test_matches_rk4(self):
-        x = bi_state(3, seed=21)
+        s, n = bi_state(3, seed=21)
         idx = IntegralIndex(2, 0)
         for t in (0.25, 0.5, 1.0):
-            s_fact = solve_by_factorization(x, idx, t=t)
-            s_ode = integrate(x.S, x.N, idx, t_final=t, h=1e-4)[1][-1]
+            s_fact = solve_by_factorization(s, n, idx, t=t)
+            s_ode = integrate(s, n, idx, t_final=t, h=1e-4)[1][-1]
             assert np.linalg.norm(s_fact - s_ode) <= 1e-6
 
     def test_higher_flow_matches_rk4(self):
-        x = bi_state(4, seed=22, scale=0.8)
+        s, n = bi_state(4, seed=22, scale=0.8)
         idx = IntegralIndex(3, 2)
-        s_fact = solve_by_factorization(x, idx, t=0.5)
-        s_ode = integrate(x.S, x.N, idx, t_final=0.5, h=1e-4)[1][-1]
+        s_fact = solve_by_factorization(s, n, idx, t=0.5)
+        s_ode = integrate(s, n, idx, t_final=0.5, h=1e-4)[1][-1]
         assert np.linalg.norm(s_fact - s_ode) <= 1e-6
 
     def test_stays_on_orbit(self):
-        x = bi_state(3, seed=23)
-        got = solve_by_factorization(x, IntegralIndex(2, 0), t=1.0)
-        assert orbit_membership(got, x.S, x.N, tol=1e-7)
+        s, n = bi_state(3, seed=23)
+        got = solve_by_factorization(s, n, IntegralIndex(2, 0), t=1.0)
+        assert orbit_membership(got, s, n, tol=1e-7)
 
     def test_conjugation_forms_agree(self):
         x = bi_state(3, seed=24)
-        gamma = sample_exp(generator(x, IntegralIndex(2, 0)), t=0.5, m_samples=256)
+        gamma = sample_exp(gradient_loop(*x, IntegralIndex(2, 0)), t=0.5, m_samples=256)
         fac = birkhoff(gamma, depth=40)
-        s_minus, s_plus = conjugated_states(fac, x)
+        s_minus, s_plus = conjugated_states(*x, fac)
         assert np.linalg.norm(s_minus - s_plus) <= 1e-7
 
     def test_isospectral(self):
         from biflow.matcore import eigenvalues_sym
 
-        x = bi_state(3, seed=25)
-        got = solve_by_factorization(x, IntegralIndex(2, 0), t=1.0)
-        npt.assert_allclose(eigenvalues_sym(got), eigenvalues_sym(x.S), atol=1e-7)
+        s, n = bi_state(3, seed=25)
+        got = solve_by_factorization(s, n, IntegralIndex(2, 0), t=1.0)
+        npt.assert_allclose(eigenvalues_sym(got), eigenvalues_sym(s), atol=1e-7)
 
     def test_semigroup_property(self):
         # Autonomous flow: solving to t+s equals solving to s from the
         # state at t.  Strong consistency check across two factorizations.
-        x = bi_state(3, seed=26)
+        s, n = bi_state(3, seed=26)
         idx = IntegralIndex(2, 0)
-        direct = solve_by_factorization(x, idx, t=0.6)
-        half = solve_by_factorization(x, idx, t=0.3)
-        relayed = solve_by_factorization(BILoop(half, x.N), idx, t=0.3)
+        direct = solve_by_factorization(s, n, idx, t=0.6)
+        half = solve_by_factorization(s, n, idx, t=0.3)
+        relayed = solve_by_factorization(half, n, idx, t=0.3)
         assert np.linalg.norm(direct - relayed) <= 1e-8
 
     def test_depth_auto_escalation(self):
         # A depth too shallow for the tail criterion doubles until it fits
         # and lands on the same factors.
         x = bi_state(3, seed=27)
-        gamma = sample_exp(generator(x, IntegralIndex(2, 0)), t=0.5, m_samples=256)
+        gamma = sample_exp(gradient_loop(*x, IntegralIndex(2, 0)), t=0.5, m_samples=256)
         shallow = birkhoff(gamma, depth=5)
         reference = birkhoff(gamma, depth=40)
         assert shallow.tail <= 1e-10

@@ -41,7 +41,7 @@ class TestBlockData:
     def test_mismatched_sizes_refused(self, cls):
         s, n = random_sym(3, seed=1), random_skew_simple(3, seed=2)
         for s_bad, n_bad, match in [
-            (s, random_skew_simple(4, seed=2), "block dimensions differ"),
+            (s, random_skew_simple(4, seed=2), "share one dimension"),
             (n, n, "not symmetric"),
             (s, s, "not skew-symmetric"),
             (np.where(s, np.nan, 0.0), n, "finite"),
@@ -191,7 +191,7 @@ class TestCoadjoint:
     def test_matches_loop_coadjoint(self):
         # The z^0 output of the loop-level action of exp(Tz^-1 + ...) is
         # S + [N, T]: identical to the block formula.
-        from biflow.laurent import BILoop, LaurentLoop, coadjoint, exp_truncated
+        from biflow.laurent import LaurentLoop, coadjoint, exp_truncated
 
         t_small = 0.3
         g = GroupElem(t_small * random_sym(3, seed=15), random_skew_simple(3, seed=16))
@@ -200,7 +200,7 @@ class TestCoadjoint:
             {-1: g.S, -2: g.N}
         )
         gm = exp_truncated(y, window=(-12, 0))
-        x = BILoop(a.S, a.N).loop()
+        x = LaurentLoop(0, np.stack([a.S, a.N]))
         loop_out = coadjoint(LaurentLoop.identity(3), gm, x)
         block_out = coadjoint_f(g, a)
         npt.assert_allclose(loop_out.coeff(0), block_out.S, atol=1e-13)

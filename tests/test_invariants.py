@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biflow import invariants
+from biflow.blockpde import embed, integrate_block, rhs_cubic, rhs_quadratic
 from biflow.cli import ExperimentConfig, run_commute, sample_state
+from biflow.factorization import birkhoff, conjugated_states, sample_exp, solve_by_factorization
 from biflow.invariants import (
     IntegralIndex,
     casimirs,
@@ -19,7 +23,7 @@ from biflow.invariants import (
     poisson_matrix,
     spectral_coeffs,
 )
-from biflow.laurent import BILoop, LaurentLoop, is_sigma_fixed, loop_power, pairing, rbracket
+from biflow.laurent import LaurentLoop, is_sigma_fixed, loop_power, pairing, rbracket
 from biflow.matcore import (
     as_skew,
     as_sym,
@@ -35,8 +39,65 @@ from biflow.symmetrizer import sym
 N2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def random_biloop(n, seed):
-    return BILoop(random_sym(n, seed), random_skew_simple(n, seed + 5000))
+def random_state(n, seed):
+    return random_sym(n, seed), random_skew_simple(n, seed + 5000)
+
+
+IDX = IntegralIndex(2, 0)
+
+
+@functools.cache
+def factors():
+    return birkhoff(sample_exp(gradient_loop(*random_state(3, 1), IDX), 0.1, 64))
+
+
+# Entries that take one state (S, N), and the malformed pairs each refuses.
+# The flows and findim entries have their own refusal tests.
+STATE_ENTRIES = {
+    "hamiltonian": lambda s, n: hamiltonian(s, n, IDX),
+    "gradient_loop": lambda s, n: gradient_loop(s, n, IDX),
+    "poisson_bracket": lambda s, n: poisson_bracket(s, n, IDX, IDX),
+    "poisson_matrix": poisson_matrix,
+    "integral_independence_rank": integral_independence_rank,
+    "solve_by_factorization": lambda s, n: solve_by_factorization(s, n, IDX, 0.1),
+    "conjugated_states": lambda s, n: conjugated_states(s, n, factors()),
+}
+S3, N3 = random_state(3, 1)
+STATE_CASES = {
+    "non-symmetric S": (S3 + np.triu(np.ones((3, 3)), 1), N3, "not symmetric"),
+    "non-skew N": (S3, S3, "not skew-symmetric"),
+    "mismatched sizes": (S3, random_skew_simple(4, 2), "share one dimension"),
+    "non-finite N": (S3, np.where(N3, np.inf, 0.0), "finite"),
+    "complex S": (S3 + 0j, N3, "complex"),
+}
+# Entries that take a packed block state y and its core B.
+BLOCK_ENTRIES = {
+    "embed": embed,
+    "rhs_quadratic": rhs_quadratic,
+    "rhs_cubic": rhs_cubic,
+    "integrate_block": lambda y, b: integrate_block(y, b, 2, 0.1, 0.1),
+}
+Y3, B3 = np.arange(9.0), random_sym(3, 2)
+BLOCK_CASES = {
+    "non-symmetric B": (Y3, B3 + np.triu(np.ones((3, 3)), 1), "not symmetric"),
+    "non-finite B": (Y3, np.where(B3, np.inf, 0.0), "finite"),
+    "complex B": (Y3, B3 + 0j, "complex"),
+    "mismatched sizes": (Y3, random_sym(4, 2), "does not match"),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, first, second, match",
+    [
+        pytest.param(entry, *case, id=f"{name}-{label}")
+        for entries, cases in ((STATE_ENTRIES, STATE_CASES), (BLOCK_ENTRIES, BLOCK_CASES))
+        for name, entry in entries.items()
+        for label, case in cases.items()
+    ],
+)
+def test_public_entries_refuse_malformed_states(entry, first, second, match):
+    with pytest.raises(ValueError, match=match):
+        entry(first, second)
 
 
 class TestEnumerate:
@@ -66,106 +127,104 @@ class TestEnumerate:
 
 class TestHamiltonian:
     def test_h10_diag(self):
-        x = BILoop(np.diag([1.0, 2.0]), N2)
-        npt.assert_allclose(hamiltonian(x, IntegralIndex(1, 0)), 2.5)
+        npt.assert_allclose(hamiltonian(np.diag([1.0, 2.0]), N2, IntegralIndex(1, 0)), 2.5)
 
     def test_h20_diag(self):
         s = np.diag([1.0, 2.0, 0.0])
         n = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        npt.assert_allclose(hamiltonian(BILoop(s, n), IntegralIndex(2, 0)), 3.0)
+        npt.assert_allclose(hamiltonian(s, n, IntegralIndex(2, 0)), 3.0)
 
     def test_matches_loop_power_residue(self):
         # Oracle: the residue definition, tr of the z^l coefficient of the
         # Laurent power X(z)^(k+1), over k+1.
         for n in range(2, 7):
-            x = random_biloop(n, seed=20 + n)
+            x = random_state(n, seed=20 + n)
             for idx in enumerate_indices(n):
-                want = np.trace(loop_power(x.loop(), idx.k + 1).coeff(idx.l)) / (idx.k + 1)
-                npt.assert_allclose(hamiltonian(x, idx), want, atol=1e-12 * max(1.0, abs(want)))
+                want = np.trace(loop_power(LaurentLoop(0, np.stack(x)), idx.k + 1).coeff(idx.l)) / (idx.k + 1)
+                npt.assert_allclose(hamiltonian(*x, idx), want, atol=1e-12 * max(1.0, abs(want)))
 
     def test_matches_symmetrizer_trace(self):
         # Oracle: the z^l coefficient of tr X^(k+1) is the trace of the
         # (k+1-l, l) symmetrizer, evaluated here by explicit word sums.
         from biflow.symmetrizer import sym_enumerated
 
-        x = random_biloop(4, seed=1)
+        x = random_state(4, seed=1)
         for idx in enumerate_indices(4):
             want = np.trace(
-                sym_enumerated(x.S, x.N, idx.k + 1 - idx.l, idx.l)
+                sym_enumerated(*x, idx.k + 1 - idx.l, idx.l)
             ) / (idx.k + 1)
-            npt.assert_allclose(hamiltonian(x, idx), want, atol=1e-12 * max(1.0, abs(want)))
+            npt.assert_allclose(hamiltonian(*x, idx), want, atol=1e-12 * max(1.0, abs(want)))
 
     def test_inadmissible_rejected(self):
-        x = random_biloop(3, seed=2)
+        x = random_state(3, seed=2)
         with pytest.raises(ValueError):
-            hamiltonian(x, IntegralIndex(3, 0))
+            hamiltonian(*x, IntegralIndex(3, 0))
 
     def test_orthogonal_conjugation_invariance(self):
         for seed in range(5):
-            x = random_biloop(4, seed=10 + seed)
+            x = random_state(4, seed=10 + seed)
             q = random_orthogonal(4, seed=90 + seed)
-            xc = BILoop(q.T @ x.S @ q, q.T @ x.N @ q)
+            xc = [q.T @ m @ q for m in x]
             for idx in enumerate_indices(4):
-                h0 = hamiltonian(x, idx)
-                h1 = hamiltonian(xc, idx)
+                h0 = hamiltonian(*x, idx)
+                h1 = hamiltonian(*xc, idx)
                 assert abs(h0 - h1) <= 1e-11 * max(1.0, abs(h0))
 
 
 class TestGradient:
     def test_k1_l0_form(self):
-        x = random_biloop(3, seed=3)
-        g = gradient_loop(x, IntegralIndex(1, 0))
+        s, n = random_state(3, seed=3)
+        g = gradient_loop(s, n, IntegralIndex(1, 0))
         assert g.window == (-1, 0)
-        npt.assert_array_equal(g.coeff(-1), x.S)
-        npt.assert_array_equal(g.coeff(0), x.N)
+        npt.assert_array_equal(g.coeff(-1), s)
+        npt.assert_array_equal(g.coeff(0), n)
 
     def test_k2_l0_matches_generator(self):
-        x = random_biloop(3, seed=4)
-        s, n = x.S, x.N
-        g = gradient_loop(x, IntegralIndex(2, 0))
+        s, n = random_state(3, seed=4)
+        g = gradient_loop(s, n, IntegralIndex(2, 0))
         npt.assert_allclose(g.coeff(-1), s @ s, atol=1e-14)
         npt.assert_allclose(g.coeff(0), s @ n + n @ s, atol=1e-14)
         npt.assert_allclose(g.coeff(1), n @ n, atol=1e-14)
 
     def test_window_and_parity(self):
         for n in (3, 4, 5):
-            x = random_biloop(n, seed=20 + n)
+            x = random_state(n, seed=20 + n)
             for idx in enumerate_indices(n):
-                g = gradient_loop(x, idx)
+                g = gradient_loop(*x, idx)
                 assert g.lo >= -(idx.l + 1) and g.hi <= idx.k - idx.l - 1
                 assert is_sigma_fixed(g, tol=1e-12)
 
 
 class TestPoissonBracket:
     def test_same_index_exact_zero(self):
-        x = random_biloop(4, seed=5)
-        assert poisson_bracket(x, IntegralIndex(2, 0), IntegralIndex(2, 0)) == 0.0
+        x = random_state(4, seed=5)
+        assert poisson_bracket(*x, IntegralIndex(2, 0), IntegralIndex(2, 0)) == 0.0
 
     def test_n4_pair(self):
-        x = random_biloop(4, seed=6)
+        x = random_state(4, seed=6)
         i1, i2 = IntegralIndex(1, 0), IntegralIndex(3, 2)
         scale = max(
-            1.0, gradient_loop(x, i1).norm() * gradient_loop(x, i2).norm() * x.loop().norm()
+            1.0, gradient_loop(*x, i1).norm() * gradient_loop(*x, i2).norm() * LaurentLoop(0, np.stack(x)).norm()
         )
-        assert abs(poisson_bracket(x, i1, i2)) <= 1e-10 * scale
+        assert abs(poisson_bracket(*x, i1, i2)) <= 1e-10 * scale
 
     def test_n5_all_pairs_ten_seeds(self):
         worst = 0.0
         for seed in range(10):
-            x = random_biloop(5, seed=100 + seed)
+            x = random_state(5, seed=100 + seed)
             idxs = enumerate_indices(5)
             for a in range(len(idxs)):
                 for b in range(a + 1, len(idxs)):
-                    worst = max(worst, abs(poisson_bracket(x, idxs[a], idxs[b])))
+                    worst = max(worst, abs(poisson_bracket(*x, idxs[a], idxs[b])))
         assert worst <= 1e-9
 
     def test_antisymmetry(self):
-        x = random_biloop(4, seed=7)
+        x = random_state(4, seed=7)
         idxs = enumerate_indices(4)
         for a in range(len(idxs)):
             for b in range(len(idxs)):
-                lhs = poisson_bracket(x, idxs[a], idxs[b])
-                rhs = -poisson_bracket(x, idxs[b], idxs[a])
+                lhs = poisson_bracket(*x, idxs[a], idxs[b])
+                rhs = -poisson_bracket(*x, idxs[b], idxs[a])
                 assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
 
 
@@ -181,10 +240,9 @@ class TestPoissonMatrix:
             for seed in range(5):
                 s, k = sample_state(n, 40 * n + seed)
                 brackets, scale = poisson_matrix(s, k)
-                x = BILoop(s, k)
                 for a, ia in enumerate(idxs):
                     for b, ib in enumerate(idxs):
-                        gap = abs(brackets[a, b] - poisson_bracket(x, ia, ib))
+                        gap = abs(brackets[a, b] - poisson_bracket(s, k, ia, ib))
                         assert gap <= 1e-15 * scale[a, b]
 
     def test_pairing_sees_only_residue_coefficients(self):
@@ -218,10 +276,10 @@ class TestPoissonMatrix:
         # product under the floor of 1.
         s, k = random_sym(5, seed=41), random_skew_simple(5, seed=42)
         for cs, ck in [(1.0, 1.0), (1.0, 10.0), (0.01, 0.01)]:
-            x = BILoop(cs * s, ck * k)
-            _, scale = poisson_matrix(x.S, x.N)
-            grad = [gradient_loop(x, idx).norm() for idx in enumerate_indices(5)]
-            want = np.maximum(1.0, np.outer(grad, grad) * x.loop().norm())
+            x = (cs * s, ck * k)
+            _, scale = poisson_matrix(*x)
+            grad = [gradient_loop(*x, idx).norm() for idx in enumerate_indices(5)]
+            want = np.maximum(1.0, np.outer(grad, grad) * LaurentLoop(0, np.stack(x)).norm())
             npt.assert_allclose(scale, want, rtol=1e-13)
 
     def test_exactly_antisymmetric(self):

@@ -6,7 +6,6 @@ import pytest
 
 from biflow import laurent
 from biflow.laurent import (
-    BILoop,
     LaurentLoop,
     LoopSymmetryError,
     coadjoint,
@@ -31,7 +30,7 @@ from biflow.matcore import random_matrix, random_skew_simple, random_sym
 
 
 def bi_loop(n, seed):
-    return BILoop(random_sym(n, seed), random_skew_simple(n, seed + 1000)).loop()
+    return LaurentLoop(0, np.stack([random_sym(n, seed), random_skew_simple(n, seed + 1000)]))
 
 
 class TestLoopBasics:
@@ -93,22 +92,6 @@ class TestLoopBasics:
         with pytest.raises(AttributeError):
             x.lo = 3
         assert not x.coeffs.flags.writeable
-        b = BILoop(random_sym(3, 1), random_skew_simple(3, 2))
-        with pytest.raises(AttributeError):
-            b.S = b.N
-        assert not b.S.flags.writeable and not b.N.flags.writeable
-
-    def test_biloop_checks_its_blocks(self):
-        s, n = random_sym(3, 1), random_skew_simple(3, 2)
-        for s_bad, n_bad, match in [
-            (s, random_skew_simple(4, 2), "dimension mismatch"),
-            (n, n, "not symmetric"),
-            (s, s, "not skew-symmetric"),
-            (s, np.where(n, np.inf, 0.0), "finite"),
-            (s + 0j, n, "complex"),
-        ]:
-            with pytest.raises(ValueError, match=match):
-                BILoop(s_bad, n_bad)
 
 
 def mul_by_rows(x, y):
@@ -147,7 +130,6 @@ class TestMul:
     def test_bi_square_expansion(self):
         s = random_sym(3, seed=4)
         n = random_skew_simple(3, seed=5)
-        # built via from_terms to keep the test independent of BILoop
         x = LaurentLoop.from_terms({0: s, 1: n})
         sq = mul(x, x)
         assert sq.window == (0, 2)
@@ -394,7 +376,7 @@ class TestCoadjoint:
         for seed in range(10):
             s = random_sym(3, seed=seed)
             nmat = random_skew_simple(3, seed=seed + 40)
-            x = BILoop(s, nmat).loop()
+            x = LaurentLoop(0, np.stack([s, nmat]))
             gp, gm = group_pair(3, seed=100 + 7 * seed)
             out = coadjoint(gp, gm, x)
             assert out.lo >= 0 and out.hi <= 1
@@ -403,7 +385,7 @@ class TestCoadjoint:
     def test_first_order_formula(self):
         s = random_sym(4, seed=32)
         nmat = random_skew_simple(4, seed=33)
-        x = BILoop(s, nmat).loop()
+        x = LaurentLoop(0, np.stack([s, nmat]))
         p = 1e-4 * random_sym(4, seed=34)
         gm = exp_truncated(LaurentLoop.monomial(p, -1), window=(-10, 0))
         out = coadjoint(LaurentLoop.identity(4), gm, x)
@@ -427,7 +409,7 @@ class TestCoadjoint:
         n = 4
         s0 = random_sym(n, seed=35)
         n0 = random_skew_simple(n, seed=36)
-        x = BILoop(s0, n0).loop()
+        x = LaurentLoop(0, np.stack([s0, n0]))
         basis = []
         for i in range(n):
             for j in range(i, n):

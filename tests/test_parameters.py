@@ -22,8 +22,6 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(biflow.__path__))
 
 # Every defaulted parameter of a function or method named in a module's __all__.
 DEFAULTED = {
-    "blockpde.PDEState.__init__": ("parity",),
-    "blockpde.PDEState.from_fields": ("parity",),
     "factorization.birkhoff": ("depth",),
     "factorization.circle_symmetry_residual": ("m_samples",),
     "factorization.sample_exp": ("m_samples", "half"),
